@@ -19,10 +19,12 @@ Regenerate (only when an observer's output is meant to change) with::
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import pathlib
 
 from repro.experiments.runner import ExperimentContext
+from repro.kernel import futex as futex_module
 from repro.kernel.task import reset_tid_counter
 from repro.model.speedup import OracleSpeedupModel
 from repro.obs.context import ObsConfig
@@ -53,6 +55,9 @@ def sanitizer_checks(machine: Machine) -> int:
 def observed_run(scheduler: str, mix: str):
     """One run with tracing, metrics, profiling, schedsan and sampling on."""
     reset_tid_counter()
+    # Futex ids appear in trace records; restart them so a run's digests
+    # do not depend on what ran earlier in the process.
+    futex_module._futex_ids = itertools.count(1)
     ctx = ExperimentContext(
         seed=SEED,
         work_scale=SCALE,

@@ -113,7 +113,7 @@ def measure() -> dict:
             machine.run()
             times.append(time.perf_counter() - started)
             if hotpath:
-                counters["suppressed"] = machine._suppressed
+                counters["suppressed"] = machine.events_suppressed
                 counters["discarded"] = machine.engine.discarded
 
     # -- parity sweep ----------------------------------------------------

@@ -102,7 +102,7 @@ class COLABScheduler(Scheduler):
 
     def on_label_tick(self, now: float) -> None:
         machine = self._require_machine()
-        self.labeler.label(machine.tasks, profiler=machine.obs.profiler)
+        self.labeler.label(machine.tasks)
         # Labels (and thus predicted speedups) just changed: every memoized
         # prediction-derived value is now stale.
         self._pred_cache.bump()
@@ -177,28 +177,15 @@ class COLABScheduler(Scheduler):
             )
         return problems
 
-    def publish_metrics(self, registry) -> None:
-        """Add COLAB's decision mix, labeling-pass count, and memo stats."""
-        super().publish_metrics(registry)
+    def observe(self) -> tuple[dict[str, float], dict[str, float]]:
+        """Add the decision-tier mix, labeling passes and memo counters."""
+        counters, gauges = super().observe()
         for tier, count in self.selector.decisions.items():
-            registry.gauge(f"colab.pick.{tier}").set(count)
-        registry.gauge("colab.label_passes").set(self.labeler.passes)
-        registry.counter("model.pred_cache.hits").value = float(
-            self._pred_cache.hits
-        )
-        registry.counter("model.pred_cache.misses").value = float(
-            self._pred_cache.misses
-        )
-
-    def timeseries_counters(self) -> dict[str, float]:
-        """Add the decision-tier mix and prediction-cache counters."""
-        counters = super().timeseries_counters()
-        for tier, count in self.selector.decisions.items():
-            counters[f"colab.pick.{tier}"] = float(count)
-        counters["colab.label_passes"] = float(self.labeler.passes)
+            counters[f"colab.pick.{tier}"] = count
+        counters["colab.label_passes"] = self.labeler.passes
         counters["model.pred_cache.hits"] = float(self._pred_cache.hits)
         counters["model.pred_cache.misses"] = float(self._pred_cache.misses)
-        return counters
+        return counters, gauges
 
     # ------------------------------------------------------------------
     # Scale-slice preemption and equal-progress accounting

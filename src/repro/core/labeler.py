@@ -68,14 +68,10 @@ class MultiFactorLabeler:
         #: Labeling passes performed (diagnostics).
         self.passes = 0
 
-    def label(self, tasks: Iterable["Task"], profiler=None) -> None:
-        """Refresh estimates and relabel every live task.
-
-        ``profiler`` is forwarded to :func:`refresh_estimates` to time the
-        speedup-model predictions.
-        """
+    def label(self, tasks: Iterable["Task"]) -> None:
+        """Refresh estimates and relabel every live task."""
         live = [t for t in tasks if not t.is_done]
-        refresh_estimates(live, self.estimator, profiler=profiler)
+        refresh_estimates(live, self.estimator)
         for task in live:
             task.core_label = self.classify(task)
         self.passes += 1

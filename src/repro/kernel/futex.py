@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.errors import KernelError
 from repro.kernel.task import Task, TaskState
-from repro.obs.tracer import EventKind
+from repro.obs.probe import FUTEX_WAIT, FUTEX_WAKE, NO_HOOKS
 
 _futex_ids = itertools.count(1)
 
@@ -40,26 +40,23 @@ def new_futex_id() -> int:
 
 @dataclass
 class FutexWaiter:
-    """One parked task and the timestamp it began waiting."""
+    """One parked task, the futex it waits on, and since when."""
 
     task: Task
     since: float
+    futex_id: int
 
 
 class FutexTable:
     """All futex wait-queues of one simulated machine.
 
     Args:
-        obs: Optional :class:`repro.obs.Observability` context.  When its
-            tracer is enabled every wait/wake emits a typed event; when its
-            metrics registry is enabled wait periods feed the
-            ``futex.wait_ms`` histogram.
-        sanitizer: Optional :class:`repro.sanitize.SchedSanitizer`; every
-            park and wake is reported so pairing violations (double park,
-            wake of a non-waiter, lost wakeups) fail loudly.
+        probe: Optional :class:`repro.obs.probe.Probe` told about every
+            park and wake (trace records, wait histogram, attribution's
+            park counter, schedsan's pairing checks).
     """
 
-    def __init__(self, obs=None, sanitizer=None) -> None:
+    def __init__(self, probe=None) -> None:
         self._queues: dict[int, deque[FutexWaiter]] = {}
         #: Total number of wait operations (diagnostics / Table 3 measurement).
         self.total_waits: int = 0
@@ -70,20 +67,8 @@ class FutexTable:
         self.waits_by_kind: dict[str, int] = {}
         #: Total number of wake operations.
         self.total_wakes: int = 0
-        self._tracer = obs.tracer if obs is not None else None
-        self._sanitizer = sanitizer
-        #: Attribution accounting (set via :meth:`attach_attribution`);
-        #: the wait side bumps the per-task futex-park counter there.
-        self._attribution = None
-        self._wait_hist = (
-            obs.metrics.histogram("futex.wait_ms")
-            if obs is not None and obs.metrics.enabled
-            else None
-        )
-
-    def attach_attribution(self, accounting) -> None:
-        """Count futex parks per task (attribution wiring; always cheap)."""
-        self._attribution = accounting
+        #: The probe's per-kind transition hooks (:meth:`Probe.hooks`).
+        self.hooks = probe.hooks() if probe is not None else NO_HOOKS
 
     # ------------------------------------------------------------------
     # Wait side (futex_wait_queue_me analogue)
@@ -105,21 +90,14 @@ class FutexTable:
             raise KernelError(
                 f"task {task.name} already waiting since t={task.wait_started_at}"
             )
-        if self._sanitizer is not None:
-            self._sanitizer.on_futex_wait(task, futex_id)
         task.wait_started_at = now
-        self._queues.setdefault(futex_id, deque()).append(
-            FutexWaiter(task=task, since=now)
-        )
+        waiter = FutexWaiter(task=task, since=now, futex_id=futex_id)
+        self._queues.setdefault(futex_id, deque()).append(waiter)
         self.total_waits += 1
         self.waits_by_kind[kind] = self.waits_by_kind.get(kind, 0) + 1
-        if self._attribution is not None:
-            self._attribution.note_futex_wait(task)
-        if self._tracer is not None and self._tracer.enabled:
-            self._tracer.emit(
-                now, EventKind.FUTEX_WAIT, tid=task.tid, name=task.name,
-                core_id=task.last_core_id, futex=futex_id, sync=kind,
-            )
+        hook = self.hooks[FUTEX_WAIT]
+        if hook is not None:
+            hook(FUTEX_WAIT, task, waiter, now, kind)
 
     # ------------------------------------------------------------------
     # Wake side (wake_futex analogue)
@@ -143,8 +121,9 @@ class FutexTable:
         while queue and len(woken) < count:
             waiter = queue.popleft()
             task = waiter.task
-            if self._sanitizer is not None:
-                self._sanitizer.on_futex_wake(task, futex_id)
+            hook = self.hooks[FUTEX_WAKE]
+            if hook is not None:
+                hook(FUTEX_WAKE, task, waiter, now, waker)
             if task.state is not TaskState.SLEEPING:
                 raise KernelError(
                     f"futex {futex_id} woke {task.name} in state {task.state.value}"
@@ -163,15 +142,6 @@ class FutexTable:
             if waker is not None:
                 waker.caused_wait_time += waited
                 waker.caused_wait_window += waited
-            if self._wait_hist is not None:
-                self._wait_hist.observe(waited)
-            if self._tracer is not None and self._tracer.enabled:
-                self._tracer.emit(
-                    now, EventKind.FUTEX_WAKE, tid=task.tid, name=task.name,
-                    core_id=task.last_core_id, futex=futex_id,
-                    waited_ms=waited,
-                    waker=waker.tid if waker is not None else None,
-                )
             woken.append(task)
             self.total_wakes += 1
         if queue is not None and not queue:

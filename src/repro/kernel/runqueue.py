@@ -21,6 +21,7 @@ from typing import Callable, Iterator
 from repro.errors import KernelError
 from repro.kernel.rbtree import RBTree
 from repro.kernel.task import Task
+from repro.obs.probe import DEQUEUE, ENQUEUE, MIN_VRUNTIME, NO_HOOKS
 
 
 class RunQueue:
@@ -42,49 +43,10 @@ class RunQueue:
         #: Monotonic watermark of the smallest vruntime ever at the head of
         #: this queue; used by CFS to place newly woken tasks fairly.
         self.min_vruntime: float = 0.0
-        #: Observability: time-weighted depth tracker + clock, installed by
-        #: the machine when metrics are enabled (None otherwise).
-        self._depth_tracker = None
-        self._clock = None
-        #: Runtime sanitizer (:class:`repro.sanitize.SchedSanitizer`),
-        #: installed by the machine when ``sanitize=True`` (None otherwise).
-        self._sanitizer = None
-        #: Attribution accounting (:class:`repro.obs.attribution.
-        #: AttributionAccounting`) + the queue's runnable-state code and a
-        #: clock; installed by the machine when attribution is on.
-        self._attribution = None
-        self._attr_state = 0
-        self._attr_clock = None
-
-    def attach_depth_tracker(self, clock, tracker) -> None:
-        """Publish queue-depth changes into ``tracker`` (obs wiring).
-
-        Args:
-            clock: Zero-argument callable returning the current simulated
-                time (the machine passes the engine clock).
-            tracker: A :class:`repro.obs.TimeWeighted` instrument.
-        """
-        self._clock = clock
-        self._depth_tracker = tracker
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Validate every mutation through ``sanitizer`` (schedsan wiring)."""
-        self._sanitizer = sanitizer
-
-    def attach_attribution(self, clock, accounting, runnable_state: int) -> None:
-        """Record runnable-state transitions on enqueue (attribution wiring).
-
-        Args:
-            clock: Zero-argument callable returning simulated time.
-            accounting: The machine's single
-                :class:`repro.obs.attribution.AttributionAccounting`.
-            runnable_state: The state code every task entering this queue
-                transitions into (``RUNNABLE_BIG`` / ``RUNNABLE_LITTLE``,
-                fixed by the owning core's kind).
-        """
-        self._attr_clock = clock
-        self._attribution = accounting
-        self._attr_state = runnable_state
+        #: The machine's per-kind transition hooks
+        #: (:meth:`repro.obs.probe.Probe.hooks`), called on enqueue,
+        #: dequeue and ``min_vruntime`` updates for the kinds observed.
+        self.hooks = NO_HOOKS
 
     # ------------------------------------------------------------------
     # Size / iteration
@@ -124,12 +86,9 @@ class RunQueue:
         self._nodes[task.tid] = self._tree.insert(key, task)
         self._by_tid[task.tid] = task
         task.rq_core_id = self.core_id
-        if self._attribution is not None:
-            self._attribution.transition(task, self._attr_state, self._attr_clock())
-        if self._depth_tracker is not None:
-            self._depth_tracker.update(self._clock(), len(self._by_tid))
-        if self._sanitizer is not None:
-            self._sanitizer.on_rq_change(self)
+        hook = self.hooks[ENQUEUE]
+        if hook is not None:
+            hook(ENQUEUE, task, self, None, None)
 
     def dequeue(self, task: Task) -> None:
         """Remove a specific task (migration, or it was picked to run)."""
@@ -140,10 +99,9 @@ class RunQueue:
         self._tree.remove_node(self._nodes.pop(task.tid))
         del self._by_tid[task.tid]
         task.rq_core_id = None
-        if self._depth_tracker is not None:
-            self._depth_tracker.update(self._clock(), len(self._by_tid))
-        if self._sanitizer is not None:
-            self._sanitizer.on_rq_change(self)
+        hook = self.hooks[DEQUEUE]
+        if hook is not None:
+            hook(DEQUEUE, task, self, None, None)
 
     def requeue(self, task: Task) -> None:
         """Re-key a queued task after its vruntime (or key inputs) changed."""
@@ -172,8 +130,9 @@ class RunQueue:
         self.dequeue(task)
         if task.vruntime > self.min_vruntime:
             self.min_vruntime = task.vruntime
-        if self._sanitizer is not None:
-            self._sanitizer.on_min_vruntime(self)
+        hook = self.hooks[MIN_VRUNTIME]
+        if hook is not None:
+            hook(MIN_VRUNTIME, None, self, None, None)
         return task
 
     def best(self, key: Callable[[Task], tuple]) -> Task | None:
@@ -237,8 +196,9 @@ class RunQueue:
             floor = running_vruntime
         if floor is not None and floor > self.min_vruntime:
             self.min_vruntime = floor
-        if self._sanitizer is not None:
-            self._sanitizer.on_min_vruntime(self)
+        hook = self.hooks[MIN_VRUNTIME]
+        if hook is not None:
+            hook(MIN_VRUNTIME, None, self, None, None)
 
     # ------------------------------------------------------------------
     # Sanitizer support

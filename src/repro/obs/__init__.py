@@ -1,8 +1,9 @@
 """``repro.obs`` -- observability for the simulator stack.
 
 Structured tracing, a metrics registry, host-side profiling, and logging
-wiring, threaded through the machine, kernel machinery, and schedulers.
-Enable per run via :class:`ObsConfig`::
+wiring.  Every run-time observer reaches the machine, kernel machinery
+and engine through one seam, :mod:`repro.obs.probe`.  Enable per run via
+:class:`ObsConfig`::
 
     from repro import Machine, MachineConfig
     from repro.obs import ObsConfig

@@ -20,12 +20,13 @@ state                   meaning
 ======================  ==================================================
 
 Accounting follows the ``events_processed`` pattern: cheap always-on
-counters maintained by the machine/runqueue/futex layers, deliberately
-outside :func:`repro.sim.digest.run_digest` and the cache fingerprints, so
-attribution-enabled runs stay bit-identical to attribution-off runs.
+counters, deliberately outside :func:`repro.sim.digest.run_digest` and the
+cache fingerprints.  :class:`AttributionAccounting` is the machine's
+always-attached :class:`~repro.obs.probe.Probe`: it turns the transitions
+the machine, runqueues and futex table report into state windows.
 
-Every mutation of a task's ``attr_*`` fields goes through the single
-:class:`AttributionAccounting` helper (lint rule OBS003 enforces this), so
+Every mutation of a task's ``attr_*`` fields goes through that single
+helper (lint rule OBS003 enforces this), so
 the state timeline cannot be corrupted by ad-hoc writes.  State times
 telescope over transition timestamps, so each task's state sum equals its
 turnaround up to float-addition rounding (~1e-9 ms per transition).
@@ -42,6 +43,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable
 
+from repro.obs.probe import (
+    BLOCK,
+    DISPATCH,
+    DONE,
+    ENQUEUE,
+    EXEC,
+    FUTEX_WAIT,
+    SPAWN,
+    Probe,
+)
 from repro.obs.tracer import EventKind, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,21 +87,72 @@ STATE_NAMES = (
 NO_STATE = -1
 
 
-class AttributionAccounting:
+class AttributionAccounting(Probe):
     """The single owner of every task's attribution timeline.
 
-    The machine, runqueues, and futex table call these hooks at state
-    boundaries; nothing else may write ``attr_ms`` / ``attr_since`` /
-    ``attr_state`` (lint rule OBS003).  All hooks are O(1) and
-    allocation-free after :meth:`begin`, because they run inside the
-    simulator's hottest paths.
+    As a probe it maps the machine's transitions onto state windows;
+    the state methods below are also usable directly.  Nothing else may
+    write ``attr_ms`` / ``attr_since`` / ``attr_state`` (lint rule
+    OBS003).  All hooks are O(1) and allocation-free after :meth:`begin`,
+    because they run inside the simulator's hottest paths.
+
+    Args:
+        machine: The machine to observe: its engine clock times runqueue
+            entries and its core kinds pick the runnable state.  Only
+            needed when attached as a probe.
     """
 
-    __slots__ = ("futex_waits",)
+    __slots__ = ("futex_waits", "_clock", "_runnable", "_sleep")
 
-    def __init__(self) -> None:
+    kinds = frozenset((SPAWN, ENQUEUE, DISPATCH, EXEC, BLOCK, DONE, FUTEX_WAIT))
+
+    def __init__(self, machine=None) -> None:
+        # Imported here: the workloads package imports the kernel, which
+        # imports this package.
+        from repro.workloads.actions import Sleep
+
+        self._sleep = Sleep
         #: tid -> number of futex parks (wait-side hook, kernel/futex.py).
         self.futex_waits: dict[int, int] = {}
+        self._clock = machine.engine if machine is not None else None
+        #: core id -> the runnable state of a task queued there.
+        self._runnable = (
+            [RUNNABLE_BIG if c.is_big else RUNNABLE_LITTLE for c in machine.cores]
+            if machine is not None
+            else []
+        )
+
+    # -- probe ---------------------------------------------------------
+    def transition(self, kind: int, task, where, now, detail) -> None:
+        if kind == EXEC:
+            # Reported before core.run_started moves, so the window is
+            # exactly the machine's accounted ``elapsed``.
+            self.on_exec(
+                task,
+                RUNNING_BIG if where.is_big else RUNNING_LITTLE,
+                now - where.run_started,
+                detail,
+                now,
+            )
+        elif kind == ENQUEUE:
+            self.enter(task, self._runnable[where.core_id], self._clock.now)
+        elif kind == DISPATCH:
+            self.enter(task, RUNNING_BIG if where.is_big else RUNNING_LITTLE, now)
+        elif kind == BLOCK:
+            self.enter(
+                task,
+                BLOCKED_SLEEP if isinstance(detail, self._sleep) else BLOCKED_FUTEX,
+                now,
+            )
+        elif kind == SPAWN:
+            self.begin(task, now)
+        elif kind == DONE:
+            self.on_done(task, now)
+        elif kind == FUTEX_WAIT:
+            self.note_futex_wait(task)
+
+    def finish(self, machine, makespan: float, fields: dict) -> None:
+        fields["attribution"] = summarize_attribution(machine.tasks, self)
 
     # -- lifecycle -----------------------------------------------------
     def begin(self, task: "Task", now: float) -> None:
@@ -99,7 +161,7 @@ class AttributionAccounting:
         task.attr_since = now
         task.attr_state = NO_STATE
 
-    def transition(self, task: "Task", state: int, now: float) -> None:
+    def enter(self, task: "Task", state: int, now: float) -> None:
         """Close the open state window (if any) and enter ``state``.
 
         A task never passed through :meth:`begin` (hand-built in a unit

@@ -1,9 +1,8 @@
 """The per-run observability context: config + tracer + metrics + profiler.
 
 One :class:`Observability` object accompanies each
-:class:`~repro.sim.machine.Machine` and is shared with the kernel pieces
-(runqueues, futex table) and the scheduler.  It bundles the three
-independent facilities so call sites hold a single reference:
+:class:`~repro.sim.machine.Machine`.  It bundles the three independent
+facilities :class:`ObsConfig` switches:
 
 * :attr:`Observability.tracer` -- typed event trace
   (:mod:`repro.obs.tracer`);
@@ -12,10 +11,15 @@ independent facilities so call sites hold a single reference:
 * :attr:`Observability.profiler` -- host wall-clock profiling
   (:mod:`repro.obs.profiling`).
 
-Each facility is individually switchable through :class:`ObsConfig`; the
-default-constructed context has everything off and is what every run gets
-when observability was not requested -- its per-event cost is the guard
-branches only.
+The machine turns the enabled ones into observers behind its one probe
+(:mod:`repro.obs.probe`) -- the tracer and a
+:class:`~repro.obs.metrics.MachineMetrics` probe next to schedsan, the
+timeline sampler and attribution -- and lets the profiler wrap its hot
+callables.  Disabled facilities are not attached at all, so the
+default-constructed, all-off context costs a run one ``is None`` check
+per engine event and per hook site no attached observer watches;
+``benchmarks/bench_observer_overhead.py`` bounds what the seam itself
+costs.  Schedulers reach the tracer here for their DECISION records.
 """
 
 from __future__ import annotations

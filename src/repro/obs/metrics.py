@@ -1,9 +1,12 @@
 """Metrics registry: counters, gauges, histograms, time-weighted values.
 
-The simulator layers (:class:`~repro.sim.machine.Machine`, the runqueues,
-the futex table, every scheduler) publish into one
-:class:`MetricsRegistry` per run; the registry is snapshotted into
-``RunResult.metrics`` so every run carries its own metrics catalogue:
+A machine built with metrics on attaches a :class:`MachineMetrics` probe
+to its observer seam (:mod:`repro.obs.probe`): it feeds one
+:class:`MetricsRegistry` from the runqueue and futex transitions and, at
+the end of the run, fills it from the machine's state and the
+scheduler's :meth:`~repro.schedulers.base.Scheduler.observe` reading.
+The registry is snapshotted into ``RunResult.metrics`` so every run
+carries its own metrics catalogue:
 
 * **counters** -- monotonically increasing totals (migrations, futex
   waits, wakeup preemptions, ...);
@@ -16,8 +19,8 @@ the futex table, every scheduler) publish into one
   per-update mean.
 
 A disabled registry hands out shared no-op instruments so call sites can
-hold references unconditionally; hot paths additionally guard on
-:attr:`MetricsRegistry.enabled` to avoid any work at all.
+hold references unconditionally; a run without metrics attaches no
+probe, so its hot paths do no metrics work at all.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 
 from repro.errors import ExperimentError
+from repro.obs.probe import DEQUEUE, ENQUEUE, FUTEX_WAKE, Probe
 
 
 class Counter:
@@ -258,3 +262,105 @@ class MetricsRegistry:
                 n: t.summary() for n, t in sorted(self._time_weighted.items())
             },
         }
+
+
+class MachineMetrics(Probe):
+    """Publishes one machine's run into ``registry`` (a metrics probe).
+
+    During the run it integrates each runqueue's depth over simulated
+    time and records every futex wait period; :meth:`finish` adds the
+    end-of-run aggregates and snapshots the registry.
+    """
+
+    __slots__ = ("registry", "_clock", "_depth", "_wait_ms")
+
+    kinds = frozenset((ENQUEUE, DEQUEUE, FUTEX_WAKE))
+
+    def __init__(self, registry: MetricsRegistry, machine) -> None:
+        self.registry = registry
+        self._clock = machine.engine
+        self._depth = [
+            registry.time_weighted(f"rq.{core.core_id}.depth")
+            for core in machine.cores
+        ]
+        self._wait_ms = registry.histogram("futex.wait_ms")
+
+    def transition(self, kind: int, task, where, now, detail) -> None:
+        if kind == ENQUEUE or kind == DEQUEUE:
+            self._depth[where.core_id].update(self._clock.now, len(where))
+        elif kind == FUTEX_WAKE:
+            self._wait_ms.observe(now - where.since)
+
+    def finish(self, machine, makespan: float, fields: dict) -> None:
+        """Fill end-of-run aggregates and snapshot the registry.
+
+        Dispatch, switch and migration totals are read from the counts
+        the machine keeps anyway (every dispatch is one scheduler pick).
+        """
+        registry = self.registry
+        cores = machine.cores
+        registry.gauge("run.makespan_ms").set(makespan)
+        registry.gauge("run.tasks").set(len(machine.tasks))
+        busy_total = 0.0
+        for core in cores:
+            busy_total += core.busy_time
+            utilization = core.busy_time / makespan if makespan > 0 else 0.0
+            registry.gauge(f"core.{core.core_id}.utilization").set(utilization)
+            registry.gauge(f"core.{core.core_id}.busy_ms").set(core.busy_time)
+            registry.gauge(f"core.{core.core_id}.preemptions").set(
+                core.preemptions
+            )
+        if cores and makespan > 0:
+            registry.gauge("core.mean_utilization").set(
+                busy_total / (makespan * len(cores))
+            )
+        total_migrations = sum(t.migrations for t in machine.tasks)
+        if makespan > 0:
+            registry.gauge("sched.migration_rate_per_s").set(
+                total_migrations / (makespan / 1000.0)
+            )
+        live_vruntimes = [t.vruntime for t in machine.tasks]
+        if live_vruntimes:
+            registry.gauge("sched.vruntime_spread_ms").set(
+                max(live_vruntimes) - min(live_vruntimes)
+            )
+        scheduler = machine.scheduler
+        registry.counter("sched.dispatches").value = float(scheduler.stats.picks)
+        registry.counter("sched.context_switches").value = float(
+            sum(core.context_switches for core in cores)
+        )
+        registry.counter("sched.migrations").value = float(
+            sum(core.migrations_in for core in cores)
+        )
+        futexes = machine.futexes
+        registry.counter("futex.waits").value = float(futexes.total_waits)
+        registry.counter("futex.wakes").value = float(futexes.total_wakes)
+        registry.gauge("futex.total_wait_ms").set(self._wait_ms.total)
+        depth_means = []
+        for tracker in self._depth:
+            tracker.finish(makespan)
+            depth_means.append(tracker.mean())
+        if depth_means:
+            registry.gauge("rq.mean_depth").set(
+                sum(depth_means) / len(depth_means)
+            )
+        engine = machine.engine
+        registry.counter("engine.events.suppressed").value = float(
+            machine.events_suppressed
+        )
+        registry.counter("engine.events.discarded").value = float(
+            engine.discarded
+        )
+        registry.counter("engine.events.processed").value = float(
+            engine.processed
+        )
+        counters, gauges = scheduler.observe()
+        for name, value in vars(scheduler.stats).items():
+            key = f"scheduler.{name}"
+            if isinstance(value, (int, float)) and key not in counters:
+                registry.gauge(key).set(value)
+        for name, value in counters.items():
+            registry.counter(name).value = value
+        for name, value in gauges.items():
+            registry.gauge(name).set(value)
+        fields["metrics"] = registry.snapshot()

@@ -10,14 +10,21 @@ before optimising the engine loop or the schedulers we need attribution.
   ``scheduler.on_label_tick`` -- the policy callbacks;
 * ``model.estimate`` -- runtime speedup-model predictions.
 
-Disabled profilers cost one attribute read per call site (the machine and
-engine check :attr:`Profiler.enabled` before touching the clock), keeping
-the default path unperturbed.
+Profiling works by wrapping, not by branching: with
+``ObsConfig(profile=True)`` the machine calls :meth:`Profiler.instrument`
+once at construction, which replaces those callables on the run's engine,
+scheduler and estimator with timed wrappers.  It is the one facility that
+does not sit behind the observer seam (:mod:`repro.obs.probe`), because
+it times calls rather than observing state changes.  A run without
+profiling has no profiler call sites at all, so unlike the observers
+(whose disabled cost ``benchmarks/bench_observer_overhead.py`` bounds)
+it costs a plain run nothing.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
+from typing import Callable
 
 
 class Profiler:
@@ -30,20 +37,48 @@ class Profiler:
         self._totals: dict[str, float] = {}
         self._counts: dict[str, int] = {}
 
-    def start(self) -> float:
-        """Timestamp for a section about to run (pairs with :meth:`stop`)."""
-        return perf_counter()
-
     def stop(self, name: str, started: float) -> None:
-        """Charge the time since ``started`` to section ``name``."""
+        """Charge the time since ``started`` (a perf_counter) to ``name``."""
         elapsed = perf_counter() - started
         self._totals[name] = self._totals.get(name, 0.0) + elapsed
         self._counts[name] = self._counts.get(name, 0) + 1
 
-    def add(self, name: str, seconds: float) -> None:
-        """Charge an externally measured duration to ``name``."""
-        self._totals[name] = self._totals.get(name, 0.0) + seconds
-        self._counts[name] = self._counts.get(name, 0) + 1
+    def timed(self, name: str, fn: Callable) -> Callable:
+        """``fn`` wrapped to charge each call's wall time to ``name``."""
+
+        def wrapper(*args, **kwargs):
+            started = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.stop(name, started)
+
+        return wrapper
+
+    def instrument(self, machine) -> None:
+        """Wrap ``machine``'s timed sections (see the module docstring).
+
+        The estimator is shared between runs, so it is wrapped in a
+        per-run proxy rather than patched in place.
+        """
+        engine = machine.engine
+        engine.wrap_handlers(
+            lambda kind, handler: self.timed(f"engine.handle.{kind.name}", handler)
+        )
+        engine.run = self.timed("engine.run", engine.run)
+        scheduler = machine.scheduler
+        for hook in ("pick_next", "select_core", "on_label_tick"):
+            setattr(
+                scheduler, hook,
+                self.timed(f"scheduler.{hook}", getattr(scheduler, hook)),
+            )
+        proxies: dict[int, _TimedEstimator] = {}
+        for holder in (scheduler, getattr(scheduler, "labeler", None)):
+            estimator = getattr(holder, "estimator", None)
+            if estimator is not None:
+                if id(estimator) not in proxies:
+                    proxies[id(estimator)] = _TimedEstimator(estimator, self)
+                holder.estimator = proxies[id(estimator)]
 
     def snapshot(self) -> dict:
         """``name -> {total_s, count, mean_us}`` for every section."""
@@ -57,3 +92,14 @@ class Profiler:
                 "mean_us": (total / count) * 1e6 if count else 0.0,
             }
         return out
+
+
+class _TimedEstimator:
+    """A speedup estimator whose ``estimate`` is timed as ``model.estimate``."""
+
+    def __init__(self, inner, profiler: Profiler) -> None:
+        self._inner = inner
+        self.estimate = profiler.timed("model.estimate", inner.estimate)
+
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)

@@ -10,16 +10,16 @@ techniques (Pac-Sim) and tail-latency analyses need as input.
 
 Determinism contract
 --------------------
-The sampler is strictly read-only and pushes **no events**: the engine
-calls :meth:`TimeseriesSampler.on_clock_advance` from ``Engine.step``
-whenever processing an event would move the clock across one or more
-sample boundaries, and the sampler records the pre-event machine state
-for each crossed boundary.  Event sequence numbers, heap ordering, RNG
-streams, and every behavioural outcome are untouched, so
-:func:`repro.sim.digest.run_digest` is bit-identical with sampling on or
-off (the timeseries bench and the obs test-suite assert this for all
-four schedulers).  ``RunResult.timeseries`` is correspondingly excluded
-from the digest and from cache fingerprints.
+The sampler is strictly read-only and pushes **no events**.  It is a
+:class:`~repro.obs.probe.Probe` with only an ``event`` hook: the engine
+calls it before each handler, and whenever the event would move the
+clock across one or more sample boundaries the sampler records the
+pre-event machine state for each crossed boundary.  Event sequence
+numbers, heap ordering, RNG streams, and every behavioural outcome are
+untouched, so :func:`repro.sim.digest.run_digest` is bit-identical with
+sampling on or off (the observer-overhead bench and the obs test-suite
+assert this for all four schedulers).  ``RunResult.timeseries`` is
+correspondingly excluded from the digest and from cache fingerprints.
 
 Series kinds
 ------------
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
+from repro.obs.probe import Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.machine import Machine
@@ -85,14 +86,12 @@ def exact_percentile(ordered: list[float], q: float) -> float:
     return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
-class TimeseriesSampler:
+class TimeseriesSampler(Probe):
     """Fixed-cadence, read-only sampler of one machine's evolving state.
 
-    Installed on :attr:`repro.sim.engine.Engine.sampler` by the machine
-    when ``MachineConfig.timeseries`` is set.  ``next_due`` is the next
-    sample boundary on the simulated clock; the engine's hot-loop guard
-    is one attribute read plus a comparison when sampling is enabled and
-    a single ``is None`` check when it is not.
+    Part of the machine's probe when ``MachineConfig.timeseries`` is set.
+    ``next_due`` is the next sample boundary on the simulated clock; a
+    run without sampling pays one ``event is None`` check per event.
     """
 
     __slots__ = (
@@ -138,12 +137,20 @@ class TimeseriesSampler:
         self._finished = False
 
     # ------------------------------------------------------------------
-    # Engine hook
+    # Probe hooks
     # ------------------------------------------------------------------
+    def event(self, event, now: float) -> None:
+        """Sample every boundary the clock is about to cross."""
+        if event.time >= self.next_due:
+            self.on_clock_advance(event.time)
+
+    def finish(self, machine, makespan: float, fields: dict) -> None:
+        fields["timeseries"] = self.snapshot(makespan)
+
     def on_clock_advance(self, event_time: float) -> None:
         """Record every sample boundary in ``(now, event_time]``.
 
-        Called by ``Engine.step`` *before* the clock advances, so each
+        Called from :meth:`event` *before* the clock advances, so each
         boundary observes the machine state that held since the previous
         event -- the left limit, which is the state in effect at the
         boundary instant.  Boundary times are exact tick multiples
@@ -228,9 +235,9 @@ class TimeseriesSampler:
             "sched.vruntime_spread_ms",
             (hi - lo) if lo is not None and hi is not None else 0.0,
         )
-        scheduler = machine.scheduler
-        for name, value in scheduler.timeseries_gauges().items():
-            self._observe_gauge(name, value)
+        counters, gauges = machine.scheduler.observe()
+        for name, value in gauges.items():
+            self._observe_gauge(name, float(value))
 
         self._observe_counter("sched.migrations", float(migrations))
         self._observe_counter("sched.context_switches", float(switches))
@@ -238,8 +245,8 @@ class TimeseriesSampler:
         self._observe_counter(
             "engine.events_processed", float(machine.engine.processed)
         )
-        for name, value in scheduler.timeseries_counters().items():
-            self._observe_counter(name, value)
+        for name, value in counters.items():
+            self._observe_counter(name, float(value))
 
     # ------------------------------------------------------------------
     # Window aggregation
@@ -304,7 +311,7 @@ class TimeseriesSampler:
     # ------------------------------------------------------------------
     # Result assembly
     # ------------------------------------------------------------------
-    def finish(self, makespan: float) -> None:
+    def _close_trailing(self, makespan: float) -> None:
         """Close the trailing partial window (idempotent)."""
         if self._finished:
             return
@@ -318,7 +325,7 @@ class TimeseriesSampler:
 
     def snapshot(self, makespan: float) -> dict:
         """JSON-ready timeline: deterministic, sorted, schema-versioned."""
-        self.finish(makespan)
+        self._close_trailing(makespan)
         series: dict[str, dict] = {}
         for name in sorted(self._gauge_windows):
             series[name] = {

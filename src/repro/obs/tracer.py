@@ -8,14 +8,18 @@ scheduler decisions annotated with the factor scores that drove them.
 
 Zero-overhead-when-disabled contract
 ------------------------------------
-A disabled tracer must cost one attribute read and one branch per call
-site, nothing more.  Hot paths therefore guard with::
+The machine, runqueue and futex records come through the one observer
+seam (:mod:`repro.obs.probe`): an enabled tracer is attached to the
+machine's probe and :meth:`Tracer.transition` turns each reported state
+change into its record, while a disabled tracer is simply not attached,
+so untraced runs build no event object, argument dict, or string.  The
+schedulers' DECISION records keep an explicit guard::
 
     if tracer.enabled:
-        tracer.emit(now, EventKind.DISPATCH, core_id=..., tid=...)
+        tracer.emit(now, EventKind.DECISION, op=..., tid=...)
 
-so no event object, argument dict, or string is ever built when tracing
-is off.  :mod:`benchmarks.bench_obs_overhead` asserts this stays cheap.
+:mod:`benchmarks.bench_observer_overhead` bounds what the disabled seam
+costs a run.
 
 Events are consumed by the exporters (:mod:`repro.obs.exporters`) -- JSONL
 for programmatic analysis, Chrome ``trace_event`` JSON for interactive
@@ -27,6 +31,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+
+from repro.obs.probe import (
+    BLOCK,
+    DESCHEDULE,
+    DISPATCH,
+    DONE,
+    DVFS,
+    FUTEX_WAIT,
+    FUTEX_WAKE,
+    LABEL,
+    Probe,
+)
 
 
 class EventKind(enum.Enum):
@@ -95,8 +111,12 @@ class TraceEvent:
         return record
 
 
-class Tracer:
+class Tracer(Probe):
     """Collects :class:`TraceEvent` records for one run.
+
+    As a :class:`~repro.obs.probe.Probe` it records the machine's
+    dispatches, deschedules, migrations, futex traffic, DVFS changes and
+    labeling passes.
 
     Args:
         enabled: When False every :meth:`emit` is skipped; call sites are
@@ -105,6 +125,10 @@ class Tracer:
     """
 
     __slots__ = ("enabled", "events", "metadata")
+
+    kinds = frozenset(
+        (DISPATCH, DESCHEDULE, BLOCK, DONE, FUTEX_WAIT, FUTEX_WAKE, DVFS, LABEL)
+    )
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
@@ -135,6 +159,52 @@ class Tracer:
                 args=args or None,
             )
         )
+
+    def transition(self, kind: int, task, where, now, detail) -> None:
+        """Record the trace events of one machine transition."""
+        if kind == DISPATCH:
+            if detail is not None and detail != where.core_id:
+                self.emit(
+                    now, EventKind.MIGRATE, core_id=where.core_id,
+                    tid=task.tid, name=task.name, from_core=detail,
+                )
+            self.emit(
+                now, EventKind.DISPATCH, core_id=where.core_id,
+                tid=task.tid, name=task.name, app=task.app_id,
+            )
+        elif kind == DESCHEDULE or kind == BLOCK or kind == DONE:
+            if kind == BLOCK:
+                reason = "blocked"
+            elif kind == DONE:
+                reason = "done"
+            else:
+                reason = detail
+            self.emit(
+                now, EventKind.DESCHEDULE, core_id=where.core_id,
+                tid=task.tid, name=task.name, reason=reason,
+            )
+        elif kind == FUTEX_WAIT:
+            self.emit(
+                now, EventKind.FUTEX_WAIT, tid=task.tid, name=task.name,
+                core_id=task.last_core_id, futex=where.futex_id, sync=detail,
+            )
+        elif kind == FUTEX_WAKE:
+            self.emit(
+                now, EventKind.FUTEX_WAKE, tid=task.tid, name=task.name,
+                core_id=task.last_core_id, futex=where.futex_id,
+                waited_ms=now - where.since,
+                waker=detail.tid if detail is not None else None,
+            )
+        elif kind == DVFS:
+            self.emit(
+                now, EventKind.DVFS, core_id=where.core_id,
+                scale=detail, prev_scale=where.freq_scale,
+            )
+        elif kind == LABEL:
+            self.emit(
+                now, EventKind.LABEL, name=where.name,
+                pass_index=where.stats.label_passes,
+            )
 
     def __len__(self) -> int:
         return len(self.events)

@@ -63,16 +63,14 @@ PINNED_CONFIG_FIELDS = (
 
 #: MachineConfig switches asserted digest-neutral: runs produce
 #: bit-identical behavioural results with them on or off (the hot-path
-#: parity suite and the tracer/attribution/timeseries tests pin this), so
+#: parity suite and the tracer/schedsan/timeseries tests pin this), so
 #: they must not fragment the cache key space.
 PARITY_NEUTRAL_FIELDS = (
     "trace",
     "obs",
     "sanitize",
     "hotpath",
-    "attribution",
     "timeseries",
-    "timeseries_config",
 )
 
 #: ExperimentContext state that selects an execution *strategy*, never an

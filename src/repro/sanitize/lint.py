@@ -55,10 +55,15 @@ MERGE_SCOPE = ("repro/experiments/", "repro/parallel/")
 #: Where host-side telemetry spans (repro.obs.spans) may be opened; the
 #: close-on-all-paths contract (OBS002) applies to the whole package.
 SPAN_SCOPE = ("repro/",)
-#: Sim-time sampling paths: the timeline sampler and the engine hook that
-#: drives it.  Timeline timestamps must come from the simulated clock, so
-#: wall-clock reads are banned here outright (OBS004).
-SAMPLING_SCOPE = ("repro/obs/timeseries.py", "repro/sim/engine.py")
+#: Sim-time sampling paths: the timeline sampler, the engine that calls
+#: its hook, and the probe seam in between.  Timeline timestamps must come
+#: from the simulated clock, so wall-clock reads are banned here outright
+#: (OBS004).
+SAMPLING_SCOPE = (
+    "repro/obs/timeseries.py",
+    "repro/sim/engine.py",
+    "repro/obs/probe.py",
+)
 
 _SUPPRESS_RE = re.compile(r"#\s*sanitize:\s*ignore\[([A-Z0-9,\s]+)\]")
 

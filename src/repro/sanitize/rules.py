@@ -345,7 +345,8 @@ def obs004(module: ParsedModule) -> Iterator[Violation]:
     """The metrics timeline is sampled on the *simulated* clock: the
     sampler fires when the engine's event time crosses a boundary, and
     every window timestamp is a sim-ms tick multiple.  A wall-clock read
-    anywhere in the sampler or the engine hook would smuggle host timing
+    anywhere in the sampler, the engine or the probe seam between them
+    (repro.obs.probe) would smuggle host timing
     into the series, breaking the byte-identical-exports guarantee the
     dashboard and counter-track tests pin.
     """

@@ -1,10 +1,12 @@
 """schedsan: the runtime scheduler sanitizer.
 
-Lockdep/KASAN for the simulated kernel: read-only invariant hooks wired
-into the rbtree, the runqueues, the futex table, and the event engine when
-a machine is built with ``MachineConfig(sanitize=True)``.  Every check
-inspects state without mutating it, which is what guarantees scheduling
-outcomes stay bit-identical with the sanitizer on or off.
+Lockdep/KASAN for the simulated kernel: a read-only
+:class:`~repro.obs.probe.Probe` that a machine built with
+``MachineConfig(sanitize=True)`` attaches to its observer seam, so it sees
+every runqueue mutation, futex park and wake, pick, drain and engine
+event.  Every check inspects state without mutating it, which is what
+guarantees scheduling outcomes stay bit-identical with the sanitizer on
+or off.
 
 Checked invariants (the ones COLAB's who-wins evaluation rests on):
 
@@ -35,6 +37,16 @@ from typing import TYPE_CHECKING
 
 from repro.errors import SanitizerError
 from repro.kernel.task import TaskState
+from repro.obs.probe import (
+    DEQUEUE,
+    DRAIN,
+    ENQUEUE,
+    FUTEX_WAIT,
+    FUTEX_WAKE,
+    MIN_VRUNTIME,
+    PICK,
+    Probe,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.runqueue import RunQueue
@@ -44,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.machine import Machine
 
 
-class SchedSanitizer:
+class SchedSanitizer(Probe):
     """The invariant checker one sanitized machine owns.
 
     Args:
@@ -66,6 +78,30 @@ class SchedSanitizer:
         self._last_event_time: float = 0.0
         #: Total checks executed (diagnostics / benchmarks).
         self.checks_run: int = 0
+
+    # ------------------------------------------------------------------
+    # Probe hooks
+    # ------------------------------------------------------------------
+    kinds = frozenset(
+        (ENQUEUE, DEQUEUE, MIN_VRUNTIME, PICK, DRAIN, FUTEX_WAIT, FUTEX_WAKE)
+    )
+
+    def transition(self, kind: int, task, where, now, detail) -> None:
+        if kind == MIN_VRUNTIME:
+            self.on_min_vruntime(where)
+        elif kind == ENQUEUE or kind == DEQUEUE:
+            self.on_rq_change(where)
+        elif kind == DRAIN:
+            self.check_machine(where)
+        elif kind == PICK:
+            self.on_pick(where, task)
+        elif kind == FUTEX_WAIT:
+            self.on_futex_wait(task, where.futex_id)
+        elif kind == FUTEX_WAKE:
+            self.on_futex_wake(task, where.futex_id)
+
+    def finish(self, machine, makespan: float, fields: dict) -> None:
+        self.check_final(machine)
 
     # ------------------------------------------------------------------
     # Failure path
@@ -158,6 +194,8 @@ class SchedSanitizer:
                 f"previously handled event at t={self._last_event_time}",
             )
         self._last_event_time = event.time
+
+    event = on_event
 
     # ------------------------------------------------------------------
     # Dispatch hook

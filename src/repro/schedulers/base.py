@@ -142,45 +142,26 @@ class Scheduler(abc.ABC):
     def on_task_done(self, task: "Task", now: float) -> None:
         """Notification that ``task`` finished."""
 
-    def publish_metrics(self, registry) -> None:
-        """Publish end-of-run policy metrics into the registry.
+    def observe(self) -> tuple[dict[str, float], dict[str, float]]:
+        """Read-only policy signals: ``(counters, gauges)``.
 
-        Called once by the machine while building the result (only when
-        metrics are enabled).  The default publishes every numeric field
-        of :class:`SchedulerStats` under ``scheduler.<field>``; policies
-        override to add their own signals (decision mixes, load averages,
-        pin counts) and should call ``super().publish_metrics(registry)``.
-        """
-        for field_name, value in vars(self.stats).items():
-            if isinstance(value, (int, float)):
-                registry.gauge(f"scheduler.{field_name}").set(value)
-
-    def timeseries_counters(self) -> dict[str, float]:
-        """Cumulative policy counters for the sim-time timeline sampler.
-
-        Called at every sample tick when ``MachineConfig.timeseries`` is
-        enabled, so implementations must be read-only and cheap.  Each
-        value is a monotonic cumulative count; the sampler windows them
-        into deltas and rates.  The default exposes the core decision
-        counters of :class:`SchedulerStats`; policies add their own
-        series (decision-tier mixes, prediction-cache hits) on top of
-        ``super().timeseries_counters()``.
+        Read at every timeline sample tick (``MachineConfig.timeseries``)
+        and once at the end of a metrics-enabled run, so implementations
+        must be cheap and must not mutate anything.  Counters are
+        cumulative counts -- the timeline windows them into rates;
+        gauges are point-in-time values.  Values are published into the
+        metrics snapshot as given.  The base reports the core decision
+        counters of :class:`SchedulerStats` (the metrics snapshot adds
+        the other stats fields as ``scheduler.<field>`` gauges);
+        policies extend ``super().observe()``.
         """
         stats = self.stats
-        return {
-            "scheduler.picks": float(stats.picks),
-            "scheduler.steals": float(stats.steals),
-            "scheduler.wakeup_preemptions": float(stats.wakeup_preemptions),
+        counters = {
+            "scheduler.picks": stats.picks,
+            "scheduler.steals": stats.steals,
+            "scheduler.wakeup_preemptions": stats.wakeup_preemptions,
         }
-
-    def timeseries_gauges(self) -> dict[str, float]:
-        """Instantaneous policy gauges for the timeline sampler.
-
-        Same contract as :meth:`timeseries_counters` (read-only, cheap,
-        called every tick) but values are point-in-time measurements the
-        sampler aggregates with min/max/mean/p50/p95 per window.
-        """
-        return {}
+        return counters, {}
 
     def sanitize_invariants(self, machine: "Machine") -> list[str]:
         """Describe broken policy invariants (schedsan hook; empty = healthy).

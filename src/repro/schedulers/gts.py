@@ -107,24 +107,15 @@ class GTSScheduler(CFSScheduler):
                 self.stats.affinity_updates += 1
             self._enforce(task, now)
 
-    def publish_metrics(self, registry) -> None:
+    def observe(self) -> tuple[dict[str, float], dict[str, float]]:
         """Add the load-tracking view: mean/max smoothed load averages."""
-        super().publish_metrics(registry)
+        counters, gauges = super().observe()
         if self._load:
             loads = list(self._load.values())
-            registry.gauge("gts.mean_load").set(sum(loads) / len(loads))
-            registry.gauge("gts.max_load").set(max(loads))
-            registry.gauge("gts.tracked_tasks").set(len(loads))
-
-    def timeseries_gauges(self) -> dict[str, float]:
-        """Add the evolving load-tracking view to the timeline."""
-        gauges = super().timeseries_gauges()
-        if self._load:
-            loads = self._load.values()
             gauges["gts.mean_load"] = sum(loads) / len(loads)
             gauges["gts.max_load"] = max(loads)
-            gauges["gts.tracked_tasks"] = float(len(loads))
-        return gauges
+            gauges["gts.tracked_tasks"] = len(loads)
+        return counters, gauges
 
     def sanitize_invariants(self, machine) -> list[str]:
         """GTS masks are always one whole cluster (big or little)."""

@@ -29,28 +29,18 @@ def refresh_estimates(
     estimator: SpeedupEstimator,
     speedup_alpha: float = SPEEDUP_ALPHA,
     blocking_alpha: float = BLOCKING_ALPHA,
-    profiler=None,
 ) -> None:
     """Update ``predicted_speedup`` and ``blocking_level`` on every task.
 
     Windows are consumed (reset) so the next pass sees fresh deltas.  A
     window with too few instructions leaves the speedup estimate untouched
     (the thread barely ran; its counter ratios are noise).
-
-    ``profiler`` (a :class:`repro.obs.profiling.Profiler`, optional) times
-    each speedup-model prediction under ``model.estimate``.
     """
-    profiling = profiler is not None and profiler.enabled
     for task in tasks:
         if task.is_done:
             continue
         window = task.counters.read_window(reset=True) if task.counters else {}
-        if profiling:
-            started = profiler.start()
-            estimate = estimator.estimate(task, window)
-            profiler.stop("model.estimate", started)
-        else:
-            estimate = estimator.estimate(task, window)
+        estimate = estimator.estimate(task, window)
         if estimate is not None:
             if task.predicted_speedup <= 1.0:
                 # First meaningful sample: adopt it outright instead of

@@ -108,7 +108,7 @@ class WASHScheduler(CFSScheduler):
         alive = [t for t in machine.tasks if not t.is_done]
         if not alive:
             return
-        refresh_estimates(alive, self.estimator, profiler=machine.obs.profiler)
+        refresh_estimates(alive, self.estimator)
         self._update_affinities(alive, now)
 
     # ------------------------------------------------------------------
@@ -159,28 +159,15 @@ class WASHScheduler(CFSScheduler):
                     )
             self._enforce_affinity(task, now)
 
-    def publish_metrics(self, registry) -> None:
-        """Add the affinity view: how many live tasks ended up pinned."""
-        super().publish_metrics(registry)
-        machine = self._require_machine()
-        pinned = sum(
-            1
-            for t in machine.tasks
-            if not t.is_done and t.affinity is not None
-        )
-        registry.gauge("wash.pinned_tasks").set(pinned)
-
-    def timeseries_gauges(self) -> dict[str, float]:
-        """Add the evolving big-cluster pin count to the timeline."""
-        gauges = super().timeseries_gauges()
-        machine = self.machine
-        if machine is not None:
-            pinned = 0
-            for task in machine.tasks:
-                if not task.is_done and task.affinity is not None:
-                    pinned += 1
-            gauges["wash.pinned_tasks"] = float(pinned)
-        return gauges
+    def observe(self) -> tuple[dict[str, float], dict[str, float]]:
+        """Add the affinity view: how many live tasks are pinned big."""
+        counters, gauges = super().observe()
+        pinned = 0
+        for task in self._require_machine().tasks:
+            if not task.is_done and task.affinity is not None:
+                pinned += 1
+        gauges["wash.pinned_tasks"] = pinned
+        return counters, gauges
 
     def sanitize_invariants(self, machine) -> list[str]:
         """WASH only ever pins to the whole big cluster or unpins."""

@@ -67,17 +67,13 @@ class Engine:
         self.now: float = 0.0
         #: Set to stop the loop after the in-flight event completes.
         self._stopped = False
-        #: Optional wall-clock profiler (:class:`repro.obs.Profiler`);
-        #: when set and enabled, :meth:`run` times the whole loop and
-        #: :meth:`step` attributes handler time per event kind.
-        self.profiler = None
-        #: Optional runtime sanitizer (:class:`repro.sanitize.SchedSanitizer`);
-        #: when set, every popped event is checked for time travel before
-        #: its handler runs.
-        self.sanitizer = None
+        #: The run's observer (:class:`repro.obs.probe.Probe`), installed by
+        #: the machine.  Only its ``event`` hook concerns the engine:
+        #: :meth:`step` calls it before each handler unless it is ``None``.
+        self.probe = None
         #: Optional fast-discard predicate installed by the machine: a
         #: popped event for which it returns True is dropped before the
-        #: sanitizer, clock, or handler see it.  Must only be used for
+        #: probe, clock, or handler see it.  Must only be used for
         #: events whose handler is provably a no-op (e.g. version-stale
         #: timers), so outcomes stay bit-identical.
         self.discard = None
@@ -87,12 +83,6 @@ class Engine:
         #: after each processed or discarded event (the machine returns
         #: scratch timer events to a pool here).
         self.recycle = None
-        #: Optional sim-time sampler (:class:`repro.obs.timeseries.
-        #: TimeseriesSampler`); when set, :meth:`step` notifies it before
-        #: the clock crosses ``sampler.next_due``.  The sampler is
-        #: read-only and pushes no events, so sequence numbers and heap
-        #: order -- and therefore run digests -- are unaffected.
-        self.sampler = None
 
     # ------------------------------------------------------------------
     # Registration and queueing
@@ -104,6 +94,13 @@ class Engine:
         uses this in tests to interpose instrumentation.
         """
         self._handlers[kind] = handler
+
+    def wrap_handlers(self, wrap: Callable[[EventKind, Handler], Handler]) -> None:
+        """Replace every registered handler with ``wrap(kind, handler)``."""
+        for kind in EventKind:
+            handler = self._handlers[kind]
+            if handler is not None:
+                self._handlers[kind] = wrap(kind, handler)
 
     def push(self, event: Event) -> Event:
         """Schedule ``event``, assigning it a deterministic sequence number.
@@ -151,17 +148,15 @@ class Engine:
     def step(self) -> Event | None:
         """Process exactly one event; return it, or ``None`` if idle.
 
-        The engine's own past-event guard runs before the sanitizer sees
-        the event: a corrupted heap is the engine's bug to report
-        (:class:`~repro.errors.SimulationError`), and the sanitizer's
-        monotonicity state must not be advanced by an event the engine
-        refuses to process.
+        The engine's own past-event guard runs before the probe sees the
+        event: a corrupted heap is the engine's bug to report
+        (:class:`~repro.errors.SimulationError`), and an observer's state
+        must not be advanced by an event the engine refuses to process.
 
         A machine-installed :attr:`discard` predicate is consulted next:
         discarded events are dropped without advancing the clock, the
-        processed counter, or the sanitizer's monotonicity state -- their
-        handler would have been a no-op, so every observable outcome is
-        unchanged.
+        processed counter, or reaching the probe -- their handler would
+        have been a no-op, so every observable outcome is unchanged.
         """
         heap = self._heap
         if not heap:
@@ -179,11 +174,10 @@ class Engine:
         if discard is not None and discard(event):
             self.discarded += 1
             return event
-        if self.sanitizer is not None:
-            self.sanitizer.on_event(event, self.now)
-        sampler = self.sampler
-        if sampler is not None and event_time >= sampler.next_due:
-            sampler.on_clock_advance(event_time)
+        probe = self.probe
+        on_event = probe.event if probe is not None else None
+        if on_event is not None:
+            on_event(event, self.now)
         self.now = event_time
         self._processed += 1
         if self._processed > self._max_events:
@@ -191,17 +185,10 @@ class Engine:
                 f"exceeded max_events={self._max_events}; "
                 "likely a livelocked workload or scheduler"
             )
-        kind = event.kind
-        handler = self._handlers[kind]
+        handler = self._handlers[event.kind]
         if handler is None:
-            raise SimulationError(f"no handler registered for {kind.name}")
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            started = profiler.start()
-            handler(event)
-            profiler.stop(f"engine.handle.{kind.name}", started)
-        else:
-            handler(event)
+            raise SimulationError(f"no handler registered for {event.kind.name}")
+        handler(event)
         return event
 
     def run(self, until: float | None = None) -> None:
@@ -212,10 +199,6 @@ class Engine:
                 timestamp (the frontier event is left queued).
         """
         self._stopped = False
-        profiler = self.profiler
-        started = (
-            profiler.start() if profiler is not None and profiler.enabled else None
-        )
         heap = self._heap
         step = self.step
         recycle = self.recycle
@@ -236,5 +219,3 @@ class Engine:
                 event = step()
                 if event is not None:
                     recycle(event)
-        if started is not None:
-            profiler.stop("engine.run", started)

@@ -39,17 +39,22 @@ from repro.errors import SchedulerError, SimulationError
 from repro.kernel.futex import FutexTable
 from repro.kernel.runqueue import RunQueue
 from repro.kernel.task import Task, TaskState
-from repro.obs.attribution import (
-    BLOCKED_FUTEX,
-    BLOCKED_SLEEP,
-    RUNNABLE_BIG,
-    RUNNABLE_LITTLE,
-    RUNNING_BIG,
-    RUNNING_LITTLE,
-    AttributionAccounting,
-    summarize_attribution,
-)
+from repro.obs.attribution import AttributionAccounting
 from repro.obs.context import Observability, ObsConfig
+from repro.obs.metrics import MachineMetrics
+from repro.obs.probe import (
+    BLOCK,
+    DESCHEDULE,
+    DISPATCH,
+    DONE,
+    DRAIN,
+    DVFS,
+    EXEC,
+    LABEL,
+    PICK,
+    SPAWN,
+    combine,
+)
 from repro.obs.tracer import EventKind as TraceKind
 from repro.obs.tracer import TraceEvent
 from repro.sim.core import Core, CoreKind
@@ -118,21 +123,12 @@ class MachineConfig:
     #: bit-identical with this on or off (the parity benchmark asserts
     #: it); ``False`` selects the reference path for A/B comparison.
     hotpath: bool = True
-    #: Per-task time-state attribution (:mod:`repro.obs.attribution`):
-    #: cheap always-on counters decomposing each task's turnaround into
-    #: running/runnable/blocked/migrating time.  Same contract as the
-    #: ``events_processed`` counters -- outside :func:`repro.sim.digest.
-    #: run_digest`, so runs are bit-identical with this on or off.
-    attribution: bool = True
     #: Enable the sim-time metrics timeline (:mod:`repro.obs.timeseries`):
     #: a fixed-cadence, read-only sampler of runqueue depth, utilization,
     #: migration/preemption rates, futex waiters, vruntime spread, and
     #: per-policy decision series.  Purely observational -- the sampler
     #: pushes no events, so digests are bit-identical with this on or off.
     timeseries: bool = False
-    #: Optional :class:`repro.obs.timeseries.TimeseriesConfig` overriding
-    #: the default sampling cadence; ignored unless ``timeseries`` is set.
-    timeseries_config: object | None = None
 
 
 @dataclass(slots=True)
@@ -191,10 +187,10 @@ class RunResult:
     events_discarded: int = 0
     events_suppressed: int = 0
     #: Per-task time-state attribution summary
-    #: (:func:`repro.obs.attribution.summarize_attribution`); empty when
-    #: the run disabled attribution.  Like the event counters above, this
-    #: is deliberately outside :func:`repro.sim.digest.run_digest` and the
-    #: persistent-cache fingerprints.
+    #: (:func:`repro.obs.attribution.summarize_attribution`), recorded by
+    #: every run.  Like the event counters above, this is deliberately
+    #: outside :func:`repro.sim.digest.run_digest` and the persistent-cache
+    #: fingerprints.
     attribution: dict = field(default_factory=dict)
     #: Sim-time metrics timeline (:meth:`repro.obs.timeseries.
     #: TimeseriesSampler.snapshot`); empty when the run disabled sampling.
@@ -229,68 +225,35 @@ class Machine:
         self.topology = topology
         self.config = config or MachineConfig()
         self.obs = self._build_obs(self.config)
-        # Hot-path aliases: one attribute read + branch when disabled.
-        self._tracer = self.obs.tracer
-        self._profiler = self.obs.profiler
-        self._metrics_on = self.obs.metrics.enabled
         self.engine = Engine(hotpath=self.config.hotpath)
-        if self._profiler.enabled:
-            self.engine.profiler = self._profiler
-        self._sanitizer = None
-        if self.config.sanitize:
-            from repro.sanitize.schedsan import SchedSanitizer
-
-            self._sanitizer = SchedSanitizer(tracer=self._tracer)
-            self.engine.sanitizer = self._sanitizer
-        self._attr: AttributionAccounting | None = (
-            AttributionAccounting() if self.config.attribution else None
-        )
         self.cores: list[Core] = topology.build_cores()
         for core in self.cores:
             core.rq = RunQueue(core.core_id)
             core.stats["last_tid"] = None
-            if self._metrics_on:
-                core.rq.attach_depth_tracker(
-                    lambda: self.engine.now,
-                    self.obs.metrics.time_weighted(f"rq.{core.core_id}.depth"),
-                )
-            if self._sanitizer is not None:
-                core.rq.attach_sanitizer(self._sanitizer)
-            if self._attr is not None:
-                core.rq.attach_attribution(
-                    lambda: self.engine.now,
-                    self._attr,
-                    RUNNABLE_BIG if core.is_big else RUNNABLE_LITTLE,
-                )
         self.big_cores = [c for c in self.cores if c.kind is CoreKind.BIG]
         self.little_cores = [c for c in self.cores if c.kind is CoreKind.LITTLE]
-        self.futexes = FutexTable(obs=self.obs, sanitizer=self._sanitizer)
-        if self._attr is not None:
-            self.futexes.attach_attribution(self._attr)
+        #: The run's one observer (:mod:`repro.obs.probe`), told about
+        #: every engine event and state change; built once from the
+        #: ``obs`` / ``sanitize`` / ``timeseries`` settings.  Never None:
+        #: attribution is always attached.
+        self.probe = self._build_probe()
+        self.engine.probe = self.probe
+        #: The probe's per-kind transition hooks (:meth:`Probe.hooks`).
+        self._hooks = self.probe.hooks()
+        for core in self.cores:
+            core.rq.hooks = self._hooks
+        self.futexes = FutexTable(self.probe)
         self.rng = np.random.default_rng(self.config.seed)
         self.scheduler = scheduler
         scheduler.attach(self)
-        if self._tracer.enabled:
-            self._tracer.metadata = {
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.metadata = {
                 "topology": topology.name,
                 "scheduler": scheduler.name,
                 "seed": self.config.seed,
                 "cores": {c.core_id: c.kind.value for c in self.cores},
             }
-        if self._metrics_on:
-            self._m_dispatches = self.obs.metrics.counter("sched.dispatches")
-            self._m_migrations = self.obs.metrics.counter("sched.migrations")
-            self._m_switches = self.obs.metrics.counter("sched.context_switches")
-
-        self._timeseries: TimeseriesSampler | None = None
-        if self.config.timeseries:
-            from repro.obs.timeseries import TimeseriesConfig, TimeseriesSampler
-
-            ts_config = self.config.timeseries_config
-            if ts_config is None:
-                ts_config = TimeseriesConfig()
-            self._timeseries = TimeseriesSampler(self, ts_config)
-            self.engine.sampler = self._timeseries
 
         self.tasks: list[Task] = []
         self.app_names: dict[int, str] = {}
@@ -306,7 +269,7 @@ class Machine:
         self._hotpath = self.config.hotpath
         #: SEGMENT_DONE pushes skipped because a live slice expiry proves
         #: they could never fire valid.
-        self._suppressed = 0
+        self.events_suppressed = 0
         if self._hotpath:
             self.engine.discard = self._fast_discard
             self.engine.recycle = self._recycle_event
@@ -316,6 +279,8 @@ class Machine:
         self.engine.register(EventKind.WAKEUP, self._on_timed_wakeup)
         self.engine.register(EventKind.LABEL, self._on_label)
         self.engine.register(EventKind.CALLBACK, self._on_dvfs)
+        if self.obs.profiler.enabled:
+            self.obs.profiler.instrument(self)
 
     @staticmethod
     def _build_obs(config: MachineConfig) -> Observability:
@@ -329,6 +294,28 @@ class Machine:
         if obs_config is None:
             return Observability.disabled()
         return Observability(obs_config)
+
+    def _build_probe(self):
+        """Combine the enabled observers into the run's one probe.
+
+        The sanitizer goes first so it checks each change before any
+        other observer records it.
+        """
+        observers = []
+        if self.config.sanitize:
+            from repro.sanitize.schedsan import SchedSanitizer
+
+            observers.append(SchedSanitizer(tracer=self.obs.tracer))
+        observers.append(AttributionAccounting(self))
+        if self.obs.tracer.enabled:
+            observers.append(self.obs.tracer)
+        if self.obs.metrics.enabled:
+            observers.append(MachineMetrics(self.obs.metrics, self))
+        if self.config.timeseries:
+            from repro.obs.timeseries import TimeseriesConfig, TimeseriesSampler
+
+            observers.append(TimeseriesSampler(self, TimeseriesConfig()))
+        return combine(observers)
 
     # ------------------------------------------------------------------
     # Workload registration
@@ -396,8 +383,6 @@ class Machine:
                 f"{len(stuck)} tasks never finished "
                 f"(deadlock or truncated run): {stuck[:10]}"
             )
-        if self._sanitizer is not None:
-            self._sanitizer.check_final(self)
         return self._build_result()
 
     # ------------------------------------------------------------------
@@ -440,11 +425,9 @@ class Machine:
         task.mark_ready()
         core.current = None
         core.bump_version()
-        if self._tracer.enabled:
-            self._tracer.emit(
-                now, TraceKind.DESCHEDULE, core_id=core.core_id,
-                tid=task.tid, name=task.name, reason="slice_expiry",
-            )
+        hook = self._hooks[DESCHEDULE]
+        if hook is not None:
+            hook(DESCHEDULE, task, core, now, "slice_expiry")
         self.scheduler.enqueue(core, task, now, is_new=False)
         self._dispatch_pending.add(core.core_id)
         self._drain(now)
@@ -493,11 +476,9 @@ class Machine:
         task = core.current
         if task is not None:
             self._account(core, now)
-        if self._tracer.enabled:
-            self._tracer.emit(
-                now, TraceKind.DVFS, core_id=core.core_id,
-                scale=scale, prev_scale=core.freq_scale,
-            )
+        hook = self._hooks[DVFS]
+        if hook is not None:
+            hook(DVFS, None, core, now, scale)
         core.freq_scale = scale
         if task is not None:
             core.bump_version()
@@ -516,18 +497,11 @@ class Machine:
 
     def _on_label(self, event: Event) -> None:
         now = self.engine.now
-        if self._profiler.enabled:
-            started = self._profiler.start()
-            self.scheduler.on_label_tick(now)
-            self._profiler.stop("scheduler.on_label_tick", started)
-        else:
-            self.scheduler.on_label_tick(now)
+        self.scheduler.on_label_tick(now)
         self.scheduler.stats.label_passes += 1
-        if self._tracer.enabled:
-            self._tracer.emit(
-                now, TraceKind.LABEL, name=self.scheduler.name,
-                pass_index=self.scheduler.stats.label_passes,
-            )
+        hook = self._hooks[LABEL]
+        if hook is not None:
+            hook(LABEL, None, self.scheduler, now, None)
         period = self.scheduler.label_period()
         if period is not None and self._done_count < len(self.tasks):
             self.engine.push(Event(time=now + period, kind=EventKind.LABEL))
@@ -544,20 +518,17 @@ class Machine:
             core = self._core_at(core_id)
             if core.current is None:
                 self._dispatch(core, now)
-        if self._sanitizer is not None:
-            self._sanitizer.check_machine(self)
+        hook = self._hooks[DRAIN]
+        if hook is not None:
+            hook(DRAIN, None, self, now, None)
 
     def _dispatch(self, core: Core, now: float) -> None:
-        if self._profiler.enabled:
-            started = self._profiler.start()
-            task = self.scheduler.pick_next(core, now)
-            self._profiler.stop("scheduler.pick_next", started)
-        else:
-            task = self.scheduler.pick_next(core, now)
+        task = self.scheduler.pick_next(core, now)
         if task is None:
             return
-        if self._sanitizer is not None:
-            self._sanitizer.on_pick(core, task)
+        hook = self._hooks[PICK]
+        if hook is not None:
+            hook(PICK, task, core, now, None)
         self.scheduler.stats.picks += 1
         self._start(core, task, now)
 
@@ -592,29 +563,12 @@ class Machine:
         task.last_core_id = core.core_id
 
         task.mark_running(core.core_id, core.kind.value)
-        if self._attr is not None:
-            self._attr.transition(
-                task, RUNNING_BIG if core.is_big else RUNNING_LITTLE, now
-            )
         core.current = task
         core.run_started = now
         core.bump_version()
-        if self._metrics_on:
-            self._m_dispatches.inc()
-            if switched:
-                self._m_switches.inc()
-            if migrated:
-                self._m_migrations.inc()
-        if self._tracer.enabled:
-            if migrated:
-                self._tracer.emit(
-                    now, TraceKind.MIGRATE, core_id=core.core_id,
-                    tid=task.tid, name=task.name, from_core=prev_core_id,
-                )
-            self._tracer.emit(
-                now, TraceKind.DISPATCH, core_id=core.core_id,
-                tid=task.tid, name=task.name, app=task.app_id,
-            )
+        hook = self._hooks[DISPATCH]
+        if hook is not None:
+            hook(DISPATCH, task, core, now, prev_core_id)
 
         if task.current_segment is None:
             outcome = self._advance(task, core, now)
@@ -654,7 +608,7 @@ class Machine:
         rate = core.rate_for(task)
         finish = now + task.pending_penalty + segment.remaining / rate
         if self._hotpath and finish > core.slice_deadline:
-            self._suppressed += 1
+            self.events_suppressed += 1
             return
         self._push_timer(finish, EventKind.SEGMENT_DONE, core, core.sched_version)
 
@@ -739,17 +693,9 @@ class Machine:
             by_scale = stats.setdefault("busy_by_scale", {})
             scale = core.freq_scale
             by_scale[scale] = by_scale.get(scale, 0.0) + elapsed
-            if self._attr is not None:
-                # attr_since tracks core.run_started, so this window is
-                # exactly ``elapsed``: penalty share -> migrating, rest ->
-                # running on this core kind.
-                self._attr.on_exec(
-                    task,
-                    RUNNING_BIG if core.is_big else RUNNING_LITTLE,
-                    elapsed,
-                    penalty_used,
-                    now,
-                )
+            hook = self._hooks[EXEC]
+            if hook is not None:
+                hook(EXEC, task, core, now, penalty_used)
         core.run_started = now
         rq = core.rq
         if rq is not None:
@@ -765,15 +711,12 @@ class Machine:
             task.blocked_action = None
             if isinstance(action, PipeGet):
                 task.pending_result = action.pipe.collect_delivery(task)
-        if is_new and self._attr is not None:
-            self._attr.begin(task, now)
+        if is_new:
+            hook = self._hooks[SPAWN]
+            if hook is not None:
+                hook(SPAWN, task, None, now, None)
         task.mark_ready()
-        if self._profiler.enabled:
-            started = self._profiler.start()
-            core = self.scheduler.select_core(task, now)
-            self._profiler.stop("scheduler.select_core", started)
-        else:
-            core = self.scheduler.select_core(task, now)
+        core = self.scheduler.select_core(task, now)
         if not task.allows_core(core.core_id):
             raise SchedulerError(
                 f"{self.scheduler.name} allocated {task.name} to core "
@@ -803,11 +746,9 @@ class Machine:
         core.current = None
         core.bump_version()
         core.preemptions += 1
-        if self._tracer.enabled:
-            self._tracer.emit(
-                now, TraceKind.DESCHEDULE, core_id=core.core_id,
-                tid=task.tid, name=task.name, reason="wakeup_preemption",
-            )
+        hook = self._hooks[DESCHEDULE]
+        if hook is not None:
+            hook(DESCHEDULE, task, core, now, "wakeup_preemption")
         self.scheduler.enqueue(core, task, now, is_new=False)
         self._dispatch_pending.add(core.core_id)
 
@@ -828,11 +769,9 @@ class Machine:
         core.bump_version()
         core.preemptions += 1
         self.scheduler.stats.running_preemptions += 1
-        if self._tracer.enabled:
-            self._tracer.emit(
-                now, TraceKind.DESCHEDULE, core_id=core.core_id,
-                tid=task.tid, name=task.name, reason="forced_preemption",
-            )
+        hook = self._hooks[DESCHEDULE]
+        if hook is not None:
+            hook(DESCHEDULE, task, core, now, "forced_preemption")
         self._dispatch_pending.add(core.core_id)
         return task
 
@@ -891,20 +830,11 @@ class Machine:
             if status == "blocked":
                 task.blocked_action = action
                 task.mark_sleeping()
-                if self._attr is not None:
-                    self._attr.transition(
-                        task,
-                        BLOCKED_SLEEP if isinstance(action, Sleep)
-                        else BLOCKED_FUTEX,
-                        now,
-                    )
                 core.current = None
                 core.bump_version()
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        now, TraceKind.DESCHEDULE, core_id=core.core_id,
-                        tid=task.tid, name=task.name, reason="blocked",
-                    )
+                hook = self._hooks[BLOCK]
+                if hook is not None:
+                    hook(BLOCK, task, core, now, action)
                 self._dispatch_pending.add(core.core_id)
                 return "blocked"
             # Zero-time action completed; the wakeups it caused may have
@@ -1005,15 +935,11 @@ class Machine:
 
     def _finish_task(self, task: Task, core: Core, now: float) -> None:
         task.mark_done(now)
-        if self._attr is not None:
-            self._attr.on_done(task, now)
         core.current = None
         core.bump_version()
-        if self._tracer.enabled:
-            self._tracer.emit(
-                now, TraceKind.DESCHEDULE, core_id=core.core_id,
-                tid=task.tid, name=task.name, reason="done",
-            )
+        hook = self._hooks[DONE]
+        if hook is not None:
+            hook(DONE, task, core, now, None)
         self._done_count += 1
         self.scheduler.on_task_done(task, now)
         self._dispatch_pending.add(core.core_id)
@@ -1046,10 +972,15 @@ class Machine:
             for t in self.tasks
         ]
         makespan = max(app_turnaround.values())
-        events = self._tracer.events
+        fields: dict = {}
+        self.probe.finish(self, makespan, fields)
+        metrics = fields.pop("metrics", {})
+        if self.obs.profiler.enabled:
+            metrics["profile"] = self.obs.profiler.snapshot()
+        tracer = self.obs.tracer
         legacy_trace = [
             (e.time, e.core_id, e.tid)
-            for e in events
+            for e in tracer.events
             if e.kind is TraceKind.DISPATCH
         ]
         return RunResult(
@@ -1068,81 +999,11 @@ class Machine:
                 c.core_id: dict(c.stats.get("busy_by_scale", {}))
                 for c in self.cores
             },
-            events=events,
-            metrics=self._snapshot_metrics(makespan),
-            trace_metadata=dict(self._tracer.metadata),
+            events=tracer.events,
+            metrics=metrics,
+            trace_metadata=dict(tracer.metadata),
             events_processed=self.engine.processed,
             events_discarded=self.engine.discarded,
-            events_suppressed=self._suppressed,
-            attribution=(
-                summarize_attribution(self.tasks, self._attr)
-                if self._attr is not None
-                else {}
-            ),
-            timeseries=(
-                self._timeseries.snapshot(makespan)
-                if self._timeseries is not None
-                else {}
-            ),
+            events_suppressed=self.events_suppressed,
+            **fields,
         )
-
-    def _snapshot_metrics(self, makespan: float) -> dict:
-        """Fill end-of-run aggregates and snapshot the registry."""
-        registry = self.obs.metrics
-        if not registry.enabled:
-            if self._profiler.enabled:
-                return {"profile": self._profiler.snapshot()}
-            return {}
-        registry.gauge("run.makespan_ms").set(makespan)
-        registry.gauge("run.tasks").set(len(self.tasks))
-        busy_total = 0.0
-        for core in self.cores:
-            busy_total += core.busy_time
-            utilization = core.busy_time / makespan if makespan > 0 else 0.0
-            registry.gauge(f"core.{core.core_id}.utilization").set(utilization)
-            registry.gauge(f"core.{core.core_id}.busy_ms").set(core.busy_time)
-            registry.gauge(f"core.{core.core_id}.preemptions").set(
-                core.preemptions
-            )
-        if self.cores and makespan > 0:
-            registry.gauge("core.mean_utilization").set(
-                busy_total / (makespan * len(self.cores))
-            )
-        total_migrations = sum(t.migrations for t in self.tasks)
-        if makespan > 0:
-            registry.gauge("sched.migration_rate_per_s").set(
-                total_migrations / (makespan / 1000.0)
-            )
-        live_vruntimes = [t.vruntime for t in self.tasks]
-        if live_vruntimes:
-            registry.gauge("sched.vruntime_spread_ms").set(
-                max(live_vruntimes) - min(live_vruntimes)
-            )
-        registry.counter("futex.waits").value = float(self.futexes.total_waits)
-        registry.counter("futex.wakes").value = float(self.futexes.total_wakes)
-        registry.gauge("futex.total_wait_ms").set(
-            registry.histogram("futex.wait_ms").total
-        )
-        depth_means = []
-        for core in self.cores:
-            tracker = registry.time_weighted(f"rq.{core.core_id}.depth")
-            tracker.finish(makespan)
-            depth_means.append(tracker.mean())
-        if depth_means:
-            registry.gauge("rq.mean_depth").set(
-                sum(depth_means) / len(depth_means)
-            )
-        registry.counter("engine.events.suppressed").value = float(
-            self._suppressed
-        )
-        registry.counter("engine.events.discarded").value = float(
-            self.engine.discarded
-        )
-        registry.counter("engine.events.processed").value = float(
-            self.engine.processed
-        )
-        self.scheduler.publish_metrics(registry)
-        snapshot = registry.snapshot()
-        if self._profiler.enabled:
-            snapshot["profile"] = self._profiler.snapshot()
-        return snapshot

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.kernel.task import Task, reset_tid_counter
+from repro.obs.probe import FanOut
 from repro.sim.counters import MicroArchProfile
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.topology import make_topology
@@ -82,3 +83,13 @@ def make_machine(
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def observer_of(machine: Machine, cls: type):
+    """The observer of type ``cls`` behind ``machine.probe``, or ``None``."""
+    probe = machine.probe
+    members = probe.probes if isinstance(probe, FanOut) else (probe,)
+    for member in members:
+        if isinstance(member, cls):
+            return member
+    return None

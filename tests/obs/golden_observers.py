@@ -8,7 +8,9 @@ canonical JSON of:
 * ``chrome`` -- the Chrome/Perfetto document with task and counter tracks;
 * ``timeseries`` -- the sim-time timeline snapshot;
 * ``attribution`` -- the per-task time-state summary;
-* ``metrics`` -- the metrics snapshot (host-time ``profile`` removed);
+* ``metrics`` -- the metrics snapshot (host-time ``profile`` removed),
+  with the scheduler counters that moved from ``gauges`` to ``counters``
+  (see :data:`MOVED_TO_COUNTERS`) moved back before hashing;
 * ``checks_run`` -- how many schedsan checks the run executed.
 
 Regenerate (only when an observer's output is meant to change) with::
@@ -29,9 +31,11 @@ from repro.kernel.task import reset_tid_counter
 from repro.model.speedup import OracleSpeedupModel
 from repro.obs.context import ObsConfig
 from repro.obs.exporters import to_chrome_trace
+from repro.sanitize.schedsan import SchedSanitizer
 from repro.sim.machine import Machine, MachineConfig
 from repro.workloads.mixes import MIXES
 from repro.workloads.programs import ProgramEnv
+from tests.conftest import observer_of
 
 FIXTURE = pathlib.Path(__file__).with_name("observers_golden.json")
 
@@ -48,8 +52,39 @@ def canonical_sha(payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+#: Scheduler metrics the snapshot once published as gauges and now
+#: publishes as counters, as the timeline always treated them
+#: (``Scheduler.observe`` feeds both).  Names ending in ``.`` are prefixes.
+MOVED_TO_COUNTERS = (
+    "scheduler.picks",
+    "scheduler.steals",
+    "scheduler.wakeup_preemptions",
+    "colab.label_passes",
+    "colab.pick.",
+)
+
+
+def _moved(name: str) -> bool:
+    return any(
+        name.startswith(m) if m.endswith(".") else name == m
+        for m in MOVED_TO_COUNTERS
+    )
+
+
+def comparable_metrics(metrics: dict) -> dict:
+    """``metrics`` without ``profile``, moved counters back in ``gauges``."""
+    out = {k: v for k, v in metrics.items() if k != "profile"}
+    counters = dict(out.get("counters", {}))
+    gauges = dict(out.get("gauges", {}))
+    for name in [n for n in counters if _moved(n)]:
+        gauges[name] = counters.pop(name)
+    out["counters"] = counters
+    out["gauges"] = gauges
+    return out
+
+
 def sanitizer_checks(machine: Machine) -> int:
-    return machine._sanitizer.checks_run
+    return observer_of(machine, SchedSanitizer).checks_run
 
 
 def observed_run(scheduler: str, mix: str):
@@ -81,7 +116,6 @@ def observed_run(scheduler: str, mix: str):
 
 def digests(machine: Machine, result) -> dict:
     """The fixture entry of one run."""
-    metrics = {k: v for k, v in result.metrics.items() if k != "profile"}
     chrome = to_chrome_trace(
         result.events,
         metadata=result.trace_metadata,
@@ -94,7 +128,7 @@ def digests(machine: Machine, result) -> dict:
         "chrome": canonical_sha(chrome),
         "timeseries": canonical_sha(result.timeseries),
         "attribution": canonical_sha(result.attribution),
-        "metrics": canonical_sha(metrics),
+        "metrics": canonical_sha(comparable_metrics(result.metrics)),
         "checks_run": sanitizer_checks(machine),
     }
 

@@ -161,17 +161,23 @@ class TestSnapshot:
             assert 0.0 <= window["value"] <= 1.0
 
     def test_custom_cadence_respected(self):
-        result = reference_run(
-            "linux",
-            timeseries=True,
-            timeseries_config=TimeseriesConfig(
-                sample_period_ms=2.0, samples_per_window=4
-            ),
+        machine = make_machine(2, 2, seed=3)
+        for i in range(6):
+            machine.add_task(
+                make_simple_task(f"t{i}", work=20.0, chunks=5, app_id=i % 2)
+            )
+        sampler = TimeseriesSampler(
+            machine, TimeseriesConfig(sample_period_ms=2.0, samples_per_window=4)
         )
-        snap = result.timeseries
+        machine.engine.probe = sampler
+        result = machine.run()
+        snap = sampler.snapshot(result.makespan)
         assert snap["sample_period_ms"] == 2.0
         assert snap["samples_per_window"] == 4
         assert snap["window_ms"] == 8.0
+        assert snap["samples"] == int(result.makespan // 2.0)
+        windows = snap["series"]["rq.depth.mean"]["windows"]
+        assert windows[0]["t1"] == 8.0
 
     def test_disabled_run_has_empty_timeseries(self):
         result = reference_run("linux", timeseries=False)

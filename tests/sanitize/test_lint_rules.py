@@ -301,6 +301,26 @@ class TestOBS004:
         )
         assert "OBS004" in codes
 
+    def test_wall_clock_in_probe_seam_flagged(self, tmp_path):
+        codes = lint_source(
+            tmp_path,
+            "import time\n"
+            "def event(self, event, now):\n"
+            "    self.seen = time.monotonic()\n",
+            rel="repro/obs/probe.py",
+        )
+        assert codes == ["OBS004"]
+
+    def test_sim_clock_in_probe_seam_allowed(self, tmp_path):
+        codes = lint_source(
+            tmp_path,
+            "def event(self, event, now):\n"
+            "    for hook in self._events:\n"
+            "        hook(event, now)\n",
+            rel="repro/obs/probe.py",
+        )
+        assert codes == []
+
     def test_sim_clock_sampling_allowed(self, tmp_path):
         codes = lint_source(
             tmp_path,

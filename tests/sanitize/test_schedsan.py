@@ -23,7 +23,12 @@ from repro.schedulers import make_scheduler
 from repro.sim.events import Event, EventKind
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.topology import make_topology
-from tests.conftest import NEUTRAL_PROFILE, compute_only, make_simple_task
+from tests.conftest import (
+    NEUTRAL_PROFILE,
+    compute_only,
+    make_simple_task,
+    observer_of,
+)
 from tests.test_fuzz_machine import SCHEDULER_NAMES, build_workload
 
 SYNC_SPEC = dict(
@@ -41,6 +46,11 @@ def run_sync_workload(scheduler_name, *, sanitize, seed=7, obs=None):
     )
     build_workload(machine, SYNC_SPEC)
     return machine, machine.run()
+
+
+def sanitizer_of(machine):
+    """The schedsan probe of ``machine``, or ``None``."""
+    return observer_of(machine, SchedSanitizer)
 
 
 def outcome_tuple(machine, result):
@@ -62,7 +72,7 @@ class TestHealthyRuns:
         machine, result = run_sync_workload(scheduler_name, sanitize=True)
         assert result.makespan > 0
         assert all(t.is_done for t in machine.tasks)
-        assert machine._sanitizer.checks_run > 0
+        assert sanitizer_of(machine).checks_run > 0
 
     @pytest.mark.parametrize("scheduler_name", SCHEDULER_NAMES)
     def test_outcome_bit_identical_with_sanitizer(self, scheduler_name):
@@ -72,14 +82,14 @@ class TestHealthyRuns:
 
     def test_unsanitized_machine_has_no_sanitizer(self):
         machine, _ = run_sync_workload("linux", sanitize=False)
-        assert machine._sanitizer is None
+        assert sanitizer_of(machine) is None
 
 
 class TestRunQueueChecks:
     def make_rq_with_tasks(self, n=3):
         sanitizer = SchedSanitizer()
         rq = RunQueue(core_id=0)
-        rq.attach_sanitizer(sanitizer)
+        rq.hooks = sanitizer.hooks()
         tasks = []
         for i in range(n):
             task = make_simple_task(f"t{i}", work=1.0 + i)
@@ -156,7 +166,7 @@ class TestFutexChecks:
 
     def test_lost_wakeup_detected_at_end_of_run(self):
         machine, _ = run_sync_workload("linux", sanitize=True)
-        sanitizer = machine._sanitizer
+        sanitizer = sanitizer_of(machine)
         parked = make_simple_task("stuck")
         sanitizer.on_futex_wait(parked, futex_id=9)
         with pytest.raises(SanitizerError, match="lost wakeups"):
@@ -218,21 +228,21 @@ class TestMachineSweeps:
         straggler.mark_ready()
         machine.cores[0].rq.enqueue(straggler)
         with pytest.raises(SanitizerError) as err:
-            machine._sanitizer.check_machine(machine)
+            sanitizer_of(machine).check_machine(machine)
         assert err.value.check == "work_conservation"
 
     def test_done_task_without_finish_time_detected(self):
         machine, _ = run_sync_workload("linux", sanitize=True)
         machine.tasks[0].finish_time = None
         with pytest.raises(SanitizerError) as err:
-            machine._sanitizer.check_machine(machine)
+            sanitizer_of(machine).check_machine(machine)
         assert err.value.check == "task_state"
 
     def test_corrupt_vruntime_detected(self):
         machine, _ = run_sync_workload("linux", sanitize=True)
         machine.tasks[0].vruntime = float("nan")
         with pytest.raises(SanitizerError) as err:
-            machine._sanitizer.check_machine(machine)
+            sanitizer_of(machine).check_machine(machine)
         assert err.value.check == "vruntime"
 
     def test_unfinished_task_detected_at_end_of_run(self):
@@ -240,13 +250,13 @@ class TestMachineSweeps:
         machine.tasks[0].state = machine.tasks[0].state.__class__.SLEEPING
         machine.tasks[0].wait_started_at = 0.0
         with pytest.raises(SanitizerError, match="is sleeping"):
-            machine._sanitizer.check_final(machine)
+            sanitizer_of(machine).check_final(machine)
 
     def test_policy_counter_corruption_detected(self):
         machine, _ = run_sync_workload("colab", sanitize=True)
         machine.scheduler.stats.picks += 5
         with pytest.raises(SanitizerError) as err:
-            machine._sanitizer.check_machine(machine)
+            sanitizer_of(machine).check_machine(machine)
         assert err.value.check == "policy"
 
 
@@ -265,7 +275,7 @@ class TestErrorReports:
         straggler.mark_ready()
         machine.cores[0].rq.enqueue(straggler)
         with pytest.raises(SanitizerError) as err:
-            machine._sanitizer.check_machine(machine)
+            sanitizer_of(machine).check_machine(machine)
         assert err.value.events, "traced failures must attach recent events"
         assert "t=" in str(err.value)
 

@@ -152,7 +152,7 @@ class TestSanitizerOrdering:
         from repro.sanitize.schedsan import SchedSanitizer
 
         engine, _seen = collecting_engine()
-        engine.sanitizer = SchedSanitizer()
+        engine.probe = SchedSanitizer()
         return engine
 
     def test_corrupted_heap_raises_simulation_error(self):
@@ -174,24 +174,111 @@ class TestSanitizerOrdering:
         engine = self._engine_with_sanitizer()
         engine.push(Event(time=5.0, kind=EventKind.CALLBACK))
         engine.step()
-        checks_before = engine.sanitizer.checks_run
-        last_before = engine.sanitizer._last_event_time
+        checks_before = engine.probe.checks_run
+        last_before = engine.probe._last_event_time
         heapq.heappush(
             engine._heap,
             (1.0, EventKind.CALLBACK, 99, Event(time=1.0, kind=EventKind.CALLBACK, seq=99)),
         )
         with pytest.raises(SimulationError):
             engine.step()
-        assert engine.sanitizer.checks_run == checks_before
-        assert engine.sanitizer._last_event_time == last_before
+        assert engine.probe.checks_run == checks_before
+        assert engine.probe._last_event_time == last_before
 
     def test_valid_events_still_reach_sanitizer(self):
         engine = self._engine_with_sanitizer()
         engine.push(Event(time=1.0, kind=EventKind.CALLBACK))
         engine.push(Event(time=2.0, kind=EventKind.CALLBACK))
         engine.run()
-        assert engine.sanitizer.checks_run == 2
-        assert engine.sanitizer._last_event_time == 2.0
+        assert engine.probe.checks_run == 2
+        assert engine.probe._last_event_time == 2.0
+
+
+class _EventRecorder:
+    """A probe with an ``event`` hook that records what reaches it."""
+
+    def __init__(self):
+        self.seen = []
+
+    def event(self, event, now):
+        self.seen.append((event.time, event.seq, now))
+
+
+class TestProbe:
+    @pytest.mark.parametrize("with_probe", [False, True])
+    def test_run_without_event_hook_never_calls_the_probe(self, with_probe):
+        class Inert:
+            event = None
+
+            def __getattr__(self, name):
+                raise AssertionError(f"the engine touched probe.{name}")
+
+        engine, seen = collecting_engine()
+        if with_probe:
+            engine.probe = Inert()
+        for i in range(5):
+            engine.push(Event(time=float(i), kind=EventKind.CALLBACK))
+        engine.run()
+        assert len(seen) == 5
+
+    def test_every_event_reaches_the_hook_once_in_order(self):
+        engine, seen = collecting_engine()
+        recorder = engine.probe = _EventRecorder()
+        for time in (3.0, 1.0, 2.0, 2.0):
+            engine.push(Event(time=time, kind=EventKind.CALLBACK))
+        engine.run()
+        assert [(t, seq) for t, seq, _now in recorder.seen] == [
+            (1.0, 1), (2.0, 2), (2.0, 3), (3.0, 0),
+        ]
+        # The hook runs before the clock advances to the event.
+        assert [now for _t, _seq, now in recorder.seen] == [0.0, 1.0, 2.0, 2.0]
+        assert len(seen) == 4
+
+    def test_discarded_events_skip_the_hook(self):
+        engine, seen = collecting_engine()
+        recorder = engine.probe = _EventRecorder()
+        engine.discard = lambda ev: ev.version == 1
+        recycled = []
+        engine.recycle = recycled.append
+        for i in range(4):
+            engine.push(
+                Event(time=float(i), kind=EventKind.CALLBACK, version=i % 2)
+            )
+        engine.run()
+        assert [t for t, _seq, _now in recorder.seen] == [0.0, 2.0]
+        assert engine.discarded == 2
+        assert engine.processed == 2
+        assert len(recycled) == 4  # discarded events are still recycled
+
+    @pytest.mark.parametrize("with_probe", [False, True])
+    def test_guards_hold_with_and_without_probe(self, with_probe):
+        import heapq
+
+        engine = Engine(max_events=2)
+        engine.register(EventKind.CALLBACK, lambda ev: None)
+        if with_probe:
+            engine.probe = _EventRecorder()
+        for i in range(3):
+            engine.push(Event(time=float(i), kind=EventKind.CALLBACK))
+        with pytest.raises(SimulationError, match="max_events"):
+            engine.run()
+
+        engine = Engine()
+        if with_probe:
+            engine.probe = _EventRecorder()
+        engine.push(Event(time=1.0, kind=EventKind.LABEL))
+        with pytest.raises(SimulationError, match="no handler"):
+            engine.run()
+
+        engine, _seen = collecting_engine()
+        if with_probe:
+            engine.probe = _EventRecorder()
+        engine.push(Event(time=5.0, kind=EventKind.CALLBACK))
+        engine.run()
+        stale = Event(time=1.0, kind=EventKind.CALLBACK, seq=99)
+        heapq.heappush(engine._heap, (stale.time, stale.kind, stale.seq, stale))
+        with pytest.raises(SimulationError, match="past event"):
+            engine.run()
 
 
 class TestHandlerDispatch:

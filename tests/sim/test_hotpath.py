@@ -75,18 +75,14 @@ class TestFastDiscard:
         assert engine.now == 0.0  # clock did not advance
 
     def test_discarded_event_skips_sanitizer(self):
-        class Recorder:
-            seen = 0
-
-            def on_event(self, event, now):
-                self.seen += 1
+        from repro.sanitize.schedsan import SchedSanitizer
 
         engine = self.make_engine()
-        engine.sanitizer = Recorder()
+        engine.probe = SchedSanitizer()
         engine.discard = lambda ev: True
         engine.push(Event(time=1.0, kind=EventKind.SLICE_EXPIRY))
         engine.step()
-        assert engine.sanitizer.seen == 0
+        assert engine.probe.checks_run == 0
 
     def test_non_matching_event_processed_normally(self):
         engine = self.make_engine()
@@ -127,12 +123,12 @@ class TestSuppressionAndPool:
 
     def test_hot_run_suppresses_and_discards(self):
         machine = self.run_machine(hotpath=True)
-        assert machine._suppressed > 0
+        assert machine.events_suppressed > 0
         assert machine.engine.discarded > 0
 
     def test_reference_run_does_neither(self):
         machine = self.run_machine(hotpath=False)
-        assert machine._suppressed == 0
+        assert machine.events_suppressed == 0
         assert machine.engine.discarded == 0
         assert machine.engine.discard is None
         assert machine.engine.recycle is None
@@ -156,7 +152,7 @@ class TestSuppressionAndPool:
             machine.add_task(make_simple_task(f"t{i}", work=8.0, chunks=4))
         result = machine.run()
         counters = result.metrics["counters"]
-        assert counters["engine.events.suppressed"] == machine._suppressed
+        assert counters["engine.events.suppressed"] == machine.events_suppressed
         assert counters["engine.events.discarded"] == machine.engine.discarded
         assert counters["engine.events.processed"] == machine.engine.processed
 

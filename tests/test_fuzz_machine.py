@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.kernel.rbtree import RBTree
 from repro.kernel.sync import Barrier, Mutex, Pipe
 from repro.kernel.task import Task
+from repro.sanitize.schedsan import SchedSanitizer
 from repro.schedulers import make_scheduler
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.topology import make_topology
@@ -37,7 +38,7 @@ from repro.workloads.actions import (
     PipePut,
     Sleep,
 )
-from tests.conftest import NEUTRAL_PROFILE
+from tests.conftest import NEUTRAL_PROFILE, observer_of
 
 SCHEDULER_NAMES = ("linux", "wash", "colab", "gts")
 
@@ -192,7 +193,7 @@ def test_random_workloads_pass_schedsan(spec, scheduler_name, seed):
     tasks, _ = build_workload(machine, spec)
     machine.run()
     assert all(t.is_done for t in tasks)
-    assert machine._sanitizer.checks_run > 0
+    assert observer_of(machine, SchedSanitizer).checks_run > 0
 
 
 @st.composite

@@ -241,8 +241,6 @@ class Task:
         """READY -> RUNNING on ``core_id``."""
         self._require(TaskState.READY)
         self.state = TaskState.RUNNING
-        if self.last_core_kind is not None and self.rq_core_id is not None:
-            pass  # migration counting handled by the machine
         self.rq_core_id = None
         self.running_on = core_id
         self.last_core_kind = core_kind

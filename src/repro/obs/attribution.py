@@ -123,18 +123,18 @@ class AttributionAccounting(Probe):
         )
 
     # -- probe ---------------------------------------------------------
+    def hooks(self) -> tuple:
+        """The transition table, with EXEC routed straight to :meth:`on_exec`.
+
+        EXEC comes once per accounting step, the most frequent kind, so
+        it skips :meth:`transition`'s dispatch on ``kind``.
+        """
+        table = list(super().hooks())
+        table[EXEC] = self.on_exec
+        return tuple(table)
+
     def transition(self, kind: int, task, where, now, detail) -> None:
-        if kind == EXEC:
-            # Reported before core.run_started moves, so the window is
-            # exactly the machine's accounted ``elapsed``.
-            self.on_exec(
-                task,
-                RUNNING_BIG if where.is_big else RUNNING_LITTLE,
-                now - where.run_started,
-                detail,
-                now,
-            )
-        elif kind == ENQUEUE:
+        if kind == ENQUEUE:
             self.enter(task, self._runnable[where.core_id], self._clock.now)
         elif kind == DISPATCH:
             self.enter(task, RUNNING_BIG if where.is_big else RUNNING_LITTLE, now)
@@ -177,15 +177,18 @@ class AttributionAccounting(Probe):
         task.attr_since = now
 
     def on_exec(
-        self, task: "Task", running_state: int, elapsed: float,
-        penalty_used: float, now: float,
+        self, kind: int, task: "Task", core, now: float, penalty_used: float
     ) -> None:
-        """Split one accounted execution window at an ``_account`` call.
+        """The EXEC hook: split one window accounted by ``_account``.
 
-        ``elapsed`` equals ``now - task.attr_since`` (the machine keeps
-        ``attr_since`` in lockstep with ``core.run_started``); the penalty
-        share is migration/switch overhead, the rest productive running.
+        EXEC is reported before ``core.run_started`` moves, so the window
+        ``now - core.run_started`` is exactly the machine's ``elapsed``
+        (and equals ``now - task.attr_since``: the machine keeps the two
+        in lockstep).  The penalty share is migration/switch overhead, the
+        rest productive running.
         """
+        running_state = RUNNING_BIG if core.is_big else RUNNING_LITTLE
+        elapsed = now - core.run_started
         ms = getattr(task, "attr_ms", None)
         if ms is None:
             self.begin(task, now - elapsed)

@@ -99,15 +99,23 @@ class Core:
     context_switches: int = 0
     migrations_in: int = 0
     preemptions: int = 0
-    stats: dict = field(default_factory=dict)
+    #: tid of the task last dispatched here (context-switch cost model).
+    last_tid: int | None = None
+    #: DVFS residency: frequency scale -> busy ms at that scale.
+    busy_by_scale: dict[float, float] = field(default_factory=dict)
 
-    @property
-    def kind(self) -> CoreKind:
-        return self.spec.kind
+    # --- identity, fixed at construction from ``spec.kind`` -----------------
+    # Plain attributes rather than properties: the accounting and policy
+    # hot paths read them at every segment boundary.
+    kind: CoreKind = field(init=False)
+    is_big: bool = field(init=False)
+    #: ``kind.value`` (``"big"`` / ``"little"``).
+    kind_name: str = field(init=False)
 
-    @property
-    def is_big(self) -> bool:
-        return self.spec.kind is CoreKind.BIG
+    def __post_init__(self) -> None:
+        self.kind = self.spec.kind
+        self.is_big = self.kind is CoreKind.BIG
+        self.kind_name = self.kind.value
 
     @property
     def is_idle(self) -> bool:
@@ -141,4 +149,4 @@ class Core:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         who = self.current.name if self.current else "idle"
-        return f"<Core {self.core_id} {self.kind.value} running={who}>"
+        return f"<Core {self.core_id} {self.kind_name} running={who}>"

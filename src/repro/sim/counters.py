@@ -23,6 +23,7 @@ with the same statistical shape:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +178,12 @@ _COMPUTE_NOISY_NAMES: tuple[str, ...] = (
     "fetch.IcacheWaitRetryStallCycles",
 )
 
+#: Noise factors the hot path draws per ``Generator.normal`` call: eight
+#: :meth:`PerformanceCounters.record_compute` calls' worth.  Kept small,
+#: and packed as float64 (440 bytes, against 1.3 KB as a list of floats),
+#: because every task object holds its block for as long as it lives.
+_NOISE_BLOCK = 40
+
 
 @dataclass
 class PerformanceCounters:
@@ -185,12 +192,17 @@ class PerformanceCounters:
     Two accumulator sets are kept: lifetime totals (training) and a window
     that the 10 ms labeler reads and resets (online prediction).
 
-    When ``hotpath`` is set, :meth:`record_compute` draws its five noise
-    factors as one batched ``Generator.normal(size=5)`` call instead of
-    five scalar calls.  numpy's Generator consumes the underlying
-    bit-stream identically either way, so the produced values -- and every
-    downstream counter -- are bit-identical; the batch merely amortises
-    the per-call dispatch overhead on the simulator's hottest accounting
+    When ``hotpath`` is set, :meth:`record_compute` takes its five noise
+    factors from a block of :data:`_NOISE_BLOCK` drawn by one
+    ``Generator.normal`` call, refilled when fewer than five remain,
+    instead of making five scalar calls.  numpy's Generator fills
+    ``normal(size=N)`` element by element from the same bit-stream, so
+    the values are those the scalar calls would draw, in the same order.
+    That makes every counter bit-identical provided ``rng`` has no other
+    consumer, since the block draws ahead of use: the machine seeds one
+    generator per task for its counters alone, and nothing but
+    :meth:`record_compute` draws from it.  The block amortises numpy's
+    per-call dispatch overhead on the simulator's hottest accounting
     site.
     """
 
@@ -202,6 +214,9 @@ class PerformanceCounters:
     # Per-instruction rates are a fixed function of the (frozen) profile;
     # the hot path computes them once instead of per record_compute call.
     _rates: tuple[float, ...] | None = field(default=None, repr=False)
+    # Hot-path noise block and the index of its next unused factor.
+    _noise: array = field(default_factory=lambda: array("d"), repr=False)
+    _cursor: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         for name in INFORMATIVE_NAMES:
@@ -236,12 +251,21 @@ class PerformanceCounters:
                     0.05 + 0.60 * p.mem_bound,
                     0.005 + 0.12 * p.frontend_stall,
                 )
-            noise = self.rng.normal(0.0, 0.05, 5).tolist()
+            noise = self._noise
+            start = self._cursor
+            if start > len(noise) - 5:
+                noise = self._noise = array(
+                    "d", self.rng.normal(0.0, 0.05, _NOISE_BLOCK).tobytes()
+                )
+                start = 0
+            self._cursor = start + 5
             totals = self.totals
             window = self.window
             totals["commit.committedInsts"] += insts
             window["commit.committedInsts"] += insts
-            for name, rate, sample in zip(_COMPUTE_NOISY_NAMES, rates, noise):
+            for name, rate, sample in zip(
+                _COMPUTE_NOISY_NAMES, rates, noise[start:start + 5]
+            ):
                 amount = insts * rate * max(0.0, 1.0 + sample)
                 totals[name] += amount
                 window[name] += amount

@@ -126,7 +126,7 @@ class DVFSPolicy:
             if tracer.enabled and abs(scale - cluster[0].freq_scale) >= 1e-12:
                 tracer.emit(
                     now, EventKind.DECISION, core_id=cluster[0].core_id,
-                    op="dvfs_governor", cluster=cluster[0].kind.value,
+                    op="dvfs_governor", cluster=cluster[0].kind_name,
                     utilization=utilization, scale=scale,
                     prev_scale=cluster[0].freq_scale,
                 )

@@ -57,7 +57,7 @@ from repro.obs.probe import (
 )
 from repro.obs.tracer import EventKind as TraceKind
 from repro.obs.tracer import TraceEvent
-from repro.sim.core import Core, CoreKind
+from repro.sim.core import Core
 from repro.sim.counters import PerformanceCounters
 from repro.sim.engine import Engine
 from repro.sim.events import Event, EventKind
@@ -119,9 +119,11 @@ class MachineConfig:
     dvfs: object | None = None
     #: Enable the single-run hot path: stale-event suppression at push
     #: time, fast discard of version-stale timers at pop time, a per-core
-    #: scratch event pool, and memoized speedup predictions.  Outcomes are
-    #: bit-identical with this on or off (the parity benchmark asserts
-    #: it); ``False`` selects the reference path for A/B comparison.
+    #: scratch event pool, memoized speedup predictions, and PMU noise
+    #: drawn in blocks (:class:`~repro.sim.counters.PerformanceCounters`).
+    #: Outcomes are bit-identical with this on or off (the parity
+    #: benchmark asserts it); ``False`` selects the reference path for
+    #: A/B comparison.
     hotpath: bool = True
     #: Enable the sim-time metrics timeline (:mod:`repro.obs.timeseries`):
     #: a fixed-cadence, read-only sampler of runqueue depth, utilization,
@@ -229,9 +231,8 @@ class Machine:
         self.cores: list[Core] = topology.build_cores()
         for core in self.cores:
             core.rq = RunQueue(core.core_id)
-            core.stats["last_tid"] = None
-        self.big_cores = [c for c in self.cores if c.kind is CoreKind.BIG]
-        self.little_cores = [c for c in self.cores if c.kind is CoreKind.LITTLE]
+        self.big_cores = [c for c in self.cores if c.is_big]
+        self.little_cores = [c for c in self.cores if not c.is_big]
         #: The run's one observer (:mod:`repro.obs.probe`), told about
         #: every engine event and state change; built once from the
         #: ``obs`` / ``sanitize`` / ``timeseries`` settings.  Never None:
@@ -252,7 +253,7 @@ class Machine:
                 "topology": topology.name,
                 "scheduler": scheduler.name,
                 "seed": self.config.seed,
-                "cores": {c.core_id: c.kind.value for c in self.cores},
+                "cores": {c.core_id: c.kind_name for c in self.cores},
             }
 
         self.tasks: list[Task] = []
@@ -388,11 +389,8 @@ class Machine:
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _core_at(self, core_id: int) -> Core:
-        return self.cores[core_id]
-
     def _on_segment_done(self, event: Event) -> None:
-        core = self._core_at(event.core_id)
+        core = self.cores[event.core_id]
         if event.version != core.sched_version:
             return
         now = self.engine.now
@@ -414,7 +412,7 @@ class Machine:
         self._drain(now)
 
     def _on_slice_expiry(self, event: Event) -> None:
-        core = self._core_at(event.core_id)
+        core = self.cores[event.core_id]
         if event.version != core.sched_version:
             return
         now = self.engine.now
@@ -439,8 +437,11 @@ class Machine:
             raise SimulationError(
                 f"timed wakeup for {task.name} in state {task.state.value}"
             )
-        waited = now - (task.wait_started_at if task.wait_started_at else now)
-        if task.wait_started_at is not None:
+        # A sleep issued at t=0 has ``wait_started_at == 0.0``: test for
+        # None, not truthiness, or that whole sleep goes uncharged.
+        started = task.wait_started_at
+        if started is not None:
+            waited = now - started
             task.own_wait_time += waited
             if task.counters is not None:
                 task.counters.record_wait(waited)
@@ -515,7 +516,7 @@ class Machine:
         while self._dispatch_pending:
             core_id = min(self._dispatch_pending)
             self._dispatch_pending.discard(core_id)
-            core = self._core_at(core_id)
+            core = self.cores[core_id]
             if core.current is None:
                 self._dispatch(core, now)
         hook = self._hooks[DRAIN]
@@ -549,7 +550,7 @@ class Machine:
             )
         # Scheduling-cost model: switch cost if the core changes task,
         # migration cost if the task changes core.
-        switched = core.stats["last_tid"] != task.tid
+        switched = core.last_tid != task.tid
         prev_core_id = task.last_core_id
         migrated = prev_core_id is not None and prev_core_id != core.core_id
         if switched:
@@ -559,10 +560,10 @@ class Machine:
             task.migrations += 1
             core.migrations_in += 1
             task.pending_penalty += self.config.migration_cost
-        core.stats["last_tid"] = task.tid
+        core.last_tid = task.tid
         task.last_core_id = core.core_id
 
-        task.mark_running(core.core_id, core.kind.value)
+        task.mark_running(core.core_id, core.kind_name)
         core.current = task
         core.run_started = now
         core.bump_version()
@@ -657,8 +658,10 @@ class Machine:
         """Charge execution since ``core.run_started`` to the running task.
 
         Hot path: runs at every deschedule/preempt/segment boundary, so
-        repeated attribute reads are hoisted into locals.  The arithmetic
-        (and its order) is untouched -- outcomes stay bit-identical.
+        repeated attribute reads are hoisted into locals and each ``min``
+        is written as the comparison it performs (``min(a, b)`` is ``b if
+        b < a else a``, NaN and -0.0 included).  The arithmetic (and its
+        order) is untouched -- outcomes stay bit-identical.
         """
         task = core.current
         if task is None:
@@ -666,31 +669,31 @@ class Machine:
         elapsed = now - core.run_started
         if elapsed < -_EPS:
             raise SimulationError(f"negative elapsed {elapsed}")
-        elapsed = max(0.0, elapsed)
         if elapsed > 0.0:
             pending = task.pending_penalty
-            penalty_used = min(elapsed, pending)
+            penalty_used = pending if pending < elapsed else elapsed
             task.pending_penalty = pending - penalty_used
             productive = elapsed - penalty_used
             segment = task.current_segment
             work = 0.0
             if segment is not None and productive > 0.0:
                 remaining = segment.remaining
-                work = min(productive * core.rate_for(task), remaining)
+                work = productive * core.rate_for(task)
+                if remaining < work:
+                    work = remaining
                 remaining -= work
                 if remaining < _EPS:
                     remaining = 0.0
                 segment.remaining = remaining
             task.sum_exec_runtime += elapsed
-            task.exec_time_by_kind[core.kind.value] += elapsed
+            task.exec_time_by_kind[core.kind_name] += elapsed
             task.work_done += work
             counters = task.counters
             if counters is not None and work > 0.0:
                 counters.record_compute(work, productive)
             self.scheduler.charge(task, core, elapsed, now)
             core.busy_time += elapsed
-            stats = core.stats
-            by_scale = stats.setdefault("busy_by_scale", {})
+            by_scale = core.busy_by_scale
             scale = core.freq_scale
             by_scale[scale] = by_scale.get(scale, 0.0) + elapsed
             hook = self._hooks[EXEC]
@@ -788,7 +791,7 @@ class Machine:
         """Move a READY, queued task onto ``target``'s runqueue (WASH)."""
         if task.rq_core_id is None:
             raise SchedulerError(f"task {task.name} is not queued anywhere")
-        source = self._core_at(task.rq_core_id)
+        source = self.cores[task.rq_core_id]
         source.rq.dequeue(task)
         self.scheduler.enqueue(target, task, now, is_new=False)
         if target.current is None:
@@ -996,8 +999,7 @@ class Machine:
             core_busy_time={c.core_id: c.busy_time for c in self.cores},
             trace=legacy_trace,
             core_busy_by_scale={
-                c.core_id: dict(c.stats.get("busy_by_scale", {}))
-                for c in self.cores
+                c.core_id: dict(c.busy_by_scale) for c in self.cores
             },
             events=tracer.events,
             metrics=metrics,

@@ -28,6 +28,8 @@ from repro.obs.attribution import (
     task_state_slices,
 )
 from repro.obs.context import ObsConfig
+from repro.obs.probe import ENQUEUE, EXEC
+from repro.sim.core import BIG_SPEC, Core
 from repro.sim.machine import Machine, MachineConfig
 from repro.workloads.mixes import MIXES
 from repro.workloads.programs import ProgramEnv
@@ -104,11 +106,18 @@ class TestAccountingHelper:
         task = make_simple_task()
         accounting.begin(task, 0.0)
         accounting.enter(task, RUNNING_BIG, 0.0)
-        accounting.on_exec(
-            task, RUNNING_BIG, elapsed=5.0, penalty_used=1.5, now=5.0
-        )
+        core = Core(core_id=0, spec=BIG_SPEC, run_started=0.0)
+        accounting.on_exec(EXEC, task, core, now=5.0, penalty_used=1.5)
         assert task.attr_ms[MIGRATING] == pytest.approx(1.5)
         assert task.attr_ms[RUNNING_BIG] == pytest.approx(3.5)
+
+    def test_exec_hook_is_on_exec(self):
+        # EXEC skips transition()'s dispatch on kind; the other watched
+        # kinds still go through it.
+        accounting = AttributionAccounting()
+        hooks = accounting.hooks()
+        assert hooks[EXEC] == accounting.on_exec
+        assert hooks[ENQUEUE] == accounting.transition
 
     def test_unbegun_task_is_opened_lazily(self):
         accounting = AttributionAccounting()

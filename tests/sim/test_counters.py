@@ -154,6 +154,61 @@ class TestCounterAccumulation:
         assert all(v == 0.0 for v in normalized.values())
 
 
+def per_call_draws(works, profile, seed):
+    """``(totals, window)`` with one ``normal(size=5)`` draw per call."""
+    rng = np.random.default_rng(seed)
+    totals = {name: 0.0 for name in INFORMATIVE_NAMES}
+    window = dict(totals)
+    p = profile
+    rates = {
+        "fp_regfile_writes": 0.05 + 0.40 * p.ilp,
+        "fetch.Branches": 0.02 + 0.20 * p.branchiness,
+        "rename.SQFullEvents": 0.002 + 0.05 * p.store_pressure,
+        "dcache.tags.tagsinuse": 0.05 + 0.60 * p.mem_bound,
+        "fetch.IcacheWaitRetryStallCycles": 0.005 + 0.12 * p.frontend_stall,
+    }
+    for work in works:
+        if work == 0.0:
+            continue
+        insts = work * INSTRUCTIONS_PER_WORK
+        noise = rng.normal(0.0, 0.05, 5).tolist()
+        totals["commit.committedInsts"] += insts
+        window["commit.committedInsts"] += insts
+        for (name, rate), sample in zip(rates.items(), noise):
+            amount = insts * rate * max(0.0, 1.0 + sample)
+            totals[name] += amount
+            window[name] += amount
+    return totals, window
+
+
+class TestBlockDrawnNoise:
+    """The hot path draws noise in blocks; values match per-call draws."""
+
+    @pytest.mark.parametrize("n_calls", [1, 7, 8, 9, 17])
+    def test_matches_per_call_draws(self, n_calls):
+        works = [0.25 + 0.5 * i for i in range(n_calls)]
+        # Zero-work calls draw nothing, wherever they fall.
+        for at in sorted({0, n_calls // 2, 8, n_calls}, reverse=True):
+            works.insert(min(at, len(works)), 0.0)
+        counters = PerformanceCounters(
+            profile=FAST_PROFILE, rng=np.random.default_rng(11), hotpath=True
+        )
+        for work in works:
+            counters.record_compute(work, cpu_time=work)
+        totals, window = per_call_draws(works, FAST_PROFILE, seed=11)
+        assert counters.totals == totals
+        assert counters.window == window
+
+    def test_zero_work_draws_nothing(self):
+        counters = PerformanceCounters(
+            profile=FAST_PROFILE, rng=np.random.default_rng(11), hotpath=True
+        )
+        untouched = np.random.default_rng(11).bit_generator.state
+        for _ in range(3):
+            counters.record_compute(0.0, cpu_time=1.0)
+        assert counters.rng.bit_generator.state == untouched
+
+
 class TestWideVector:
     def test_shape_and_names(self):
         names = counter_names()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.kernel.task import reset_tid_counter
 from repro.schedulers.cfs import CFSScheduler
 from repro.sim.dvfs import (
     DVFSPolicy,
@@ -97,6 +98,33 @@ class TestMachineIntegration:
         assert sum(residency.values()) == pytest.approx(
             result.core_busy_time[0]
         )
+
+    def test_residency_pinned(self):
+        # Exact residency and makespan of a two-cluster run with ondemand
+        # and powersave scaling: residency bookkeeping may not move a bit.
+        reset_tid_counter()
+        policy = DVFSPolicy(
+            big_governor=OndemandGovernor(up_threshold=0.9, min_scale=0.4),
+            little_governor=PowersaveGovernor(),
+            period_ms=3.0,
+        )
+        machine = Machine(
+            make_topology(2, 1), CFSScheduler(),
+            MachineConfig(seed=3, dvfs=policy),
+        )
+        for i, work in enumerate((12.0, 7.0, 5.0, 20.0)):
+            machine.add_task(make_simple_task(f"t{i}", work=work, chunks=3))
+        result = machine.run()
+        assert result.core_busy_by_scale == {
+            0: {1.0: 15.015},
+            1: {
+                1.0: 18.0,
+                0.5583333333333333: 3.0,
+                0.5555555555555556: 7.947000000000003,
+            },
+            2: {1.0: 3.0, 0.4: 13.585296934865898},
+        }
+        assert result.makespan == 28.947000000000003
 
     def test_work_conserved_across_frequency_changes(self):
         policy = DVFSPolicy(

@@ -227,6 +227,19 @@ class TestBlockingAndWaking:
         result = machine.run()
         assert result.makespan == pytest.approx(7.0)
 
+    def test_sleep_at_time_zero_is_charged_as_wait(self):
+        machine = make_machine(1, 0, **FREE)
+
+        def sleeps_first():
+            yield Sleep(3.0)
+            yield Compute(1.0)
+
+        task = Task("s", 0, sleeps_first(), NEUTRAL_PROFILE)
+        machine.add_task(task)
+        result = machine.run()
+        assert result.tasks[0].own_wait_time == 3.0
+        assert task.counters.totals["quiesceCycles"] > 0.0
+
     def test_sleeping_core_runs_other_tasks(self):
         machine = make_machine(1, 0, **FREE)
 

@@ -51,6 +51,18 @@ class TestTopology:
         assert cores[0].is_big
         assert not cores[1].is_big
 
+    def test_core_kind_fields_follow_spec(self):
+        topologies = []
+        for topo in standard_topologies().values():
+            topologies += [topo.with_order(True), topo.with_order(False)]
+            topologies += [big_only_equivalent(topo), little_only_equivalent(topo)]
+        for topo in topologies:
+            for core in topo.build_cores():
+                kind = core.spec.kind
+                assert core.kind is kind
+                assert core.is_big == (kind is CoreKind.BIG)
+                assert core.kind_name == kind.value
+
     def test_standard_topologies_match_paper(self):
         topos = standard_topologies()
         assert set(topos) == {"2B2S", "2B4S", "4B2S", "4B4S"}

@@ -59,7 +59,7 @@ FACILITIES = {
     "timeseries": {"timeseries": True},
 }
 #: Facilities whose runs must keep ``run_digest``.  Tracing is not among
-#: them: the legacy ``RunResult.trace`` dispatch tuples are digest
+#: them: the DISPATCH records of ``RunResult.events`` are digest
 #: material, so ``obs`` is held to the outcome check only.
 DIGEST_NEUTRAL = ("sanitize", "timeseries")
 

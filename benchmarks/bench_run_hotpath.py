@@ -13,7 +13,8 @@ Two measurements on the paper's reference single-run configuration
   hot path must produce the same :func:`repro.sim.digest.run_digest` as
   the reference path, including with the runtime sanitizer enabled and
   with tracing enabled (traced runs are digested against a traced
-  reference, since the digest covers the legacy dispatch trace).
+  reference, since the digest hashes the DISPATCH records of
+  ``RunResult.events``).
 
 Acceptance:
 

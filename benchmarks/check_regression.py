@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 
 #: Wall-clock benches on shared machines are noisy; the default band is
@@ -151,14 +152,6 @@ def open_ledger(ledger_dir: pathlib.Path):
     return Ledger(ledger_dir / "ledger.db")
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def history_check(
     ledger, name: str, timings: dict, history: int, tolerance: float
 ) -> tuple[list[str], list[str], set[str]]:
@@ -183,7 +176,7 @@ def history_check(
         if len(series) < 2:
             continue
         judged.add(key)
-        baseline = _median([value for _, value in series])
+        baseline = statistics.median(value for _, value in series)
         limit = baseline * (1.0 + tolerance)
         if fresh_value > limit:
             problems.append(

@@ -13,7 +13,15 @@ Run with::
 
 from __future__ import annotations
 
-from repro import Machine, MachineConfig, ProgramEnv, make_scheduler, make_topology
+from repro import (
+    Machine,
+    MachineConfig,
+    ObsConfig,
+    ProgramEnv,
+    make_scheduler,
+    make_topology,
+)
+from repro.analysis.traces import occupancy_rows
 from repro.workloads.benchmarks import instantiate_benchmark
 
 #: One render column per this many simulated milliseconds.
@@ -24,31 +32,16 @@ WIDTH = 72
 def render_timeline(machine, result) -> str:
     """One row per core; letters are app ids, '.' is idle."""
     symbols = {app_id: chr(ord("a") + app_id) for app_id in result.app_names}
-    horizon = result.makespan
-    n_buckets = min(WIDTH, max(1, int(horizon / BUCKET_MS)))
-    bucket_len = horizon / n_buckets
-
-    # trace entries are (time, core_id, tid); reconstruct occupancy.
+    symbols[None] = "."
+    n_buckets = min(WIDTH, max(1, int(result.makespan / BUCKET_MS)))
     tid_to_app = {t.tid: t.app_id for t in machine.tasks}
-    rows = {}
-    for core in machine.cores:
-        rows[core.core_id] = ["."] * n_buckets
-    events = sorted(result.trace)
-    for i, (time, core_id, tid) in enumerate(events):
-        end = horizon
-        for later_time, later_core, _later_tid in events[i + 1:]:
-            if later_core == core_id:
-                end = later_time
-                break
-        first = min(n_buckets - 1, int(time / bucket_len))
-        last = min(n_buckets - 1, int(end / bucket_len))
-        for bucket in range(first, last + 1):
-            rows[core_id][bucket] = symbols[tid_to_app[tid]]
+    rows = occupancy_rows(result, tid_to_app, len(machine.cores), n_buckets)
 
     lines = []
     for core in machine.cores:
         label = f"core{core.core_id}({core.kind.value[0].upper()})"
-        lines.append(f"  {label:<9} {''.join(rows[core.core_id])}")
+        cells = "".join(symbols[app] for app in rows[core.core_id])
+        lines.append(f"  {label:<9} {cells}")
     return "\n".join(lines)
 
 
@@ -56,7 +49,7 @@ def run(scheduler_name: str) -> None:
     machine = Machine(
         make_topology(2, 2),
         make_scheduler(scheduler_name),
-        MachineConfig(seed=11, trace=True),
+        MachineConfig(seed=11, obs=ObsConfig(trace=True)),
     )
     env = ProgramEnv.for_machine(machine, work_scale=0.25)
     machine.add_program(instantiate_benchmark("lu_cb", env, 0, n_threads=3))

@@ -1,12 +1,10 @@
 """Dispatch-trace post-processing.
 
-Traced runs (``MachineConfig(obs=ObsConfig(trace=True))``, or the legacy
-``trace=True`` shim) record typed :class:`~repro.obs.tracer.TraceEvent`
-records in ``RunResult.events``.  These helpers turn that stream into
-per-core occupancy timelines (the ASCII Gantt view of
-``examples/core_timeline.py``), core-utilisation figures and migration
-summaries.  Results from older exports that only carry the legacy
-``(time, core_id, tid)`` dispatch tuples are still accepted.
+Traced runs (``MachineConfig(obs=ObsConfig(trace=True))``) record typed
+:class:`~repro.obs.tracer.TraceEvent` records in ``RunResult.events``.
+These helpers turn that stream into per-core occupancy timelines (the
+ASCII Gantt view of ``examples/core_timeline.py``), core-utilisation
+figures and migration summaries.
 """
 
 from __future__ import annotations
@@ -17,32 +15,6 @@ from dataclasses import dataclass
 from repro.errors import ExperimentError
 from repro.obs.tracer import dispatch_slices
 from repro.sim.machine import RunResult
-
-
-def _slices(result: RunResult) -> list[tuple[float, float, int, int]]:
-    """``(start, end, core_id, tid)`` dispatch slices of a traced run.
-
-    Prefers the typed event stream (slices end at the matching
-    deschedule, so idle gaps are visible); falls back to the legacy
-    dispatch tuples, where a slice runs until the core's next dispatch.
-    """
-    if result.events:
-        return [
-            (start, end, core_id, tid)
-            for start, end, core_id, tid, _name in dispatch_slices(
-                result.events, result.makespan
-            )
-        ]
-    dispatches = sorted(result.trace)
-    out: list[tuple[float, float, int, int]] = []
-    for i, (time, core_id, tid) in enumerate(dispatches):
-        end = result.makespan
-        for later_time, later_core, _tid in dispatches[i + 1:]:
-            if later_core == core_id:
-                end = later_time
-                break
-        out.append((time, end, core_id, tid))
-    return out
 
 
 def occupancy_rows(
@@ -61,16 +33,16 @@ def occupancy_rows(
 
     Returns:
         ``core_id -> list of app ids (or None for idle)`` per bucket.
-        A bucket shows the application whose dispatch covers its start.
+        A slice ends at its task's deschedule, so idle gaps stay None.
 
     Raises:
         ExperimentError: if the run carries no trace, has a zero-length
             makespan (nothing to bucketise), or ``buckets < 1``.
     """
-    if not result.trace and not result.events:
+    if not result.events:
         raise ExperimentError(
             "run has no trace; enable tracing via "
-            "MachineConfig(obs=ObsConfig(trace=True)) or the legacy trace=True"
+            "MachineConfig(obs=ObsConfig(trace=True))"
         )
     if buckets < 1:
         raise ExperimentError(f"buckets must be >= 1, got {buckets}")
@@ -83,7 +55,7 @@ def occupancy_rows(
     rows: dict[int, list[int | None]] = {
         core: [None] * buckets for core in range(n_cores)
     }
-    for start, end, core_id, tid in _slices(result):
+    for start, end, core_id, tid, _name in dispatch_slices(result.events, horizon):
         first = min(buckets - 1, int(start / bucket_len))
         last = min(buckets - 1, int(end / bucket_len))
         app = tid_to_app.get(tid)

@@ -323,51 +323,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     """Per-task time attribution + decision-quality report of one run."""
     import json
 
+    from repro.errors import ExperimentError
+    from repro.experiments.runner import run_mix_once
     from repro.obs.attribution import (
         decision_quality,
         link_decisions,
         render_attribution,
         render_decision_quality,
     )
-
-    if args.run_id is not None:
-        # Report a previously recorded ledger row (stored attribution only;
-        # decision linkage needs the event stream, which is not persisted).
-        from repro.obs.ledger import Ledger
-
-        with Ledger(_ledger_path(args)) as ledger:
-            record = ledger.get_run(args.run_id)
-        attribution = record.get("attribution") or {}
-        if args.json:
-            print(json.dumps(record, indent=2, sort_keys=True))
-            return 0
-        point = "/".join(
-            str(part)
-            for part in (record.get("mix"), record.get("config"),
-                         record.get("scheduler"))
-            if part
-        )
-        print(
-            f"ledger run {record['id']} ({record['kind']}) {point} "
-            f"recorded {record['recorded_at'][:19]}"
-        )
-        metrics = record.get("metrics", {})
-        print(
-            "  ".join(
-                f"{key}={value:.3f}"
-                for key, value in sorted(metrics.items())
-                if isinstance(value, (int, float))
-            )
-        )
-        if attribution:
-            print()
-            print(render_attribution(attribution, top=args.top))
-        else:
-            print("(no attribution summary recorded for this row)")
-        return 0
-
-    from repro.errors import ExperimentError
-    from repro.experiments.runner import run_mix_once
     from repro.obs.context import ObsConfig
     from repro.workloads.mixes import MIXES
 
@@ -431,7 +394,12 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     """Query the persistent run ledger (list/show/compare/trend)."""
     import json
 
-    from repro.obs.ledger import Ledger, render_ledger_rows, render_trend
+    from repro.obs.ledger import (
+        Ledger,
+        render_ledger_record,
+        render_ledger_rows,
+        render_trend,
+    )
 
     with Ledger(_ledger_path(args)) as ledger:
         if args.ledger_command == "list":
@@ -445,7 +413,11 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
                 print(render_ledger_rows(rows))
             return 0
         if args.ledger_command == "show":
-            print(json.dumps(ledger.get_run(args.run_id), indent=2, sort_keys=True))
+            record = ledger.get_run(args.run_id)
+            if args.json:
+                print(json.dumps(record, indent=2, sort_keys=True))
+            else:
+                print(render_ledger_record(record))
             return 0
         if args.ledger_command == "compare":
             comparison = ledger.compare(args.id_a, args.id_b)
@@ -825,11 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report",
         help="per-task time attribution + decision-quality report of one "
-        "run (fresh traced run, or a recorded ledger row by id)",
-    )
-    report.add_argument(
-        "run_id", nargs="?", type=int, default=None,
-        help="ledger row id to report instead of running fresh",
+        "fresh traced run (recorded rows: ledger show RUN_ID)",
     )
     report.add_argument("--mix", default="Sync-2", help="Table 4 mix index")
     report.add_argument("--config", default="2B2S", help="2B2S/2B4S/4B2S/4B4S")
@@ -860,8 +828,11 @@ def build_parser() -> argparse.ArgumentParser:
     ledger_list.add_argument("--scheduler", default=None)
     ledger_list.add_argument("--json", action="store_true")
     ledger_list.set_defaults(func=_cmd_ledger)
-    ledger_show = ledger_sub.add_parser("show", help="one row as JSON")
+    ledger_show = ledger_sub.add_parser(
+        "show", help="one row: header, metrics and attribution table"
+    )
     ledger_show.add_argument("run_id", type=int, help="ledger row id")
+    ledger_show.add_argument("--json", action="store_true")
     ledger_show.set_defaults(func=_cmd_ledger)
     ledger_compare = ledger_sub.add_parser(
         "compare", help="metric + attribution deltas between two rows"
@@ -988,11 +959,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.errors import ExperimentError
     from repro.obs.log import configure
 
     args = build_parser().parse_args(argv)
     configure(verbosity=args.verbose)
-    result = args.func(args)
+    try:
+        result = args.func(args)
+    except ExperimentError as exc:
+        print(f"colab-repro: error: {exc}", file=sys.stderr)
+        return 2
     return int(result or 0)
 
 

@@ -57,8 +57,3 @@ class Observability:
         self.tracer = Tracer(enabled=self.config.trace)
         self.metrics = MetricsRegistry(enabled=self.config.metrics)
         self.profiler = Profiler(enabled=self.config.profile)
-
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """An all-off context (the default for untraced runs)."""
-        return cls(ObsConfig())

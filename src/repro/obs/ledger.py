@@ -37,6 +37,7 @@ import sqlite3
 from datetime import datetime, timezone
 
 from repro.errors import ExperimentError
+from repro.obs.attribution import render_attribution
 
 #: Environment override naming the *directory* holding ``ledger.db``.
 LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
@@ -286,6 +287,10 @@ class Ledger:
         baseline :meth:`trend` judges against).  Metrics with no recorded
         numeric values are omitted.
         """
+        # Imported here: at module level it would add decimal and fractions
+        # to every ``import repro``.
+        import statistics
+
         out: dict[str, dict] = {}
         for metric in metrics:
             series = self.history(
@@ -295,20 +300,12 @@ class Ledger:
             if not series:
                 continue
             values = [value for _, value in series]
-            prior = sorted(values[:-1])
-            if prior:
-                mid = len(prior) // 2
-                if len(prior) % 2:
-                    median_prior = prior[mid]
-                else:
-                    median_prior = (prior[mid - 1] + prior[mid]) / 2.0
-            else:
-                median_prior = None
             out[metric] = {
                 "ids": [row_id for row_id, _ in series],
                 "values": values,
                 "latest": values[-1],
-                "median_prior": median_prior,
+                "median_prior": statistics.median(values[:-1])
+                if len(values) > 1 else None,
                 "lower_is_better": LOWER_IS_BETTER.get(metric, True),
             }
         return out
@@ -374,13 +371,10 @@ class Ledger:
         }
         if len(series) < 3:
             return result
+        import statistics  # imported here, see metric_series
+
         *prior, (latest_id, latest) = series
-        values = sorted(value for _, value in prior)
-        mid = len(values) // 2
-        if len(values) % 2:
-            baseline = values[mid]
-        else:
-            baseline = (values[mid - 1] + values[mid]) / 2.0
+        baseline = statistics.median(value for _, value in prior)
         lower_better = LOWER_IS_BETTER.get(metric, True)
         if lower_better:
             band = baseline * (1.0 + tolerance)
@@ -444,6 +438,15 @@ def record_point(
         return -1
 
 
+def _point(row: dict) -> str:
+    """``mix/config/scheduler`` of a ledger row (or trend), blanks skipped."""
+    return "/".join(
+        str(part)
+        for part in (row.get("mix"), row.get("config"), row.get("scheduler"))
+        if part
+    )
+
+
 def render_ledger_rows(rows: list[dict]) -> str:
     """Fixed-width text table for ``repro ledger list``."""
     if not rows:
@@ -454,11 +457,6 @@ def render_ledger_rows(rows: list[dict]) -> str:
     )
     lines = [header, "-" * len(header)]
     for row in rows:
-        point = "/".join(
-            str(part)
-            for part in (row.get("mix"), row.get("config"), row.get("scheduler"))
-            if part
-        )
         metrics = row.get("metrics", {})
         makespan = metrics.get("makespan")
         h_antt = metrics.get("h_antt")
@@ -472,18 +470,35 @@ def render_ledger_rows(rows: list[dict]) -> str:
         )
         lines.append(
             f"{row['id']:>5} {row['recorded_at'][:19]:<20} "
-            f"{row['kind']:<12} {point:<28}" + "".join(cells)
+            f"{row['kind']:<12} {_point(row):<28}" + "".join(cells)
         )
+    return "\n".join(lines)
+
+
+def render_ledger_record(record: dict) -> str:
+    """Text rendering of one row for ``repro ledger show``: a header line,
+    its numeric metrics, and the stored attribution table."""
+    metrics = record.get("metrics", {})
+    lines = [
+        f"ledger run {record['id']} ({record['kind']}) {_point(record)} "
+        f"recorded {record['recorded_at'][:19]}",
+        "  ".join(
+            f"{key}={value:.3f}"
+            for key, value in sorted(metrics.items())
+            if isinstance(value, (int, float))
+        ),
+    ]
+    attribution = record.get("attribution")
+    if attribution:
+        lines += ["", render_attribution(attribution)]
+    else:
+        lines.append("(no attribution summary recorded for this row)")
     return "\n".join(lines)
 
 
 def render_trend(result: dict) -> str:
     """One-paragraph text rendering of a :meth:`Ledger.trend` result."""
-    point = "/".join(
-        str(part)
-        for part in (result.get("mix"), result.get("config"), result.get("scheduler"))
-        if part
-    ) or "(all rows)"
+    point = _point(result) or "(all rows)"
     if not result.get("judged"):
         return (
             f"{point} {result['metric']}: {result['n']} point(s) recorded -- "

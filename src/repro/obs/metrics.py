@@ -25,10 +25,9 @@ probe, so its hot paths do no metrics work at all.
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import ExperimentError
 from repro.obs.probe import DEQUEUE, ENQUEUE, FUTEX_WAKE, Probe
+from repro.obs.timeseries import exact_percentile
 
 
 class Counter:
@@ -95,16 +94,7 @@ class Histogram:
             raise ExperimentError(f"percentile {q} outside [0, 100]")
         if not self._values:
             raise ExperimentError("percentile of an empty histogram")
-        ordered = sorted(self._values)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (q / 100.0) * (len(ordered) - 1)
-        low = math.floor(rank)
-        high = math.ceil(rank)
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1.0 - frac) + ordered[high] * frac
+        return exact_percentile(sorted(self._values), q)
 
     def summary(self) -> dict:
         """JSON-ready summary (count / total / mean / percentiles / max)."""

@@ -70,8 +70,9 @@ class TimeseriesConfig:
 def exact_percentile(ordered: list[float], q: float) -> float:
     """Linear-interpolated percentile of pre-sorted values, ``q`` in [0, 100].
 
-    Same interpolation as :meth:`repro.obs.metrics.Histogram.percentile`
-    so window statistics and end-of-run histograms agree on definitions.
+    The one interpolation in :mod:`repro.obs`: :meth:`repro.obs.metrics.
+    Histogram.percentile` delegates here, so window statistics and
+    end-of-run histograms agree on definitions.
     """
     if not ordered:
         raise SimulationError("percentile of an empty window")

@@ -1,10 +1,12 @@
 """Structured event tracing for simulation runs.
 
-The tracer replaces the seed's ad-hoc ``(time, core_id, tid)`` tuple list
-with typed :class:`TraceEvent` records covering every scheduling-relevant
-occurrence: dispatches, descheduls (with their reason), cross-core
-migrations, futex wait/wake pairs, DVFS transitions, labeling passes, and
-scheduler decisions annotated with the factor scores that drove them.
+``ObsConfig(trace=True)`` is the one trace switch.  A traced run records
+typed :class:`TraceEvent` records into ``RunResult.events`` covering every
+scheduling-relevant occurrence: dispatches, deschedules (with their
+reason), cross-core migrations, futex wait/wake pairs, DVFS transitions,
+labeling passes, and scheduler decisions annotated with the factor scores
+that drove them.  The DISPATCH records are the run's one dispatch record:
+:func:`repro.sim.digest.run_digest` hashes them.
 
 Zero-overhead-when-disabled contract
 ------------------------------------

@@ -66,7 +66,6 @@ PINNED_CONFIG_FIELDS = (
 #: parity suite and the tracer/schedsan/timeseries tests pin this), so
 #: they must not fragment the cache key space.
 PARITY_NEUTRAL_FIELDS = (
-    "trace",
     "obs",
     "sanitize",
     "hotpath",

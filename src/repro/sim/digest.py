@@ -1,11 +1,11 @@
 """Behavioural digest of a :class:`~repro.sim.machine.RunResult`.
 
 :func:`run_digest` hashes every *behavioural* field of a run -- schedule
-outcomes, per-task accounting, per-core residency, and the dispatch trace
--- into one hex string.  Two runs are scheduling-equivalent iff their
-digests match; the hot-path benchmark and the fuzz suite use this to
-assert that the optimised simulator path is bit-identical to the
-reference path.
+outcomes, per-task accounting, per-core residency, and the DISPATCH
+records of a traced run's ``events`` -- into one hex string.  Two runs
+are scheduling-equivalent iff their digests match; the hot-path benchmark
+and the fuzz suite use this to assert that the optimised simulator path
+is bit-identical to the reference path.
 
 Floats are hashed through ``repr`` (the shortest round-tripping form), so
 any bit-level drift in a single accounting value changes the digest.
@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING
 
+from repro.obs.tracer import EventKind
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.machine import RunResult
 
@@ -30,9 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: * ``scheduler_stats`` -- a policy-specific stats object with no stable
 #:   canonical form; every behavioural quantity it derives from (switches,
 #:   migrations, per-task accounting) is hashed via its own field.
-#: * ``events`` / ``trace_metadata`` -- observability volume depends on
-#:   tracer configuration; the behavioural content of DISPATCH events is
-#:   already covered by the legacy ``trace`` tuples.
+#: * ``trace_metadata`` -- exporter context (topology, scheduler, seed,
+#:   core kinds) fixed by the run's inputs.
 #: * ``events_processed`` / ``events_discarded`` / ``events_suppressed``
 #:   / ``metrics`` -- engine bookkeeping counters; the hot path suppresses
 #:   stale events by design, so these differ between paths that are
@@ -43,9 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #:   same event stream by a read-only hook; whether sampling ran (and at
 #:   what cadence) changes no behavioural outcome, which the sampling
 #:   on/off parity tests pin for all four schedulers.
+#:
+#: ``events`` is hashed only in part: of a traced run's typed records just
+#: the DISPATCH ``(time, core_id, tid)`` triples, which pin who ran where
+#: and when.  The other kinds carry observational payloads (names,
+#: reasons, factor scores) around outcomes already hashed above.
 DIGEST_EXCLUDED_FIELDS = (
     "attribution",
-    "events",
     "events_discarded",
     "events_processed",
     "events_suppressed",
@@ -97,6 +102,7 @@ def run_digest(result: "RunResult") -> str:
         residency = result.core_busy_by_scale[core_id]
         for scale in sorted(residency):
             put("busy_scale", core_id, scale, residency[scale])
-    for time, core_id, tid in result.trace:
-        put("dispatch", time, core_id, tid)
+    for e in result.events:
+        if e.kind is EventKind.DISPATCH:
+            put("dispatch", e.time, e.core_id, e.tid)
     return hasher.hexdigest()

@@ -30,7 +30,6 @@ useful work retires.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +54,6 @@ from repro.obs.probe import (
     SPAWN,
     combine,
 )
-from repro.obs.tracer import EventKind as TraceKind
 from repro.obs.tracer import TraceEvent
 from repro.sim.core import Core
 from repro.sim.counters import PerformanceCounters
@@ -98,15 +96,10 @@ class MachineConfig:
     migration_cost: float = 0.08
     #: Cap on zero-time actions processed per resume (livelock guard).
     max_actions_per_advance: int = 100_000
-    #: Record a dispatch trace.
-    #:
-    #: .. deprecated:: compatibility shim.  ``trace=True`` now enables the
-    #:    structured tracer (:mod:`repro.obs`) and ``RunResult.trace`` is
-    #:    derived from its typed DISPATCH events; prefer
-    #:    ``obs=ObsConfig(trace=True)`` and ``RunResult.events``.
-    trace: bool = False
     #: Observability switches (:class:`repro.obs.ObsConfig`): structured
-    #: tracing, metrics registry, host-side profiling.
+    #: tracing, metrics registry, host-side profiling.  ``ObsConfig(trace=
+    #: True)`` is the one trace switch; its typed records, DISPATCH events
+    #: included, land in :attr:`RunResult.events`.
     obs: ObsConfig | None = None
     #: Enable the runtime scheduler sanitizer (schedsan): read-only
     #: invariant checks on the rbtree, runqueues, futex pairing, event
@@ -165,16 +158,11 @@ class RunResult:
     total_context_switches: int
     total_migrations: int
     core_busy_time: dict[int, float]
-    #: Legacy ``(time, core_id, tid)`` dispatch tuples.
-    #:
-    #: .. deprecated:: compatibility shim derived from the typed trace --
-    #:    every DISPATCH event of :attr:`events` projected to a tuple.
-    #:    New code should read :attr:`events` instead.
-    trace: list[tuple[float, int, int]] = field(default_factory=list)
     #: core_id -> {frequency scale -> busy ms} (DVFS residency).
     core_busy_by_scale: dict[int, dict[float, float]] = field(default_factory=dict)
     #: Typed trace records (:class:`repro.obs.TraceEvent`); empty unless
-    #: the run enabled tracing.
+    #: the run enabled tracing.  The run's one dispatch record: its
+    #: DISPATCH events are what :func:`repro.sim.digest.run_digest` hashes.
     events: list[TraceEvent] = field(default_factory=list)
     #: Metrics snapshot (:meth:`repro.obs.MetricsRegistry.snapshot`, plus
     #: a ``"profile"`` section when profiling ran); empty unless enabled.
@@ -226,7 +214,7 @@ class Machine:
     ) -> None:
         self.topology = topology
         self.config = config or MachineConfig()
-        self.obs = self._build_obs(self.config)
+        self.obs = Observability(self.config.obs)
         self.engine = Engine(hotpath=self.config.hotpath)
         self.cores: list[Core] = topology.build_cores()
         for core in self.cores:
@@ -282,19 +270,6 @@ class Machine:
         self.engine.register(EventKind.CALLBACK, self._on_dvfs)
         if self.obs.profiler.enabled:
             self.obs.profiler.instrument(self)
-
-    @staticmethod
-    def _build_obs(config: MachineConfig) -> Observability:
-        """Resolve the observability context, honouring the legacy flag."""
-        obs_config = config.obs
-        if config.trace:
-            if obs_config is None:
-                obs_config = ObsConfig(trace=True)
-            elif not obs_config.trace:
-                obs_config = dataclasses.replace(obs_config, trace=True)
-        if obs_config is None:
-            return Observability.disabled()
-        return Observability(obs_config)
 
     def _build_probe(self):
         """Combine the enabled observers into the run's one probe.
@@ -981,11 +956,6 @@ class Machine:
         if self.obs.profiler.enabled:
             metrics["profile"] = self.obs.profiler.snapshot()
         tracer = self.obs.tracer
-        legacy_trace = [
-            (e.time, e.core_id, e.tid)
-            for e in tracer.events
-            if e.kind is TraceKind.DISPATCH
-        ]
         return RunResult(
             topology_name=self.topology.name,
             scheduler_name=self.scheduler.name,
@@ -997,7 +967,6 @@ class Machine:
             total_context_switches=sum(c.context_switches for c in self.cores),
             total_migrations=sum(t.migrations for t in self.tasks),
             core_busy_time={c.core_id: c.busy_time for c in self.cores},
-            trace=legacy_trace,
             core_busy_by_scale={
                 c.core_id: dict(c.busy_by_scale) for c in self.cores
             },

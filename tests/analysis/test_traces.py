@@ -9,13 +9,15 @@ import pytest
 from repro.analysis.export import campaign_to_dict, result_to_dict
 from repro.analysis.traces import core_utilization, migration_summary, occupancy_rows
 from repro.errors import ExperimentError
+from repro.obs.context import ObsConfig
+from repro.obs.tracer import EventKind, TraceEvent
 from tests.conftest import make_machine, make_simple_task
 
 FREE = dict(context_switch_cost=0.0, migration_cost=0.0)
 
 
 def traced_run(n_big=1, n_little=1, n_tasks=3):
-    machine = make_machine(n_big, n_little, trace=True, **FREE)
+    machine = make_machine(n_big, n_little, obs=ObsConfig(trace=True), **FREE)
     tasks = [
         make_simple_task(f"t{i}", work=5.0, app_id=i) for i in range(n_tasks)
     ]
@@ -65,24 +67,10 @@ class TestOccupancy:
             total_context_switches=0,
             total_migrations=0,
             core_busy_time={},
-            trace=[(0.0, 0, 1)],
+            events=[TraceEvent(0.0, EventKind.DISPATCH, core_id=0, tid=1)],
         )
         with pytest.raises(ExperimentError, match="zero-duration"):
             occupancy_rows(result, {1: 0}, n_cores=1)
-
-    def test_typed_events_preferred_over_legacy_tuples(self):
-        machine, result = traced_run()
-        assert result.events  # the shim records typed events too
-        tid_to_app = {t.tid: t.app_id for t in machine.tasks}
-        rows = occupancy_rows(result, tid_to_app, n_cores=2, buckets=16)
-        # Dropping the typed events falls back to the legacy path; both
-        # views agree on which buckets are busy with which app.
-        result.events = []
-        legacy_rows = occupancy_rows(result, tid_to_app, n_cores=2, buckets=16)
-        for core in rows:
-            for typed, legacy in zip(rows[core], legacy_rows[core]):
-                if typed is not None and legacy is not None:
-                    assert typed == legacy
 
 
 class TestUtilization:
@@ -184,7 +172,7 @@ class TestEdgeCases:
         assert summary.total == summary.most_migrated_count
 
     def test_occupancy_rows_single_task(self):
-        machine = make_machine(1, 0, trace=True, **FREE)
+        machine = make_machine(1, 0, obs=ObsConfig(trace=True), **FREE)
         machine.add_task(make_simple_task("solo", work=5.0))
         result = machine.run()
         tid_to_app = {t.tid: t.app_id for t in machine.tasks}

@@ -78,19 +78,7 @@ class TestMachineTracing:
         result = machine.run()
         assert result.events == []
         assert result.metrics == {}
-        assert result.trace == []
         assert machine.obs.tracer.enabled is False
-
-    def test_legacy_trace_compat_shim(self):
-        """MachineConfig(trace=True) still yields (time, core, tid) tuples."""
-        machine = make_machine(1, 1, trace=True, **FREE)
-        machine.add_task(make_simple_task(work=2.0))
-        result = machine.run()
-        assert result.trace
-        dispatches = [e for e in result.events if e.kind is EventKind.DISPATCH]
-        assert result.trace == [
-            (e.time, e.core_id, e.tid) for e in dispatches
-        ]
 
     def test_metrics_snapshot_contents(self):
         _machine, result = self.run_traced(metrics=True)
@@ -114,7 +102,7 @@ def _strip_obs(result) -> dict:
     """Every RunResult field except the observability payloads."""
     fields = {}
     for f in dataclasses.fields(result):
-        if f.name in ("trace", "events", "metrics", "trace_metadata"):
+        if f.name in ("events", "metrics", "trace_metadata"):
             continue
         fields[f.name] = getattr(result, f.name)
     return fields
@@ -163,7 +151,7 @@ class TestParity:
 
 class TestObservability:
     def test_disabled_context(self):
-        obs = Observability.disabled()
+        obs = Observability()
         assert not obs.config.any_enabled
         assert not obs.tracer.enabled
         assert not obs.metrics.enabled

@@ -7,6 +7,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.kernel.sync import Barrier, Mutex, Pipe
 from repro.kernel.task import Task
+from repro.obs.context import ObsConfig
+from repro.obs.tracer import EventKind
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.topology import make_topology
 from repro.workloads.actions import (
@@ -341,13 +343,12 @@ class TestDeterminismAndResults:
         assert r1.makespan != r2.makespan
 
     def test_trace_records_dispatches(self):
-        machine = make_machine(1, 0, trace=True)
-        machine.add_task(make_simple_task(work=2.0))
+        machine = make_machine(1, 0, obs=ObsConfig(trace=True))
+        task = make_simple_task(work=2.0)
+        machine.add_task(task)
         result = machine.run()
-        assert result.trace
-        time, core_id, tid = result.trace[0]
-        assert time == 0.0
-        assert core_id == 0
+        first = next(e for e in result.events if e.kind is EventKind.DISPATCH)
+        assert (first.time, first.core_id, first.tid) == (0.0, 0, task.tid)
 
     def test_turnaround_of_requires_unique_name(self):
         machine = make_machine(1, 0, **FREE)

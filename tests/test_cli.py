@@ -272,6 +272,39 @@ class TestRunCommand:
         assert schedulers == {"linux", "colab"}
 
 
+class TestErrorExit:
+    """Bad user input ends in one stderr line and exit code 2."""
+
+    BASE = ["--scale", "0.05", "--oracle", "--no-cache", "--no-ledger"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--mix", "Nope-1"], "unknown mix 'Nope-1'"),
+            (["run", "--config", "9B9S"], "unknown config '9B9S'"),
+            (["trace", "--mix", "Nope-1"], "unknown mix 'Nope-1'"),
+        ],
+        ids=["run-mix", "run-config", "trace-mix"],
+    )
+    def test_experiment_error_is_one_line(self, argv, message, capsys):
+        assert main(self.BASE + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"colab-repro: error: {message}")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_simulation_error_keeps_its_traceback(self, monkeypatch):
+        from repro import cli
+        from repro.errors import SimulationError
+
+        def broken(args):
+            raise SimulationError("invariant broke")
+
+        monkeypatch.setattr(cli, "_cmd_tables", broken)
+        with pytest.raises(SimulationError, match="invariant broke"):
+            main(["tables"])
+
+
 class TestSanitizedRunCommand:
     def test_run_with_sanitizer_matches_plain_run(self, tmp_path, capsys):
         """End-to-end --sanitize run: completes and is bit-identical."""
@@ -489,7 +522,7 @@ class TestReportCommand:
     def test_report_by_recorded_ledger_id(self, capsys):
         assert main(self.BASE + ["report"] + self.POINT) == 0
         capsys.readouterr()
-        assert main(["report", "1"]) == 0
+        assert main(["ledger", "show", "1"]) == 0
         out = capsys.readouterr().out
         assert "ledger run 1" in out
         assert "running_big" in out
@@ -534,7 +567,7 @@ class TestLedgerCommands:
         for _ in range(2):
             assert main(self.RUN) == 0
         capsys.readouterr()
-        assert main(["ledger", "show", "1"]) == 0
+        assert main(["ledger", "show", "1", "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["scheduler"] == "colab"
         assert main(["ledger", "compare", "1", "2"]) == 0

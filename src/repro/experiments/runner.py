@@ -20,15 +20,17 @@ deterministic merging (:mod:`repro.parallel.executor`).
 from __future__ import annotations
 
 import pathlib
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Generic, TypeVar
+from typing import Generic, TypeVar
 
 from repro.errors import ExperimentError
 from repro.metrics.baselines import BaselineCache
 from repro.metrics.turnaround import h_antt, h_stp
 from repro.model.speedup import OracleSpeedupModel, SpeedupEstimator
 from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.spans import SpanCollector
 from repro.schedulers import make_scheduler
 from repro.sim.machine import Machine, MachineConfig, RunResult
 from repro.sim.topology import Topology, make_topology, standard_topologies
@@ -135,10 +137,6 @@ class ExperimentContext:
         result_cache: An explicit cache backend (anything with the
             :class:`repro.parallel.cache.ResultCache` ``load``/``store``
             surface); overrides ``cache_dir``.
-        executor_factory: Pluggable pool constructor
-            ``(max_workers, initializer, initargs) -> Executor`` used by
-            the parallel sweep; ``None`` selects
-            :class:`concurrent.futures.ProcessPoolExecutor`.
     """
 
     #: In-process cache bounds; one full campaign (624 runs, 312 points)
@@ -153,7 +151,6 @@ class ExperimentContext:
     jobs: int = 1
     cache_dir: str | pathlib.Path | None = None
     result_cache: object | None = None
-    executor_factory: Callable[..., object] | None = None
     obs_metrics: MetricsRegistry = field(
         default_factory=lambda: MetricsRegistry(enabled=True), repr=False
     )
@@ -163,8 +160,8 @@ class ExperimentContext:
     #: never the parent's.
     spans: object | None = field(default=None, repr=False)
     #: Optional append-only run ledger (:class:`repro.obs.ledger.Ledger`).
-    #: When set, :func:`sweep` (serial and parallel) records every
-    #: evaluated point.  Recording happens strictly after results exist
+    #: When set, :func:`sweep` records every point (ledger semantics in
+    #: its docstring).  Recording happens strictly after results exist
     #: and the field is excluded from cache fingerprints
     #: (``TELEMETRY_EXCLUDED_FIELDS``), so results are bit-identical with
     #: or without a ledger attached.
@@ -356,6 +353,21 @@ def evaluate_mix(
         cached = ctx.peek_metrics(mix_index, config, scheduler_name)
         if cached is not None:
             return cached
+    return _evaluate_uncached(ctx, mix_index, config, scheduler_name, sanitize)
+
+
+def _evaluate_uncached(
+    ctx: ExperimentContext,
+    mix_index: str,
+    config: str,
+    scheduler_name: str,
+    sanitize: bool,
+) -> MixMetrics:
+    """Simulate both core orders of one point and store the result.
+
+    The caller has already missed the metrics caches; a sanitized result
+    is never stored.
+    """
     mix = MIXES.get(mix_index)
     if mix is None:
         raise ExperimentError(f"unknown mix {mix_index!r}")
@@ -402,58 +414,105 @@ def sweep(
 ) -> list[MixMetrics]:
     """Evaluate the full cross product (cached, order-averaged).
 
-    ``jobs`` overrides ``ctx.jobs``; any value above 1 routes through
-    :func:`repro.parallel.executor.parallel_sweep`, whose output is
-    merged in evaluation-point order and is bit-identical to the serial
-    path for pure estimators.
+    The one sweep pipeline: resolve every point the caches can answer
+    (skipped when ``sanitize``), evaluate the rest, store them, and
+    record every point in ``ctx.ledger`` in point order.  The only fork
+    is where pending points run: in this process when the job count
+    (``jobs``, else ``ctx.jobs``) is 1 and no ``telemetry`` is attached,
+    otherwise on :func:`repro.parallel.executor.evaluate_on_pool`, whose
+    output is merged in submission order and is bit-identical to the
+    in-process path for pure estimators.
 
     ``telemetry`` (a :class:`repro.obs.dist.DistTelemetry`, optional)
-    collects cross-process spans, progress, and the sweep report; when
-    set, even ``jobs=1`` routes through the pool executor so the merged
-    timeline always has the same parent + worker track structure.
+    collects cross-process spans, progress, and the sweep report; it
+    routes even ``jobs=1`` through the pool so the merged timeline always
+    has the same parent + worker track structure.
+
+    Ledger rows: an evaluated point records its measured ``wall_s`` and
+    ``cache_hit=False``; a cache hit records ``wall_s=None`` and
+    ``cache_hit=True``; under ``sanitize`` (no cache lookup) every point
+    records ``cache_hit=None``.
     """
-    effective_jobs = ctx.jobs if jobs is None else jobs
-    if effective_jobs > 1 or telemetry is not None:
-        from repro.parallel.executor import parallel_sweep
+    points = [
+        (mix_index, config, scheduler)
+        for mix_index in mix_indices
+        for config in configs
+        for scheduler in schedulers
+    ]
+    jobs = max(1, ctx.jobs if jobs is None else jobs)
+    if telemetry is not None:
+        telemetry.begin(points, jobs)
+        if telemetry.progress is not None:
+            telemetry.progress.total = len(points)
+        spans = telemetry.parent
+    else:
+        spans = SpanCollector(actor="parent", enabled=False)
 
-        return parallel_sweep(
-            ctx,
-            mix_indices,
-            configs=configs,
-            schedulers=schedulers,
-            jobs=effective_jobs,
-            sanitize=sanitize,
-            telemetry=telemetry,
+    results: dict[MetricsKey, MixMetrics] = {}
+    with spans.span("resolve_cache"):
+        for point in () if sanitize else points:
+            hit = ctx.peek_metrics(*point)
+            if hit is not None:
+                results[point] = hit
+                if telemetry is not None:
+                    telemetry.record_cached(point)
+    pending = [point for point in points if point not in results]
+
+    pooled = jobs > 1 or telemetry is not None
+    if pooled:
+        from repro.parallel.executor import evaluate_on_pool
+
+        evaluated = evaluate_on_pool(
+            ctx, pending, jobs, sanitize, telemetry, from_cache=len(results)
         )
-    if ctx.ledger is None:
-        return [
-            evaluate_mix(ctx, mix_index, config, scheduler, sanitize=sanitize)
-            for mix_index in mix_indices
-            for config in configs
-            for scheduler in schedulers
-        ]
-    import time as _time
+    else:
+        # Each point is stored as soon as it exists, so an interrupted
+        # sweep keeps what it finished.
+        evaluated = []
+        for point in pending:
+            started = time.perf_counter()
+            metrics = _evaluate_uncached(ctx, *point, sanitize)
+            evaluated.append((metrics, time.perf_counter() - started))
+    wall_s: dict[MetricsKey, float] = {}
+    for point, (metrics, seconds) in zip(pending, evaluated):
+        results[point] = metrics
+        wall_s[point] = seconds
+    if pooled and pending and not sanitize:
+        with spans.span("store_results", points=len(pending)):
+            for point in pending:
+                ctx.store_metrics(results[point])
 
+    if telemetry is not None:
+        telemetry.finish()
+        telemetry.aggregate_into(ctx.obs_metrics)
+        if telemetry.progress is not None:
+            telemetry.progress.finish()
+    _record_ledger(ctx, points, results, wall_s, sanitize)
+    return [results[point] for point in points]
+
+
+def _record_ledger(
+    ctx: ExperimentContext,
+    points: list[MetricsKey],
+    results: dict[MetricsKey, MixMetrics],
+    wall_s: dict[MetricsKey, float],
+    sanitize: bool,
+) -> None:
+    """Append every sweep point to ``ctx.ledger`` (if any), in point order.
+
+    ``wall_s`` holds exactly the evaluated points; the rest were cache
+    hits.  Runs strictly after results exist, so the ledger never touches
+    results, caches, or fingerprints.
+    """
+    if ctx.ledger is None:
+        return
     from repro.obs.ledger import record_point
 
-    results: list[MixMetrics] = []
-    for mix_index in mix_indices:
-        for config in configs:
-            for scheduler in schedulers:
-                cache_hit = (
-                    not sanitize
-                    and ctx.peek_metrics(mix_index, config, scheduler) is not None
-                )
-                started = _time.perf_counter()
-                metrics = evaluate_mix(
-                    ctx, mix_index, config, scheduler, sanitize=sanitize
-                )
-                record_point(
-                    ctx.ledger,
-                    ctx,
-                    metrics,
-                    wall_s=_time.perf_counter() - started,
-                    cache_hit=cache_hit,
-                )
-                results.append(metrics)
-    return results
+    for point in points:
+        record_point(
+            ctx.ledger,
+            ctx,
+            results[point],
+            wall_s=wall_s.get(point),
+            cache_hit=None if sanitize else point not in wall_s,
+        )

@@ -42,10 +42,6 @@ class ObsConfig:
     #: Measure host wall-clock time of engine/scheduler/model hot paths.
     profile: bool = False
 
-    @property
-    def any_enabled(self) -> bool:
-        return self.trace or self.metrics or self.profile
-
 
 class Observability:
     """The bundle of per-run observability facilities."""

@@ -177,13 +177,15 @@ class SweepProgress:
 class DistTelemetry:
     """Parent-side collector + deterministic merger for one sweep.
 
-    Lifecycle (driven by :func:`repro.parallel.executor.parallel_sweep`)::
+    Lifecycle (driven by :func:`repro.experiments.runner.sweep` and its
+    pool, :func:`repro.parallel.executor.evaluate_on_pool`)::
 
         telemetry = DistTelemetry(progress=SweepProgress(total))
         telemetry.begin(points, jobs)
         telemetry.record_cached(point)          # per cache-resolved point
         telemetry.record_bundle(point, bundle)  # per executed point
-        telemetry.finish(...)
+        telemetry.record_pool(busy, points, elapsed)  # if a pool ran
+        telemetry.finish()
         telemetry.merged_timeline()             # Perfetto document
         telemetry.report()                      # JSON summary
 
@@ -235,19 +237,20 @@ class DistTelemetry:
         """Attach one worker bundle, keyed by its evaluation point."""
         self.bundles[point] = bundle
 
-    def finish(
+    def record_pool(
         self,
-        busy_by_pid: dict[int, float] | None = None,
-        points_by_pid: dict[int, int] | None = None,
-        pool_elapsed_s: float = 0.0,
+        busy_by_pid: dict[int, float],
+        points_by_pid: dict[int, int],
+        pool_elapsed_s: float,
     ) -> None:
-        """Close the sweep and install the executor's pool accounting."""
-        self.end_s = self._clock()
+        """Install the executor's per-worker pool accounting."""
+        self.busy_by_pid = dict(busy_by_pid)
+        self.points_by_pid = dict(points_by_pid)
         self.pool_elapsed_s = pool_elapsed_s
-        if busy_by_pid:
-            self.busy_by_pid = dict(busy_by_pid)
-        if points_by_pid:
-            self.points_by_pid = dict(points_by_pid)
+
+    def finish(self) -> None:
+        """Close the sweep."""
+        self.end_s = self._clock()
 
     # ------------------------------------------------------------------
     # Deterministic views

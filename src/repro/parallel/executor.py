@@ -1,27 +1,23 @@
-"""Process-pool sweep executor with deterministic result merging.
+"""Process-pool evaluation of sweep points with deterministic merging.
 
-The paper's figure pipeline is one big cross product -- 26 mixes x 4
-hardware configs x 3 schedulers, each point averaging two core orders --
-of *independent* simulations, which
-:func:`repro.experiments.runner.sweep` used to execute strictly
-serially.  :func:`parallel_sweep` fans the evaluation points out over a
+:func:`repro.experiments.runner.sweep` resolves cached points, stores
+results, and records the ledger; when it runs pending points on a pool
+(``jobs > 1`` or telemetry attached) it hands them to
+:func:`evaluate_on_pool`, which fans them out over a
 :class:`concurrent.futures.ProcessPoolExecutor` while preserving the
 repo's determinism contract:
 
-* **Deterministic merge** -- results are keyed and collected by
-  evaluation point in submission order, never by completion order, so
-  the returned list is bit-identical to the serial path for any pure
-  (order-insensitive) speedup estimator.  Iterating
-  ``concurrent.futures.as_completed`` here is a lint violation (DET003).
+* **Deterministic merge** -- results are collected by evaluation point
+  in submission order, never by completion order, so the sweep output is
+  bit-identical to the in-process path for any pure (order-insensitive)
+  speedup estimator.  Iterating ``concurrent.futures.as_completed`` here
+  is a lint violation (DET003).
 * **Train once, ship coefficients** -- the parent trains (or reuses) the
   speedup model a single time and ships its fitted spec
   (:func:`repro.model.speedup.estimator_to_spec`) to every worker, which
   rebuilds it exactly instead of re-running the Table 2 pipeline per
-  process.
-* **Cache first, fork later** -- the parent resolves every point it can
-  from the in-process and persistent caches before deciding whether a
-  pool (or model training) is needed at all; a fully warm cache answers
-  without spawning a single worker.
+  process.  With nothing pending (a fully warm cache) no model is
+  trained and no worker is spawned.
 * **Observational telemetry** -- with a
   :class:`repro.obs.dist.DistTelemetry` attached, each worker records
   spans and counter deltas per point and ships a
@@ -29,8 +25,8 @@ repo's determinism contract:
   result.  Bundles ride the same futures but never touch the merge keys,
   the caches, or the fingerprint, so telemetry-enabled sweeps return
   bit-identical results to plain ones.  Live progress polls futures in
-  submission order with a timeout (display only; the merge below is
-  oblivious to which future finished first).
+  submission order with a timeout (display only; the merge is oblivious
+  to which future finished first).
 
 Caveat: an impure estimator (oracle with ``noise_std > 0``) draws from a
 sequential RNG stream, so its predictions depend on how many estimates
@@ -48,15 +44,9 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import (
-    CONFIGS,
-    SCHEDULERS,
-    ExperimentContext,
-    MixMetrics,
-    evaluate_mix,
-)
+from repro.experiments.runner import ExperimentContext, MixMetrics, evaluate_mix
 from repro.model.speedup import estimator_from_spec, estimator_to_spec
-from repro.obs.dist import DistTelemetry, PointTelemetry, point_label
+from repro.obs.dist import DistTelemetry, Point, PointTelemetry, point_label
 from repro.obs.spans import SpanCollector
 
 #: Worker-process context, built once per worker by :func:`_init_worker`.
@@ -180,99 +170,49 @@ def _collect_with_progress(submitted, telemetry: DistTelemetry):
         yield point, result
 
 
-def parallel_sweep(
+def evaluate_on_pool(
     ctx: ExperimentContext,
-    mix_indices: list[str],
-    configs: tuple[str, ...] = CONFIGS,
-    schedulers: tuple[str, ...] = SCHEDULERS,
-    jobs: int = 2,
-    sanitize: bool = False,
-    telemetry: DistTelemetry | None = None,
-) -> list[MixMetrics]:
-    """Evaluate the cross product on a process pool; order-stable output.
+    pending: list[Point],
+    jobs: int,
+    sanitize: bool,
+    telemetry: DistTelemetry | None,
+    from_cache: int,
+) -> list[tuple[MixMetrics, float]]:
+    """Evaluate ``pending`` on ``jobs`` workers; ``(metrics, wall_s)`` each.
 
-    Returns the same list, in the same (mix, config, scheduler) order,
-    as the serial :func:`~repro.experiments.runner.sweep`.  Sanitized
-    runs bypass every cache in both directions, exactly like the serial
-    path.
-
-    Args:
-        ctx: The campaign context; its caches are consulted and filled.
-        jobs: Worker process count (values below 1 are clamped to 1).
-        sanitize: Run every point under schedsan (cache-bypassing).
-        telemetry: Optional :class:`~repro.obs.dist.DistTelemetry`;
-            collects parent/worker spans, a live progress line, and the
-            sweep report without affecting results or caching.
+    The output is in submission (= ``pending``) order.  Workers neither
+    read nor write the parent's caches; the caller stores the results.
+    Publishes the ``parallel.*`` metrics (``from_cache`` counts the points
+    the caller resolved without the pool) and, with ``telemetry``, the
+    worker bundles, the parent's orchestration spans and the pool
+    accounting.
     """
-    points = [
-        (mix_index, config, scheduler)
-        for mix_index in mix_indices
-        for config in configs
-        for scheduler in schedulers
-    ]
-    if telemetry is not None:
-        telemetry.begin(points, max(1, jobs))
-        if telemetry.progress is not None:
-            telemetry.progress.total = len(points)
-    parent = telemetry.parent if telemetry is not None else None
-
-    results: dict[tuple[str, str, str], MixMetrics] = {}
-    pending: list[tuple[str, str, str]] = []
-    resolve = parent.start_span("resolve_cache") if parent is not None else None
-    try:
-        if sanitize:
-            pending = list(points)
-        else:
-            for point in points:
-                hit = ctx.peek_metrics(*point)
-                if hit is not None:
-                    results[point] = hit
-                    if telemetry is not None:
-                        telemetry.record_cached(point)
-                else:
-                    pending.append(point)
-    finally:
-        if parent is not None:
-            parent.end_span(resolve)
-
     registry = ctx.obs_metrics
-    registry.gauge("parallel.jobs").set(max(1, jobs))
-    registry.counter("parallel.points_from_cache").inc(
-        len(points) - len(pending)
-    )
+    registry.gauge("parallel.jobs").set(jobs)
+    registry.counter("parallel.points_from_cache").inc(from_cache)
     if not pending:
-        if telemetry is not None:
-            telemetry.finish()
-            telemetry.aggregate_into(registry)
-            if telemetry.progress is not None:
-                telemetry.progress.finish()
-        _record_ledger(ctx, points, results, {}, sanitize)
-        return [results[point] for point in points]
+        return []
+    if telemetry is not None:
+        spans = telemetry.parent
+        telemetry_ctx = {"trace_id": telemetry.trace_id}
+    else:
+        spans = SpanCollector(actor="parent", enabled=False)
+        telemetry_ctx = None
 
     # Train (or reuse) the model once in the parent; workers rebuild it
     # from the fitted spec instead of re-running the training pipeline.
-    train = parent.start_span("train_estimator") if parent is not None else None
-    try:
+    with spans.span("train_estimator"):
         estimator_spec = estimator_to_spec(ctx.get_estimator())
-    finally:
-        if parent is not None:
-            parent.end_span(train)
-    telemetry_ctx = (
-        {"trace_id": telemetry.trace_id} if telemetry is not None else None
-    )
     initargs = (ctx.seed, ctx.work_scale, estimator_spec, telemetry_ctx)
-    factory = ctx.executor_factory
-    if factory is None:
-        factory = lambda workers, initializer, args: ProcessPoolExecutor(  # noqa: E731
-            max_workers=workers, initializer=initializer, initargs=args
-        )
 
-    started = time.perf_counter()
+    evaluated: list[tuple[MixMetrics, float]] = []
     busy_s: dict[int, float] = {}
     points_by_pid: dict[int, int] = {}
-    with factory(max(1, jobs), _init_worker, initargs) as pool:
-        submit = parent.start_span("submit", points=len(pending)) if parent is not None else None
-        try:
+    started = time.perf_counter()
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=initargs
+    ) as pool:
+        with spans.span("submit", points=len(pending)):
             submitted = [
                 (
                     point,
@@ -285,52 +225,26 @@ def parallel_sweep(
                 )
                 for point in pending
             ]
-        finally:
-            if parent is not None:
-                parent.end_span(submit)
         # Deterministic merge: collect by evaluation point in submission
         # order.  Completion order must never influence the output (or
         # anything else observable) -- see DET003.
-        collect = parent.start_span("collect", points=len(pending)) if parent is not None else None
-        try:
+        with spans.span("collect", points=len(pending)):
             if telemetry is not None:
                 outcomes = _collect_with_progress(submitted, telemetry)
             else:
                 outcomes = (
                     (point, future.result()) for point, future in submitted
                 )
-            point_wall: dict[tuple[str, str, str], float] = {}
-            for point, outcome in outcomes:
-                metrics, pid, seconds, bundle = outcome
-                results[point] = metrics
-                point_wall[point] = seconds
+            for point, (metrics, pid, seconds, bundle) in outcomes:
+                evaluated.append((metrics, seconds))
                 busy_s[pid] = busy_s.get(pid, 0.0) + seconds
                 points_by_pid[pid] = points_by_pid.get(pid, 0) + 1
-                if telemetry is not None and bundle is not None:
+                if bundle is not None:
                     telemetry.record_bundle(point, bundle)
-        finally:
-            if parent is not None:
-                parent.end_span(collect)
     elapsed = time.perf_counter() - started
 
-    if not sanitize:
-        store = parent.start_span("store_results", points=len(pending)) if parent is not None else None
-        try:
-            for point in pending:
-                ctx.store_metrics(results[point])
-        finally:
-            if parent is not None:
-                parent.end_span(store)
     if telemetry is not None:
-        telemetry.finish(
-            busy_by_pid=busy_s,
-            points_by_pid=points_by_pid,
-            pool_elapsed_s=elapsed,
-        )
-        telemetry.aggregate_into(registry)
-        if telemetry.progress is not None:
-            telemetry.progress.finish()
-
+        telemetry.record_pool(busy_s, points_by_pid, elapsed)
     registry.counter("parallel.points_executed").inc(len(pending))
     registry.gauge("parallel.wall_s").set(elapsed)
     registry.gauge("parallel.workers_used").set(len(busy_s))
@@ -343,31 +257,4 @@ def parallel_sweep(
             registry.gauge(f"parallel.worker.{index}.utilization").set(
                 busy_s[pid] / elapsed
             )
-    _record_ledger(ctx, points, results, point_wall, sanitize)
-    return [results[point] for point in points]
-
-
-def _record_ledger(
-    ctx: ExperimentContext,
-    points: list[tuple[str, str, str]],
-    results: dict[tuple[str, str, str], MixMetrics],
-    point_wall: dict[tuple[str, str, str], float],
-    sanitize: bool,
-) -> None:
-    """Append every evaluated point to the context's ledger (if any).
-
-    Runs strictly after the merge, in evaluation-point order; the ledger
-    never touches results, caches, or fingerprints.
-    """
-    if ctx.ledger is None:
-        return
-    from repro.obs.ledger import record_point
-
-    for point in points:
-        record_point(
-            ctx.ledger,
-            ctx,
-            results[point],
-            wall_s=point_wall.get(point),
-            cache_hit=None if sanitize else point not in point_wall,
-        )
+    return evaluated

@@ -47,7 +47,7 @@ SCHEMA_VERSION = 1
 #: payloads: telemetry describes an execution, not an outcome.  The run
 #: ledger is recording-only in the same sense -- it observes results
 #: after they exist and can never influence them.
-TELEMETRY_EXCLUDED_FIELDS = ("spans", "obs_metrics", "telemetry", "ledger")
+TELEMETRY_EXCLUDED_FIELDS = ("spans", "obs_metrics", "ledger")
 
 #: MachineConfig knobs the experiment runner pins at their defaults for
 #: every sweep point (it only ever varies seed/topology/scheduler).  A
@@ -73,15 +73,10 @@ PARITY_NEUTRAL_FIELDS = (
 )
 
 #: ExperimentContext state that selects an execution *strategy*, never an
-#: outcome: worker counts, cache locations, executor plumbing.  The
-#: serial==parallel merge contract (DET003) is what keeps these out of
-#: the key legitimately.
-EXECUTION_EXCLUDED_FIELDS = (
-    "jobs",
-    "cache_dir",
-    "result_cache",
-    "executor_factory",
-)
+#: outcome: worker counts and cache locations.  The serial==parallel
+#: merge contract (DET003) is what keeps these out of the key
+#: legitimately.
+EXECUTION_EXCLUDED_FIELDS = ("jobs", "cache_dir", "result_cache")
 
 _SOURCE_HASH: str | None = None
 

@@ -70,10 +70,11 @@ def telemetry_with_bundles(arrival_order, pids=None):
     for index in arrival_order:
         point = POINTS[index]
         telemetry.record_bundle(point, bundle(point, pids.get(index, 7)))
-    telemetry.finish(
+    telemetry.record_pool(
         busy_by_pid={7: 3.0}, points_by_pid={7: len(arrival_order)},
         pool_elapsed_s=4.0,
     )
+    telemetry.finish()
     return telemetry
 
 

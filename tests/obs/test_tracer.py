@@ -152,13 +152,7 @@ class TestParity:
 class TestObservability:
     def test_disabled_context(self):
         obs = Observability()
-        assert not obs.config.any_enabled
         assert not obs.tracer.enabled
         assert not obs.metrics.enabled
         assert not obs.profiler.enabled
 
-    def test_any_enabled(self):
-        assert ObsConfig(trace=True).any_enabled
-        assert ObsConfig(metrics=True).any_enabled
-        assert ObsConfig(profile=True).any_enabled
-        assert not ObsConfig().any_enabled

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -105,6 +106,43 @@ class TestPointFingerprint:
     def test_uncacheable_estimator_yields_none(self):
         ctx = pure_ctx(estimator=OracleSpeedupModel(noise_std=0.1, seed=7))
         assert point_key_material(ctx, "Sync-1", "2B2S", "colab") is None
+
+
+class TestExclusionTuples:
+    """Exclusion tuples name real fields; a stale entry hides nothing.
+
+    ANA002/ANA003 only flag fields missing from the tuples, so a name
+    left behind after its field is removed would go unnoticed.
+    """
+
+    def test_fingerprint_tuples_name_config_or_context_fields(self):
+        from repro.parallel import fingerprint
+        from repro.sim.machine import MachineConfig
+
+        known = {
+            f.name
+            for cls in (MachineConfig, ExperimentContext)
+            for f in dataclasses.fields(cls)
+        }
+        for tuple_name in (
+            "TELEMETRY_EXCLUDED_FIELDS",
+            "PINNED_CONFIG_FIELDS",
+            "PARITY_NEUTRAL_FIELDS",
+            "EXECUTION_EXCLUDED_FIELDS",
+        ):
+            stale = set(getattr(fingerprint, tuple_name)) - known
+            assert not stale, f"{tuple_name} names no field: {sorted(stale)}"
+
+    def test_digest_exclusions_name_result_fields(self):
+        from repro.sim.digest import DIGEST_EXCLUDED_FIELDS
+        from repro.sim.machine import RunResult, TaskStats
+
+        known = {
+            f.name
+            for cls in (RunResult, TaskStats)
+            for f in dataclasses.fields(cls)
+        }
+        assert set(DIGEST_EXCLUDED_FIELDS) <= known
 
 
 class TestSourceTreeHash:

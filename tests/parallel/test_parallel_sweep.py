@@ -1,4 +1,4 @@
-"""Parity and cache-behaviour tests for the process-pool sweep executor.
+"""Parity and cache-behaviour tests for the sweep pipeline and its pool.
 
 The determinism contract under test: for a *pure* speedup estimator the
 sweep result is a function of (workload, topology, scheduler, seed,
@@ -21,7 +21,6 @@ from repro.experiments.runner import (
 )
 from repro.model.speedup import OracleSpeedupModel
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.executor import parallel_sweep
 
 #: Small but structurally interesting subset: 2 mixes x 2 configs x 3
 #: schedulers = 12 evaluation points, 24 simulations.
@@ -46,18 +45,16 @@ def run_sweep(ctx: ExperimentContext, **kwargs):
 
 class TestParallelSerialParity:
     def test_jobs1_pool_matches_serial(self):
+        # Telemetry is the route to a one-worker pool.
         serial = run_sweep(pure_ctx())
-        pooled = parallel_sweep(
-            pure_ctx(), MIX_SUBSET, configs=CONFIG_SUBSET, jobs=1
-        )
+        ctx = pure_ctx()
+        pooled = run_sweep(ctx, jobs=1, telemetry=telemetry_for(12))
         assert pooled == serial
+        assert ctx.obs_metrics.gauge("parallel.workers_used").value == 1.0
 
     def test_jobs4_pool_matches_serial(self):
         serial = run_sweep(pure_ctx())
-        pooled = parallel_sweep(
-            pure_ctx(), MIX_SUBSET, configs=CONFIG_SUBSET, jobs=4
-        )
-        assert pooled == serial
+        assert run_sweep(pure_ctx(), jobs=4) == serial
 
     def test_sweep_jobs_argument_routes_to_pool(self):
         serial = run_sweep(pure_ctx())
@@ -197,13 +194,18 @@ class TestPersistentCacheParity:
         hits = warm_ctx.obs_metrics.counter("cache.persistent.hits").value
         assert hits == 12.0
 
-    def test_warm_cache_answers_parallel_sweep_without_pool(self, tmp_path):
+    def test_warm_cache_answers_parallel_sweep_without_pool(
+        self, tmp_path, monkeypatch
+    ):
         run_sweep(pure_ctx(cache_dir=tmp_path))
 
         def refuse_pool(*_args, **_kwargs):
             raise AssertionError("warm cache must not spawn a pool")
 
-        warm_ctx = pure_ctx(cache_dir=tmp_path, executor_factory=refuse_pool)
+        monkeypatch.setattr(
+            "repro.parallel.executor.ProcessPoolExecutor", refuse_pool
+        )
+        warm_ctx = pure_ctx(cache_dir=tmp_path)
         warm = run_sweep(warm_ctx, jobs=4)
         assert warm == run_sweep(pure_ctx())
         from_cache = warm_ctx.obs_metrics.counter(
@@ -351,6 +353,23 @@ class TestLedgerRecording:
             rows = ledger.list_runs(limit=100)
             assert len(rows) == len(results)
             assert all(row["cache_hit"] is True for row in rows)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_agree_across_job_counts(self, tmp_path, jobs):
+        # Executed: measured wall time, a miss.  Cache hit: no wall time,
+        # a hit.  Sanitized: no cache lookup, so hit/miss is unknown.
+        point = dict(configs=("2B2S",), schedulers=("linux",))
+        with self.ledger(tmp_path) as ledger:
+            for sanitize in (False, False, True):
+                ctx = pure_ctx(cache_dir=tmp_path / "cache", ledger=ledger)
+                sweep(ctx, ["Sync-1"], jobs=jobs, sanitize=sanitize, **point)
+            rows = ledger.list_runs(limit=10)
+        rows.sort(key=lambda row: row["id"])
+        assert [(row["cache_hit"], row["wall_s"] is None) for row in rows] == [
+            (False, False),
+            (True, True),
+            (None, False),
+        ]
 
     def test_ledger_handle_excluded_from_fingerprints(self):
         from repro.parallel.fingerprint import TELEMETRY_EXCLUDED_FIELDS

@@ -47,6 +47,7 @@ class COLABScheduler(Scheduler):
     """Collaborative multi-factor scheduler (the paper's contribution)."""
 
     name = "colab"
+    reads_counters = True
 
     def __init__(
         self,

@@ -71,7 +71,7 @@ class MultiFactorLabeler:
     def label(self, tasks: Iterable["Task"]) -> None:
         """Refresh estimates and relabel every live task."""
         live = [t for t in tasks if not t.is_done]
-        refresh_estimates(live, self.estimator)
+        refresh_estimates(live, self.estimator, policy="colab")
         for task in live:
             task.core_label = self.classify(task)
         self.passes += 1

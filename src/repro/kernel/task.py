@@ -204,7 +204,9 @@ class Task:
         self.spawn_time: float = 0.0
         self.finish_time: float | None = None
 
-        # Filled in by the machine at registration time.
+        # Filled in by the machine at registration time when the policy
+        # reads counters (``Scheduler.reads_counters``); None means the
+        # policy reads no counters.
         self.counters: "PerformanceCounters | None" = None
 
         # The attribution timeline slots (attr_ms / attr_since / attr_state)

@@ -43,6 +43,12 @@ from repro.workloads.programs import ProgramEnv
 MIN_CPU_TIME = 2.0
 
 
+class _CountingCFS(CFSScheduler):
+    """CFS that declares it reads counters: training needs their totals."""
+
+    reads_counters = True
+
+
 @dataclass
 class TrainingSample:
     """One per-thread training observation."""
@@ -77,7 +83,7 @@ def _rates_and_counters(
     where the rate is work retired per CPU millisecond.
     """
     topology = make_topology(n_cores if big else 0, 0 if big else n_cores)
-    machine = Machine(topology, CFSScheduler(), MachineConfig(seed=seed))
+    machine = Machine(topology, _CountingCFS(), MachineConfig(seed=seed))
     env = ProgramEnv.for_machine(machine, work_scale=work_scale)
     spec = BENCHMARKS[benchmark]
     instance = instantiate_benchmark(

@@ -56,6 +56,12 @@ class Scheduler(abc.ABC):
 
     #: Human-readable policy name used in reports ("linux", "wash", "colab").
     name: str = "base"
+    #: Does the policy read performance counters?  The machine gives
+    #: tasks :class:`~repro.sim.counters.PerformanceCounters` only when it
+    #: does; otherwise ``task.counters`` stays None and no segment pays for
+    #: counter synthesis.  Policies that call
+    #: :func:`~repro.schedulers.labeling.refresh_estimates` must set it.
+    reads_counters: bool = False
 
     def __init__(self) -> None:
         self.machine: "Machine | None" = None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from repro.errors import SimulationError
 from repro.model.speedup import SpeedupEstimator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,17 +30,31 @@ def refresh_estimates(
     estimator: SpeedupEstimator,
     speedup_alpha: float = SPEEDUP_ALPHA,
     blocking_alpha: float = BLOCKING_ALPHA,
+    *,
+    policy: str = "calling",
 ) -> None:
     """Update ``predicted_speedup`` and ``blocking_level`` on every task.
 
     Windows are consumed (reset) so the next pass sees fresh deltas.  A
     window with too few instructions leaves the speedup estimate untouched
     (the thread barely ran; its counter ratios are noise).
+
+    Raises:
+        SimulationError: if a live task has no counters, which means the
+            calling scheduler (``policy`` names it in the message) did
+            not declare ``reads_counters = True``.
     """
     for task in tasks:
         if task.is_done:
             continue
-        window = task.counters.read_window(reset=True) if task.counters else {}
+        counters = task.counters
+        if counters is None:
+            raise SimulationError(
+                f"task {task.name} (tid {task.tid}) has no performance "
+                f"counters, but the {policy} scheduler reads them: its class "
+                f"must set reads_counters = True"
+            )
+        window = counters.read_window(reset=True)
         estimate = estimator.estimate(task, window)
         if estimate is not None:
             if task.predicted_speedup <= 1.0:

@@ -58,6 +58,7 @@ class WASHScheduler(CFSScheduler):
     """Affinity-only multi-factor heuristic on top of CFS."""
 
     name = "wash"
+    reads_counters = True
 
     def __init__(
         self,
@@ -108,7 +109,7 @@ class WASHScheduler(CFSScheduler):
         alive = [t for t in machine.tasks if not t.is_done]
         if not alive:
             return
-        refresh_estimates(alive, self.estimator)
+        refresh_estimates(alive, self.estimator, policy=self.name)
         self._update_affinities(alive, now)
 
     # ------------------------------------------------------------------

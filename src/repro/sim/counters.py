@@ -192,6 +192,11 @@ class PerformanceCounters:
     Two accumulator sets are kept: lifetime totals (training) and a window
     that the 10 ms labeler reads and resets (online prediction).
 
+    The machine builds one only for policies that read counters
+    (:attr:`repro.schedulers.base.Scheduler.reads_counters`); under the
+    others ``Task.counters`` is None, meaning "the policy reads no
+    counters", and no segment pays for counter synthesis.
+
     When ``hotpath`` is set, :meth:`record_compute` takes its five noise
     factors from a block of :data:`_NOISE_BLOCK` drawn by one
     ``Generator.normal`` call, refilled when fewer than five remain,
@@ -266,7 +271,10 @@ class PerformanceCounters:
             for name, rate, sample in zip(
                 _COMPUTE_NOISY_NAMES, rates, noise[start:start + 5]
             ):
-                amount = insts * rate * max(0.0, 1.0 + sample)
+                # ``max(0.0, f)`` without the builtin call (same value
+                # for NaN and 0.0).
+                f = 1.0 + sample
+                amount = insts * rate * (f if f > 0.0 else 0.0)
                 totals[name] += amount
                 window[name] += amount
             return

@@ -305,12 +305,25 @@ class Machine:
         """
         if self._ran:
             raise SimulationError("cannot add tasks after run()")
+        self._admit(task, app_name)
+
+    def _admit(self, task: Task, app_name: str | None) -> None:
+        """Give a new task its counters and record it (start or ``Spawn``).
+
+        The per-task counter seed is drawn whether or not the policy reads
+        counters: every later draw from ``self.rng`` follows it, so the
+        draw sequence, and with it every digest, is the same under all
+        policies.  The counters themselves are built only when
+        :attr:`Scheduler.reads_counters` says the policy reads them.
+        """
         if task.counters is None:
-            task.counters = PerformanceCounters(
-                profile=task.profile,
-                rng=np.random.default_rng(self.rng.integers(0, 2**63)),
-                hotpath=self._hotpath,
-            )
+            seed = self.rng.integers(0, 2**63)
+            if self.scheduler.reads_counters:
+                task.counters = PerformanceCounters(
+                    profile=task.profile,
+                    rng=np.random.default_rng(seed),
+                    hotpath=self._hotpath,
+                )
         if self._hotpath:
             task.prime_speedup_cache()
         self.tasks.append(task)
@@ -886,17 +899,8 @@ class Machine:
             return "continue"
         if isinstance(action, Spawn):
             spawned = action.task
-            if spawned.counters is None:
-                spawned.counters = PerformanceCounters(
-                    profile=spawned.profile,
-                    rng=np.random.default_rng(self.rng.integers(0, 2**63)),
-                    hotpath=self._hotpath,
-                )
-            if self._hotpath:
-                spawned.prime_speedup_cache()
             spawned.spawn_time = now
-            self.tasks.append(spawned)
-            self.app_names.setdefault(spawned.app_id, task.name)
+            self._admit(spawned, task.name)
             self._wake_task(spawned, now, is_new=True)
             return "continue"
         if isinstance(action, Sleep):

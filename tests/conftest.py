@@ -7,6 +7,7 @@ import pytest
 
 from repro.kernel.task import Task, reset_tid_counter
 from repro.obs.probe import FanOut
+from repro.schedulers.cfs import CFSScheduler
 from repro.sim.counters import MicroArchProfile
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.topology import make_topology
@@ -63,6 +64,12 @@ def make_simple_task(
     )
 
 
+class CountingCFS(CFSScheduler):
+    """CFS declaring it reads counters, so the machine builds them."""
+
+    reads_counters = True
+
+
 def make_machine(
     n_big: int = 1,
     n_little: int = 1,
@@ -71,8 +78,6 @@ def make_machine(
     **config_kwargs,
 ) -> Machine:
     """A small machine with a CFS scheduler by default."""
-    from repro.schedulers.cfs import CFSScheduler
-
     return Machine(
         make_topology(n_big, n_little),
         scheduler if scheduler is not None else CFSScheduler(),

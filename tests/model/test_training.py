@@ -78,6 +78,20 @@ class TestTraining:
         assert report.mae > 0
         assert model.selected_counters == report.selected_counters
 
+    def test_table2_pinned(self, trained):
+        """Exact reduced-scale Table 2: any change to the counters training
+        reads, or to the seed draws behind them, moves these values."""
+        _model, report = trained
+        assert report.selected_counters == [
+            "dcache.tags.tagsinuse",
+            "distractor.143",
+            "distractor.159",
+            "distractor.214",
+        ]
+        assert report.n_samples == 24
+        assert repr(report.r2) == "0.4439744375401057"
+        assert repr(report.mae) == "0.25729070975754276"
+
     def test_normalizer_not_selected(self, trained):
         _model, report = trained
         assert "commit.committedInsts" not in report.selected_counters

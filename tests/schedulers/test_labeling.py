@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.model.speedup import OracleSpeedupModel
 from repro.schedulers.labeling import refresh_estimates
 from repro.sim.counters import PerformanceCounters
@@ -66,3 +67,11 @@ class TestRefresh:
         task.predicted_speedup = 1.7
         refresh_estimates([task], DeadModel())
         assert task.predicted_speedup == 1.7
+
+    def test_task_without_counters_fails_loudly(self):
+        """A policy that forgets ``reads_counters = True`` must not go on
+        silently with stale predictions."""
+        task = make_simple_task(name="orphan")
+        assert task.counters is None
+        with pytest.raises(SimulationError, match=r"orphan.*wash.*reads_counters"):
+            refresh_estimates([task], OracleSpeedupModel(), policy="wash")

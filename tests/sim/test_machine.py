@@ -23,6 +23,7 @@ from repro.workloads.actions import (
 )
 from tests.conftest import (
     FAST_PROFILE,
+    CountingCFS,
     NEUTRAL_PROFILE,
     SLOW_PROFILE,
     make_machine,
@@ -230,7 +231,7 @@ class TestBlockingAndWaking:
         assert result.makespan == pytest.approx(7.0)
 
     def test_sleep_at_time_zero_is_charged_as_wait(self):
-        machine = make_machine(1, 0, **FREE)
+        machine = make_machine(1, 0, scheduler=CountingCFS(), **FREE)
 
         def sleeps_first():
             yield Sleep(3.0)
@@ -287,7 +288,7 @@ class TestSpawn:
         assert result.makespan == pytest.approx(4.0)
 
     def test_spawned_task_gets_counters(self):
-        machine = make_machine(1, 0, **FREE)
+        machine = make_machine(1, 0, scheduler=CountingCFS(), **FREE)
         child = make_simple_task("child", work=1.0)
 
         def parent():

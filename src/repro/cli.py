@@ -258,8 +258,12 @@ def _cmd_dash(args: argparse.Namespace) -> None:
     from repro.errors import ExperimentError
     from repro.experiments.runner import run_mix_once
     from repro.obs.dashboard import render_dashboard
+    from repro.obs.dist import load_sweep_report
     from repro.workloads.mixes import MIXES
 
+    sweep = None
+    if args.sweep_report is not None:
+        sweep = load_sweep_report(args.sweep_report)
     ctx = _context(args)
     mix = MIXES.get(args.mix)
     if mix is None:
@@ -275,11 +279,6 @@ def _cmd_dash(args: argparse.Namespace) -> None:
         "makespan_ms": result.makespan,
         "timeseries": result.timeseries,
     }
-
-    sweep = None
-    if args.sweep_report is not None:
-        with open(args.sweep_report) as handle:
-            sweep = json.load(handle)
 
     ledger_series = None
     ledger = _open_ledger(args)
@@ -502,10 +501,9 @@ def _cmd_sweep_report(args: argparse.Namespace) -> None:
     """Summarise a sweep-report JSON written by ``sweep``."""
     import json
 
-    from repro.obs.dist import render_sweep_report
+    from repro.obs.dist import load_sweep_report, render_sweep_report
 
-    with open(args.report) as handle:
-        report = json.load(handle)
+    report = load_sweep_report(args.report)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -522,71 +520,30 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the repo-contract lint pass; exit 0 iff no violations."""
-    from repro.sanitize import lint_paths, render_json, render_text, rule_catalogue
-
-    if args.list_rules:
-        print(rule_catalogue())
-        return 0
-    report = lint_paths(args.paths)
-    if args.format == "json":
-        print(render_json(report, tool="lint"))
-    else:
-        print(render_text(report))
-    return 0 if report.ok else 1
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Run the whole-program analyses; exit 0 iff no new findings."""
+    """Run every lint rule and analysis; exit 0 iff no active findings."""
     import pathlib
 
     from repro.sanitize import (
-        analyze_paths,
-        apply_baseline,
-        load_baseline,
         render_json,
         render_sarif,
         render_text,
         rule_catalogue,
-        write_baseline,
+        run_lint,
     )
 
     if args.list_rules:
         print(rule_catalogue())
         return 0
-    report = analyze_paths(args.paths)
-    if args.write_baseline:
-        args.baseline = args.baseline or ".sanitize-baseline.json"
-        write_baseline(report, args.baseline)
-        print(
-            f"baseline written to {args.baseline} "
-            f"({len(report.violations)} findings)"
-        )
-        return 0
-    notes: list[str] = []
-    if args.baseline and pathlib.Path(args.baseline).exists():
-        matched, stale = apply_baseline(report, load_baseline(args.baseline))
-        if matched:
-            notes.append(f"{matched} baselined finding(s) subtracted")
-        if stale:
-            notes.append(
-                f"{len(stale)} stale baseline entr(y/ies) -- regenerate "
-                f"with --write-baseline: "
-                + "; ".join(f"{c} {p}" for c, p, _ in stale[:5])
-            )
+    report = run_lint(args.paths)
     if args.sarif:
         pathlib.Path(args.sarif).write_text(
             render_sarif(report), encoding="utf-8"
         )
-        notes.append(f"SARIF written to {args.sarif}")
-    if args.format == "json":
-        print(render_json(report, tool="analyze"))
-    elif args.format == "sarif":
-        print(render_sarif(report))
-    else:
-        print(render_text(report))
-    for note in notes:
-        print(f"note: {note}", file=sys.stderr)
+        print(f"note: SARIF written to {args.sarif}", file=sys.stderr)
+    render = {"json": render_json, "sarif": render_sarif}.get(
+        args.format, render_text
+    )
+    print(render(report))
     return 0 if report.ok else 1
 
 
@@ -910,50 +867,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff.set_defaults(func=_cmd_diff)
     lint = sub.add_parser(
-        "lint", help="repo-contract lint pass (DET/OBS/KERN/ERR rules)"
+        "lint",
+        help="static checks: per-file rules (DET/OBS/KERN/PERF/ERR) and "
+        "whole-program analyses (ANA)",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
     )
     lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
+        "--format", choices=("text", "json", "sarif"), default="text",
         help="report format",
+    )
+    lint.add_argument(
+        "--sarif", default=None, metavar="PATH",
+        help="also write a SARIF 2.1.0 document to PATH (for CI artifacts)",
     )
     lint.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
     lint.set_defaults(func=_cmd_lint)
-    analyze = sub.add_parser(
-        "analyze",
-        help="whole-program analyses (ANA rules: taint, coverage, pickle)",
-    )
-    analyze.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to analyse (default: src/repro)",
-    )
-    analyze.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format",
-    )
-    analyze.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="subtract known findings recorded in this baseline file",
-    )
-    analyze.add_argument(
-        "--write-baseline", action="store_true",
-        help="record current findings into --baseline and exit 0",
-    )
-    analyze.add_argument(
-        "--sarif", default=None, metavar="PATH",
-        help="also write a SARIF 2.1.0 document to PATH (for CI artifacts)",
-    )
-    analyze.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    analyze.set_defaults(func=_cmd_analyze)
     sub.add_parser("all", help="everything (long)").set_defaults(func=_cmd_all)
     return parser
 

@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pathlib
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, TextIO
 
+from repro.errors import ExperimentError
 from repro.obs.metrics import Histogram
 from repro.obs.spans import SpanCollector, SpanEvent, Span
 
@@ -376,6 +378,27 @@ class DistTelemetry:
             (len(self.cached) / total) if total else 0.0
         )
         registry.gauge("sweep.wall_s").set(max(0.0, self.end_s - self.start_s))
+
+
+def load_sweep_report(path: str | pathlib.Path) -> dict:
+    """Read a sweep-report JSON written by ``repro sweep --report``.
+
+    Raises:
+        ExperimentError: when the file is missing, is not JSON (e.g. cut
+            short mid-write) or holds no JSON object.
+    """
+    source = pathlib.Path(path)
+    if not source.is_file():
+        raise ExperimentError(f"sweep report {source} does not exist")
+    try:
+        report = json.loads(source.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ExperimentError(
+            f"sweep report {source} is not valid JSON: {exc}"
+        ) from exc
+    if not isinstance(report, dict):
+        raise ExperimentError(f"sweep report {source} holds no JSON object")
+    return report
 
 
 def render_sweep_report(report: dict) -> str:

@@ -1,17 +1,19 @@
 """Correctness tooling for the COLAB reproduction.
 
-Three layers, one goal: the repo's determinism and kernel-contract
+Two layers, one goal: the repo's determinism and kernel-contract
 guarantees are machine-checked instead of enforced by convention.
 
-* :mod:`repro.sanitize.lint` + :mod:`repro.sanitize.rules` -- a per-file
-  AST lint pass (``repro lint``) with per-rule codes (DET001, DET002,
-  OBS001, KERN001, ERR001, ...), text/JSON reporters, and
-  ``# sanitize: ignore[CODE]`` suppressions.
-* :mod:`repro.sanitize.analyze` -- whole-program analyses (``repro
-  analyze``, the ANA family): interprocedural determinism taint into
-  digest-relevant code, fingerprint/digest coverage contracts, and
-  pickle-safety proofs for worker payloads, with SARIF output and a
-  committed baseline for incremental CI gating.
+* ``repro lint`` -- one static checker.  Per-file AST rules
+  (:mod:`repro.sanitize.rules`: DET, OBS, KERN, PERF, ERR) and
+  whole-program analyses (:mod:`repro.sanitize.analyze`, the ANA family:
+  interprocedural determinism taint into digest-relevant code,
+  fingerprint/digest coverage contracts, and pickle-safety proofs for
+  worker payloads) share one registry (:mod:`repro.sanitize.lint`), one
+  entry point (:func:`run_lint`, which parses every file once), inline
+  ``# sanitize: ignore[CODE]`` suppressions -- the one way to accept a
+  finding -- and the text/JSON/SARIF reporters
+  (:mod:`repro.sanitize.reporting`,
+  :mod:`repro.sanitize.analyze.sarif`).
 * :mod:`repro.sanitize.schedsan` -- a runtime sanitizer ("schedsan") of
   read-only invariant hooks injected into the rbtree, runqueues, futex
   table, and event engine behind ``MachineConfig(sanitize=True)``, raising
@@ -20,14 +22,9 @@ guarantees are machine-checked instead of enforced by convention.
 
 from __future__ import annotations
 
-from repro.sanitize.analyze import (
-    analyze_paths,
-    apply_baseline,
-    load_baseline,
-    render_sarif,
-    write_baseline,
-)
-from repro.sanitize.lint import LintReport, Violation, lint_paths
+from repro.sanitize.analyze import run_lint
+from repro.sanitize.analyze.sarif import render_sarif
+from repro.sanitize.lint import LintReport, Violation
 from repro.sanitize.reporting import render_json, render_text, rule_catalogue
 from repro.sanitize.schedsan import SchedSanitizer
 
@@ -35,13 +32,9 @@ __all__ = [
     "LintReport",
     "SchedSanitizer",
     "Violation",
-    "analyze_paths",
-    "apply_baseline",
-    "lint_paths",
-    "load_baseline",
     "render_json",
     "render_sarif",
     "render_text",
     "rule_catalogue",
-    "write_baseline",
+    "run_lint",
 ]

@@ -1,41 +1,25 @@
 """Whole-program static analyses (the ANA rule family).
 
-Layered on the per-file lint engine: a module/import graph
-(:mod:`~repro.sanitize.analyze.graph`), intraprocedural function
+Layered on the per-file lint layer: a module/import graph
+(:mod:`~repro.sanitize.analyze.graph`) and intraprocedural function
 summaries with best-effort call resolution
-(:mod:`~repro.sanitize.analyze.summaries`), and a registry-driven
-propagation engine (:mod:`~repro.sanitize.analyze.engine`) that the
-analyses -- determinism taint (ANA001), fingerprint/digest coverage
-contracts (ANA002/ANA003), and worker-payload pickle-safety (ANA004) --
-plug into.  Findings share the lint layer's Violation shape,
-suppression syntax, and reporters; SARIF output lives in
-:mod:`~repro.sanitize.analyze.sarif`.
+(:mod:`~repro.sanitize.analyze.summaries`) make up the
+:class:`~repro.sanitize.analyze.engine.Project` that the analyses --
+determinism taint (ANA001), fingerprint/digest coverage contracts
+(ANA002/ANA003), and worker-payload pickle-safety (ANA004) -- inspect.
+They register in the lint layer's one rule registry and run through the one
+entry point, :func:`~repro.sanitize.analyze.engine.run_lint`, next to the
+per-file rules, sharing their Violation shape, suppression syntax, and
+reporters.
 """
 
-from repro.sanitize.analyze.engine import (
-    Project,
-    analysis,
-    analyze_paths,
-    apply_baseline,
-    finding_identity,
-    load_baseline,
-    registered_analyses,
-    write_baseline,
-)
+from repro.sanitize.analyze.engine import Project, run_lint
 from repro.sanitize.analyze.graph import ModuleGraph
-from repro.sanitize.analyze.sarif import render_sarif
 from repro.sanitize.analyze.summaries import ProjectSummaries
 
 __all__ = [
     "ModuleGraph",
     "Project",
     "ProjectSummaries",
-    "analysis",
-    "analyze_paths",
-    "apply_baseline",
-    "finding_identity",
-    "load_baseline",
-    "registered_analyses",
-    "render_sarif",
-    "write_baseline",
+    "run_lint",
 ]

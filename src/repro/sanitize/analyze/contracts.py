@@ -25,9 +25,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.sanitize.lint import Violation
+from repro.sanitize.lint import Violation, rule
 
-from repro.sanitize.analyze.engine import Project, analysis
+from repro.sanitize.analyze.engine import Project
 from repro.sanitize.analyze.graph import ModuleInfo
 
 
@@ -85,10 +85,11 @@ def _uncovered(
                 yield info, class_name, name, node
 
 
-@analysis(
+@rule(
     "ANA002",
     "every config/sweep field enters the cache key or a *_FIELDS exclusion",
     ("repro/parallel/", "repro/sim/", "repro/experiments/"),
+    project=True,
 )
 def ana002(project: Project) -> Iterator[Violation]:
     """A cache hit asserts "this stored result is what the current run
@@ -115,10 +116,11 @@ def ana002(project: Project) -> Iterator[Violation]:
         )
 
 
-@analysis(
+@rule(
     "ANA003",
     "every result field is hashed by run_digest or on a *_FIELDS exclusion",
     ("repro/sim/",),
+    project=True,
 )
 def ana003(project: Project) -> Iterator[Violation]:
     """run_digest parity is the proof that the optimised hot path is

@@ -1,28 +1,26 @@
-"""The whole-program analysis engine: registry, driver, and baseline.
+"""The one static checker: parse once, run every registered rule.
 
-Analyses (the ANA family) see the *whole project* -- a
-:class:`~repro.sanitize.analyze.graph.ModuleGraph` plus
-:class:`~repro.sanitize.analyze.summaries.ProjectSummaries` -- where lint
-rules see one file at a time.  They produce the same
-:class:`~repro.sanitize.lint.Violation` objects, honour the same
-``# sanitize: ignore[CODE]`` suppressions (resolved at the finding's
-anchor site), and report through the same reporters.
-
-The baseline file (``.sanitize-baseline.json``) makes the CI gate
-incremental: known findings are subtracted and only *new* ones fail the
-run.  Baseline identity is line-insensitive -- ``(code, repro-relative
-path, message)`` -- so unrelated edits that shift line numbers do not
-churn the file.
+:func:`run_lint` is what ``repro lint`` calls.  It builds the
+:class:`~repro.sanitize.analyze.graph.ModuleGraph` once -- every file
+parsed a single time by the lint layer's
+:func:`~repro.sanitize.lint.parse_module` -- then runs each per-file
+rule on every parsed file in that rule's scope, and each whole-program
+analysis (the ANA family) on the :class:`Project`: the graph plus
+:class:`~repro.sanitize.analyze.summaries.ProjectSummaries`.  Both kinds
+produce the same :class:`~repro.sanitize.lint.Violation` objects and
+honour the same ``# sanitize: ignore[CODE]`` suppressions (an analysis
+resolves them at its finding's anchor site), so one sorted
+:class:`~repro.sanitize.lint.LintReport` comes back.  An inline
+suppression is the one way to accept a finding.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
-from repro.sanitize.lint import LintReport, Violation, rationale_from_doc
+from repro.sanitize.lint import LintReport, Violation, registered_rules
 
 from repro.sanitize.analyze.graph import ModuleGraph
 from repro.sanitize.analyze.summaries import ProjectSummaries
@@ -36,57 +34,28 @@ class Project:
     summaries: ProjectSummaries
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """A registered whole-program analysis (shape-compatible with Rule)."""
+def run_lint(paths: Iterable[str | pathlib.Path]) -> LintReport:
+    """Run every registered rule and analysis over ``paths``.
 
-    code: str
-    summary: str
-    rationale: str
-    scope: tuple[str, ...]
-    check: Callable[[Project], Iterable[Violation]]
-
-
-_ANALYSES: dict[str, Analysis] = {}
-
-
-def analysis(code: str, summary: str, scope: tuple[str, ...]) -> Callable:
-    """Register a whole-program analysis under ``code`` (decorator).
-
-    Like :func:`repro.sanitize.lint.rule`, the rationale shown by
-    ``--list-rules`` is the first paragraph of the check's docstring.
+    Raises:
+        ExperimentError: for a path that does not exist or is neither a
+            directory nor a ``.py`` file.
     """
-
-    def register(check: Callable[[Project], Iterable[Violation]]):
-        if code in _ANALYSES:
-            raise ValueError(f"duplicate analysis code {code}")
-        _ANALYSES[code] = Analysis(
-            code=code, summary=summary,
-            rationale=rationale_from_doc(check.__doc__),
-            scope=scope, check=check,
-        )
-        return check
-
-    return register
-
-
-def registered_analyses() -> list[Analysis]:
-    """All analyses, sorted by code (imports analysis modules on first use)."""
-    import repro.sanitize.analyze.contracts  # noqa: F401
-    import repro.sanitize.analyze.payloads  # noqa: F401
-    import repro.sanitize.analyze.taint  # noqa: F401
-
-    return [_ANALYSES[code] for code in sorted(_ANALYSES)]
-
-
-def analyze_paths(paths: Iterable[str | pathlib.Path]) -> LintReport:
-    """Run every registered analysis over ``paths``; the CLI entry point."""
     graph = ModuleGraph.build(paths)
     project = Project(graph=graph, summaries=ProjectSummaries.build(graph))
     report = LintReport(files_scanned=graph.files_scanned)
     report.violations.extend(graph.parse_errors)
-    for registered in registered_analyses():
-        for violation in registered.check(project):
+    for registered in registered_rules():
+        if registered.project:
+            found = list(registered.check(project))
+        else:
+            found = [
+                violation
+                for info in graph.modules.values()
+                if registered.applies_to(info.module)
+                for violation in registered.check(info.module)
+            ]
+        for violation in found:
             if violation.suppressed:
                 report.suppressed.append(violation)
             else:
@@ -94,83 +63,3 @@ def analyze_paths(paths: Iterable[str | pathlib.Path]) -> LintReport:
     report.violations.sort(key=Violation.sort_key)
     report.suppressed.sort(key=Violation.sort_key)
     return report
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-
-
-def normalize_finding_path(path: str) -> str:
-    """Repo-relative form of ``path`` for baseline identity.
-
-    Cut at the last ``repro/`` component so local absolute paths, CI's
-    ``src/repro/...``, and fixture trees all compare equal.
-    """
-    posix = pathlib.PurePath(path).as_posix()
-    anchor = posix.rfind("repro/")
-    return posix[anchor:] if anchor >= 0 else posix
-
-
-def finding_identity(violation: Violation) -> tuple[str, str, str]:
-    return (
-        violation.code,
-        normalize_finding_path(violation.path),
-        violation.message,
-    )
-
-
-def load_baseline(path: str | pathlib.Path) -> list[tuple[str, str, str]]:
-    """Finding identities recorded in a baseline file (missing -> empty)."""
-    baseline_path = pathlib.Path(path)
-    if not baseline_path.exists():
-        return []
-    payload = json.loads(baseline_path.read_text(encoding="utf-8"))
-    return [
-        (entry["code"], entry["path"], entry["message"])
-        for entry in payload.get("findings", [])
-    ]
-
-
-def apply_baseline(
-    report: LintReport, entries: list[tuple[str, str, str]]
-) -> tuple[int, list[tuple[str, str, str]]]:
-    """Subtract baselined findings from ``report.violations`` in place.
-
-    Multiset semantics: a baseline entry absorbs one matching finding.
-    Returns ``(matched_count, stale_entries)`` where stale entries no
-    longer match anything -- reported as a note, never a failure, so a
-    fix does not break CI until the baseline is regenerated.
-    """
-    remaining: dict[tuple[str, str, str], int] = {}
-    for entry in entries:
-        remaining[entry] = remaining.get(entry, 0) + 1
-    kept: list[Violation] = []
-    matched = 0
-    for violation in report.violations:
-        identity = finding_identity(violation)
-        if remaining.get(identity, 0) > 0:
-            remaining[identity] -= 1
-            matched += 1
-        else:
-            kept.append(violation)
-    report.violations[:] = kept
-    stale = sorted(
-        entry for entry, count in remaining.items() for _ in range(count)
-    )
-    return matched, stale
-
-
-def write_baseline(report: LintReport, path: str | pathlib.Path) -> None:
-    """Write ``report``'s active findings as the new baseline."""
-    findings = sorted(finding_identity(v) for v in report.violations)
-    payload = {
-        "schema": 1,
-        "findings": [
-            {"code": code, "path": rel_path, "message": message}
-            for code, rel_path, message in findings
-        ],
-    }
-    pathlib.Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

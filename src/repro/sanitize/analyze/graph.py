@@ -5,8 +5,11 @@ Every analysed file is parsed once (reusing the lint engine's
 suppression handling come for free) and given a dotted module name
 derived from its path (rooted at the last ``repro`` path component, so
 both ``src/repro/...`` checkouts and fixture trees under ``tmp/repro/...``
-resolve to the same names).  The graph also records which analysed
-modules import which, giving the analyses a cheap dependency view.
+resolve to the same names).  A file whose name an earlier file already
+took (two ``conftest.py`` files, or ``__init__.py`` files outside a
+``repro`` tree) is named by its full path instead, so every parsed file
+stays in the graph.  The graph also records which analysed modules
+import which, giving the analyses a cheap dependency view.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class ModuleInfo:
 
 
 class ModuleGraph:
-    """All analysed modules, keyed by dotted name."""
+    """Every parsed file, keyed by a unique dotted name."""
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
@@ -87,8 +90,12 @@ class ModuleGraph:
             if isinstance(parsed, Violation):
                 graph.parse_errors.append(parsed)
                 continue
+            name = module_name_for(path)
+            if name in graph.modules:
+                stem = path.with_suffix("").as_posix().strip("/")
+                name = stem.replace("/", ".")
             info = ModuleInfo(
-                name=module_name_for(path),
+                name=name,
                 path=path,
                 posix=path.as_posix(),
                 module=parsed,

@@ -29,9 +29,9 @@ import ast
 from typing import Iterator
 
 from repro.sanitize.astutil import dotted_name
-from repro.sanitize.lint import Violation
+from repro.sanitize.lint import Violation, rule
 
-from repro.sanitize.analyze.engine import Project, analysis
+from repro.sanitize.analyze.engine import Project
 from repro.sanitize.analyze.graph import ModuleInfo
 
 #: Builtin/stdlib leaves that always pickle.
@@ -275,10 +275,11 @@ def _payload_roots(
     yield from emit("_init_worker", False)
 
 
-@analysis(
+@rule(
     "ANA004",
     "worker payload types are transitively pickle-safe",
     ("repro/parallel/",),
+    project=True,
 )
 def ana004(project: Project) -> Iterator[Violation]:
     """Pool initargs and point payloads fail at runtime -- on a worker,

@@ -1,7 +1,7 @@
-"""SARIF 2.1.0 rendering for lint/analyze reports.
+"""SARIF 2.1.0 rendering for ``repro lint`` reports.
 
 SARIF (Static Analysis Results Interchange Format) is what code-scanning
-UIs ingest; the CI analyze job uploads this as an artifact.  One run per
+UIs ingest; the CI lint job uploads this as an artifact.  One run per
 document, one ``result`` per finding; suppressed findings are emitted
 with an ``inSource`` suppression object (SARIF consumers hide them by
 default), and interprocedural call chains ride in ``codeFlows``.
@@ -18,16 +18,14 @@ _FRAME_RE = re.compile(r"^(?P<name>.*) \((?P<path>.+):(?P<line>\d+)\)$")
 
 
 def _rule_metadata() -> dict[str, dict]:
-    from repro.sanitize.analyze.engine import registered_analyses
-
-    metadata: dict[str, dict] = {}
-    for rule in list(registered_rules()) + list(registered_analyses()):
-        metadata[rule.code] = {
+    return {
+        rule.code: {
             "id": rule.code,
             "shortDescription": {"text": rule.summary},
             "fullDescription": {"text": rule.rationale},
         }
-    return metadata
+        for rule in registered_rules()
+    }
 
 
 def _location(path: str, line: int, col: int) -> dict:
@@ -82,7 +80,7 @@ def _result(violation: Violation) -> dict:
     return result
 
 
-def render_sarif(report: LintReport, tool: str = "repro-analyze") -> str:
+def render_sarif(report: LintReport) -> str:
     """SARIF 2.1.0 document for ``report`` (active + suppressed findings)."""
     metadata = _rule_metadata()
     present = sorted(
@@ -102,7 +100,7 @@ def render_sarif(report: LintReport, tool: str = "repro-analyze") -> str:
             {
                 "tool": {
                     "driver": {
-                        "name": tool,
+                        "name": "repro-lint",
                         "informationUri": "https://example.invalid/repro",
                         "rules": rules,
                     }

@@ -19,9 +19,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator
 
-from repro.sanitize.lint import Violation
+from repro.sanitize.lint import Violation, rule
 
-from repro.sanitize.analyze.engine import Project, analysis
+from repro.sanitize.analyze.engine import Project
 from repro.sanitize.analyze.summaries import FunctionSummary
 
 #: Digest-relevant sink roots: functions whose transitive callees define
@@ -72,10 +72,11 @@ def _chain(
     return tuple(reversed(frames))
 
 
-@analysis(
+@rule(
     "ANA001",
     "no nondeterminism source reachable from digest-relevant code",
     ("repro/",),
+    project=True,
 )
 def ana001(project: Project) -> Iterator[Violation]:
     """Run digests (and the cache keys derived from them) are only

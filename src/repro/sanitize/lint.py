@@ -1,8 +1,14 @@
-"""AST lint engine for the repo's determinism/observability/kernel contracts.
+"""The lint layer: findings, parsed files, suppressions and the rule registry.
 
-The engine is deliberately small: it parses each file once, annotates every
-node with its parent (``_san_parent``), hands the module to each registered
-rule, and filters the resulting violations through inline suppressions.
+Every check -- a per-file rule (DET, OBS, KERN, PERF, ERR) or a
+whole-program analysis (ANA) -- registers here through the :func:`rule`
+decorator with a code, a one-line summary and the path scope it
+enforces; ``project=True`` marks a check that sees the whole
+:class:`~repro.sanitize.analyze.engine.Project` instead of one file.
+The rule's *rationale* is the first paragraph of its docstring -- that
+is what ``repro lint --list-rules`` prints.  The one entry point,
+:func:`repro.sanitize.analyze.engine.run_lint`, parses each file once
+and runs both kinds.
 
 Suppression syntax: ``# sanitize: ignore[CODE]`` (or ``ignore[A, B]``) on
 
@@ -17,18 +23,10 @@ Suppression syntax: ``# sanitize: ignore[CODE]`` (or ``ignore[A, B]``) on
     # sanitize: ignore[DET002, OBS001]
     for core in cores: ...
 
-Suppressed findings are not dropped: they are reported with a
-``suppressed`` flag (and counted separately) so ``--json`` consumers see
-the full picture.
-
-Rules live in :mod:`repro.sanitize.rules` and register themselves via the
-:func:`rule` decorator; each declares a code, a one-line summary, and the
-path scope it enforces (e.g. only ``repro/sim`` + ``repro/kernel``).  The
-rule's *rationale* is the first paragraph of its docstring -- that is what
-``repro lint --list-rules`` prints.  Project-wide analyses (the ANA
-family) register separately in :mod:`repro.sanitize.analyze.engine` but
-share this module's :class:`Violation`/:class:`LintReport` shapes, the
-suppression syntax, and the reporters.
+An inline suppression is the one way to accept a finding.  Suppressed
+findings are not dropped: they are reported with a ``suppressed`` flag
+(and counted separately) so ``--format json`` consumers see the full
+picture.
 """
 
 from __future__ import annotations
@@ -38,6 +36,8 @@ import pathlib
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
+
+from repro.errors import ExperimentError
 
 #: Paths (posix substrings) a rule may restrict itself to.  The lint pass
 #: runs over whatever paths the caller names, but contract rules only fire
@@ -93,13 +93,20 @@ class Violation:
 
 @dataclass(frozen=True)
 class Rule:
-    """A registered lint rule."""
+    """A registered check.
+
+    ``check`` takes one :class:`ParsedModule` in ``scope``, or, when
+    ``project`` is set, the whole
+    :class:`~repro.sanitize.analyze.engine.Project` (whose analyses
+    match their own modules, so ``scope`` only documents them).
+    """
 
     code: str
     summary: str
     rationale: str
     scope: tuple[str, ...]
-    check: Callable[["ParsedModule"], Iterable[Violation]]
+    check: Callable[..., Iterable[Violation]]
+    project: bool = False
 
     def applies_to(self, module: "ParsedModule") -> bool:
         return any(part in module.posix for part in self.scope)
@@ -107,7 +114,7 @@ class Rule:
 
 @dataclass
 class LintReport:
-    """Outcome of one lint (or analyze) run.
+    """Outcome of one lint run.
 
     ``violations`` holds the *active* findings; ``suppressed`` the ones
     silenced by inline comments.  ``ok`` considers active findings only.
@@ -242,20 +249,23 @@ class ParsedModule:
 _REGISTRY: dict[str, Rule] = {}
 
 
-def rule(code: str, summary: str, scope: tuple[str, ...]) -> Callable:
-    """Register a rule function under ``code`` (decorator).
+def rule(
+    code: str, summary: str, scope: tuple[str, ...], *, project: bool = False
+) -> Callable:
+    """Register a check function under ``code`` (decorator).
 
     The rule's rationale -- what ``--list-rules`` prints -- is the first
-    paragraph of the decorated function's docstring.
+    paragraph of the decorated function's docstring.  ``project=True``
+    registers a whole-program analysis (see :class:`Rule`).
     """
 
-    def register(check: Callable[[ParsedModule], Iterable[Violation]]):
+    def register(check: Callable[..., Iterable[Violation]]):
         if code in _REGISTRY:
             raise ValueError(f"duplicate lint rule code {code}")
         _REGISTRY[code] = Rule(
             code=code, summary=summary,
             rationale=rationale_from_doc(check.__doc__),
-            scope=scope, check=check,
+            scope=scope, check=check, project=project,
         )
         return check
 
@@ -263,20 +273,44 @@ def rule(code: str, summary: str, scope: tuple[str, ...]) -> Callable:
 
 
 def registered_rules() -> list[Rule]:
-    """All rules, sorted by code (imports the rule module on first use)."""
-    import repro.sanitize.rules  # noqa: F401  (registration side effect)
+    """All rules, sorted by code (imports the rule modules on first use)."""
+    # Registration side effects: per-file rules, then the ANA analyses.
+    import repro.sanitize.rules  # noqa: F401
+    import repro.sanitize.analyze.contracts  # noqa: F401
+    import repro.sanitize.analyze.payloads  # noqa: F401
+    import repro.sanitize.analyze.taint  # noqa: F401
 
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
 
 def iter_python_files(paths: Iterable[str | pathlib.Path]) -> Iterator[pathlib.Path]:
-    """Expand files/directories into a deterministic list of ``.py`` files."""
+    """Expand files/directories into a deterministic list of ``.py`` files.
+
+    A file named twice (directly or through overlapping directories) is
+    yielded once.
+
+    Raises:
+        ExperimentError: for a path that does not exist, or that is
+            neither a directory nor a ``.py`` file -- a mistyped path
+            must not pass the gate as "0 files checked".
+    """
+    seen: set[pathlib.Path] = set()
     for raw in paths:
         path = pathlib.Path(raw)
         if path.is_dir():
-            yield from sorted(p for p in path.rglob("*.py") if p.is_file())
-        elif path.suffix == ".py":
-            yield path
+            found = sorted(p for p in path.rglob("*.py") if p.is_file())
+        elif path.is_file() and path.suffix == ".py":
+            found = [path]
+        elif not path.exists():
+            raise ExperimentError(f"lint path {path} does not exist")
+        else:
+            raise ExperimentError(
+                f"lint path {path} is neither a directory nor a .py file"
+            )
+        for file in found:
+            if file.resolve() not in seen:
+                seen.add(file.resolve())
+                yield file
 
 
 def parse_module(path: pathlib.Path) -> ParsedModule | Violation:
@@ -293,31 +327,3 @@ def parse_module(path: pathlib.Path) -> ParsedModule | Violation:
             message=f"syntax error: {exc.msg}",
         )
     return ParsedModule(path, source, tree)
-
-
-def lint_file(path: pathlib.Path) -> list[Violation]:
-    """Lint one file; suppressed findings carry their flag."""
-    module = parse_module(path)
-    if isinstance(module, Violation):
-        return [module]
-    found: list[Violation] = []
-    for candidate in registered_rules():
-        if not candidate.applies_to(module):
-            continue
-        found.extend(candidate.check(module))
-    return found
-
-
-def lint_paths(paths: Iterable[str | pathlib.Path]) -> LintReport:
-    """Lint every python file under ``paths``; the CLI entry point."""
-    report = LintReport()
-    for path in iter_python_files(paths):
-        report.files_scanned += 1
-        for violation in lint_file(path):
-            if violation.suppressed:
-                report.suppressed.append(violation)
-            else:
-                report.violations.append(violation)
-    report.violations.sort(key=Violation.sort_key)
-    report.suppressed.sort(key=Violation.sort_key)
-    return report

@@ -1,11 +1,10 @@
-"""Reporters for lint/analyze results: human text, machine JSON, catalogue.
+"""Reporters for ``repro lint``: human text, machine JSON, rule catalogue.
 
-``repro lint --json`` and ``repro analyze --json`` emit the same schema
-(version 1)::
+``repro lint --format json`` emits this schema (version 1)::
 
     {
       "schema": 1,
-      "tool": "lint" | "analyze",
+      "tool": "lint",
       "files_scanned": <int>,
       "ok": <bool>,                      # no *active* findings
       "counts": {"active": <int>, "suppressed": <int>},
@@ -25,6 +24,9 @@
 groups are sorted by (path, line, col, code).  ``chain`` is present only
 on interprocedural findings (the ANA family) and gives the source->sink
 call path, caller first.
+
+``--format sarif`` (and ``--sarif PATH``) emit SARIF 2.1.0 instead; see
+:mod:`repro.sanitize.analyze.sarif`.
 """
 
 from __future__ import annotations
@@ -93,12 +95,12 @@ def _violation_payload(violation: Violation) -> dict:
     return payload
 
 
-def render_json(report: LintReport, tool: str = "lint") -> str:
+def render_json(report: LintReport) -> str:
     """Stable JSON document for CI and tooling (schema documented above)."""
     return json.dumps(
         {
             "schema": 1,
-            "tool": tool,
+            "tool": "lint",
             "files_scanned": report.files_scanned,
             "ok": report.ok,
             "counts": {
@@ -115,24 +117,13 @@ def render_json(report: LintReport, tool: str = "lint") -> str:
     )
 
 
-def _catalogue_rules() -> list[Rule]:
-    """Lint rules plus registered analyses, one sorted list."""
-    from repro.sanitize.analyze.engine import registered_analyses
-
-    rules = {rule.code: rule for rule in registered_rules()}
-    for analysis in registered_analyses():
-        rules[analysis.code] = analysis
-    return [rules[code] for code in sorted(rules)]
-
-
 def rule_catalogue() -> str:
     """Rules grouped by family with one-line docstring rationales.
 
-    This is what ``repro lint --list-rules`` (and ``repro analyze
-    --list-rules``) prints.
+    This is what ``repro lint --list-rules`` prints.
     """
     by_family: dict[str, list[Rule]] = {}
-    for rule in _catalogue_rules():
+    for rule in registered_rules():
         by_family.setdefault(_family(rule.code), []).append(rule)
     lines: list[str] = []
     for family in sorted(by_family, key=lambda f: (f not in FAMILIES, f)):

@@ -45,9 +45,9 @@ def det001(module: ParsedModule) -> Iterator[Violation]:
     seed); any wall-clock read or global/unseeded RNG breaks run-to-run
     reproducibility and invalidates scheduler comparisons.
 
-    The interprocedural companion is ANA001 (``repro analyze``), which
-    tracks the same sources through call chains into digest-relevant
-    state project-wide.
+    The interprocedural companion is ANA001 (in the same ``repro lint``
+    pass), which tracks the same sources through call chains into
+    digest-relevant state project-wide.
     """
     aliases = import_aliases(module.tree)
     for node in ast.walk(module.tree):

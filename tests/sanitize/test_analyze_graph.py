@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pathlib
 
+from repro.sanitize import run_lint
 from repro.sanitize.analyze.graph import ModuleGraph, module_name_for
 from repro.sanitize.analyze.summaries import ProjectSummaries
 
@@ -81,6 +82,63 @@ class TestModuleGraph:
         assert "repro.sim.ok" in graph.modules
         assert len(graph.parse_errors) == 1
         assert graph.parse_errors[0].code == "PARSE"
+
+
+class TestSameNamedFiles:
+    """Files whose dotted names collide all stay in the graph."""
+
+    CLOCK = (
+        "import time\n"
+        "class Clock:\n"
+        "    def tick(self):\n"
+        "        return time.time()\n"
+    )
+
+    def test_graph_keeps_every_parsed_file(self, tmp_path):
+        write_tree(tmp_path, {
+            "tests/conftest.py": "x = 1\n",
+            "benchmarks/conftest.py": "y = 2\n",
+            "tests/__init__.py": "",
+            "benchmarks/__init__.py": "",
+        })
+        graph = ModuleGraph.build([tmp_path])
+        assert graph.files_scanned == 4
+        assert len(graph.modules) == 4
+        assert sorted(info.posix for info in graph.modules.values()) == sorted(
+            (tmp_path / rel).as_posix()
+            for rel in (
+                "benchmarks/__init__.py", "benchmarks/conftest.py",
+                "tests/__init__.py", "tests/conftest.py",
+            )
+        )
+
+    def test_findings_in_both_same_named_files_are_reported(self, tmp_path):
+        # Outside a repro tree both files map to ``clock``; the digest
+        # root reaches each Clock.tick through the CHA fallback.
+        write_tree(tmp_path, {
+            "sim/digest.py": (
+                "def run_digest(timer):\n"
+                "    return timer.tick()\n"
+            ),
+            "one/clock.py": self.CLOCK,
+            "two/clock.py": self.CLOCK,
+        })
+        report = run_lint([tmp_path])
+        assert [
+            (pathlib.Path(v.path).parent.name, v.line, v.code)
+            for v in report.violations
+        ] == [("one", 4, "ANA001"), ("two", 4, "ANA001")]
+
+    def test_per_file_rules_see_both_same_named_files(self, tmp_path):
+        write_tree(tmp_path, {
+            "a/repro/sim/clock.py": "import time\nnow = time.time()\n",
+            "b/repro/sim/clock.py": "import time\nnow = time.time()\n",
+        })
+        report = run_lint([tmp_path])
+        assert [
+            (pathlib.Path(v.path).parents[2].name, v.code)
+            for v in report.violations
+        ] == [("a", "DET001"), ("b", "DET001")]
 
 
 class TestSummaries:

@@ -1,16 +1,11 @@
-"""ANA001-ANA004 analyses: positive/negative fixtures, chains, baseline."""
+"""ANA001-ANA004 analyses: positive/negative fixtures and chains."""
 
 from __future__ import annotations
 
 import pathlib
 
 import repro
-from repro.sanitize.analyze import (
-    analyze_paths,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
+from repro.sanitize import run_lint
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 
@@ -30,6 +25,18 @@ def copy_real(tmp_path, *relpaths):
         for rel in relpaths
     }
     return write_tree(tmp_path, files)
+
+
+def ana_report(tree):
+    """``run_lint`` over ``tree``, keeping only the ANA family's findings.
+
+    Taint fixtures put ``time.time()`` under ``repro/sim/``, where the
+    per-file DET001 rule fires too; test_lint_rules covers that rule.
+    """
+    report = run_lint([tree])
+    for found in (report.violations, report.suppressed):
+        found[:] = [v for v in found if v.code.startswith("ANA")]
+    return report
 
 
 def codes(report):
@@ -52,7 +59,7 @@ class TestTaintANA001:
                 "    return time.time()\n"
             ),
         })
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA001"]
         finding = report.violations[0]
         assert finding.path.endswith("clockuser.py")
@@ -80,7 +87,7 @@ class TestTaintANA001:
                 "    return (time.time(), result)\n"
             ),
         })
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA001"]
         finding = report.violations[0]
         assert finding.path.endswith("helper.py")
@@ -96,7 +103,7 @@ class TestTaintANA001:
                 "    return time.time()\n"
             ),
         })
-        assert analyze_paths([tree]).ok
+        assert ana_report(tree).ok
 
     def test_observational_regions_are_excluded(self, tmp_path):
         tree = write_tree(tmp_path, {
@@ -112,7 +119,7 @@ class TestTaintANA001:
                 "    return time.time()\n"
             ),
         })
-        assert analyze_paths([tree]).ok
+        assert ana_report(tree).ok
 
     def test_environment_reads_are_sources(self, tmp_path):
         tree = write_tree(tmp_path, {
@@ -122,7 +129,7 @@ class TestTaintANA001:
                 "    return os.environ.get('HOME')\n"
             ),
         })
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA001"]
         assert "os.environ" in report.violations[0].message
 
@@ -134,7 +141,7 @@ class TestTaintANA001:
                 "    return time.time()  # sanitize: ignore[ANA001]\n"
             ),
         })
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert report.ok
         assert [v.code for v in report.suppressed] == ["ANA001"]
 
@@ -147,7 +154,7 @@ class TestTaintANA001:
                 "        return random.random()\n"
             ),
         })
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA001"]
         assert "Machine.run" in report.violations[0].chain[0]
 
@@ -171,7 +178,7 @@ class TestCoverageANA002:
         })
 
     def test_uncovered_field_is_flagged_at_its_definition(self, tmp_path):
-        report = analyze_paths([self.fixture(tmp_path, covered=False)])
+        report = ana_report(self.fixture(tmp_path, covered=False))
         assert codes(report) == ["ANA002"]
         finding = report.violations[0]
         assert finding.path.endswith("machine.py")
@@ -179,7 +186,7 @@ class TestCoverageANA002:
         assert "MachineConfig.knob" in finding.message
 
     def test_covered_field_is_clean(self, tmp_path):
-        assert analyze_paths([self.fixture(tmp_path, covered=True)]).ok
+        assert ana_report(self.fixture(tmp_path, covered=True)).ok
 
     def test_exclusion_tuple_counts_as_coverage(self, tmp_path):
         tree = write_tree(tmp_path, {
@@ -193,7 +200,7 @@ class TestCoverageANA002:
                 "    return {}\n"
             ),
         })
-        assert analyze_paths([tree]).ok
+        assert ana_report(tree).ok
 
     def test_silent_without_fingerprint_module(self, tmp_path):
         tree = write_tree(tmp_path, {
@@ -202,7 +209,7 @@ class TestCoverageANA002:
                 "    knob: float = 1.0\n"
             ),
         })
-        assert analyze_paths([tree]).ok
+        assert ana_report(tree).ok
 
     def test_deleting_a_key_from_real_fingerprint_fails(self, tmp_path):
         tree = copy_real(
@@ -212,14 +219,14 @@ class TestCoverageANA002:
             "experiments/runner.py",
             "parallel/fingerprint.py",
         )
-        assert analyze_paths([tree]).ok, "real files should start clean"
+        assert ana_report(tree).ok, "real files should start clean"
         fingerprint = tree / "repro/parallel/fingerprint.py"
         source = fingerprint.read_text()
         assert '"work_scale": ctx.work_scale,' in source
         fingerprint.write_text(
             source.replace('"work_scale": ctx.work_scale,\n', "")
         )
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA002"]
         assert "work_scale" in report.violations[0].message
 
@@ -237,7 +244,7 @@ class TestCoverageANA003:
                 "    return repr(result.makespan)\n"
             ),
         })
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA003"]
         assert "RunResult.surprise" in report.violations[0].message
 
@@ -254,7 +261,7 @@ class TestCoverageANA003:
                 "    return repr(result.makespan)\n"
             ),
         })
-        assert analyze_paths([tree]).ok
+        assert ana_report(tree).ok
 
     def test_deleting_a_field_from_real_run_digest_fails(self, tmp_path):
         tree = copy_real(
@@ -264,14 +271,14 @@ class TestCoverageANA003:
             "experiments/runner.py",
             "parallel/fingerprint.py",
         )
-        assert analyze_paths([tree]).ok, "real files should start clean"
+        assert ana_report(tree).ok, "real files should start clean"
         digest = tree / "repro/sim/digest.py"
         source = digest.read_text()
         assert 'put("makespan", result.makespan)' in source
         digest.write_text(
             source.replace('    put("makespan", result.makespan)\n', "")
         )
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA003"]
         assert "RunResult.makespan" in report.violations[0].message
 
@@ -285,7 +292,7 @@ class TestPayloadsANA004:
                 "    pass\n"
             ),
         })
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA004"]
         assert "threading.Lock" in report.violations[0].message
 
@@ -307,7 +314,7 @@ class TestPayloadsANA004:
                 "    handle: threading.Lock = None\n"
             ),
         })
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA004"]
         finding = report.violations[0]
         assert finding.path.endswith("payload.py")
@@ -334,7 +341,7 @@ class TestPayloadsANA004:
                 "    values: dict[str, float] = None\n"
             ),
         })
-        assert analyze_paths([tree]).ok
+        assert ana_report(tree).ok
 
     def test_unannotated_payload_parameter_is_unverifiable(self, tmp_path):
         tree = write_tree(tmp_path, {
@@ -343,7 +350,7 @@ class TestPayloadsANA004:
                 "    pass\n"
             ),
         })
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA004"]
         assert "no annotation" in report.violations[0].message
 
@@ -360,7 +367,7 @@ class TestPayloadsANA004:
                 "        self.anything = lambda: 1\n"
             ),
         })
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA004"]
         assert "neither a dataclass nor a __slots__" in report.violations[0].message
 
@@ -372,72 +379,5 @@ class TestPayloadsANA004:
                 "    pass\n"
             ),
         })
-        report = analyze_paths([tree])
+        report = ana_report(tree)
         assert codes(report) == ["ANA004"]
-
-
-class TestBaseline:
-    def fixture(self, tmp_path):
-        return write_tree(tmp_path, {
-            "repro/sim/digest.py": (
-                "import time\n"
-                "def run_digest(result):\n"
-                "    return time.time()\n"
-            ),
-        })
-
-    def test_round_trip_suppresses_known_findings(self, tmp_path):
-        tree = self.fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(analyze_paths([tree]), baseline)
-        report = analyze_paths([tree])
-        matched, stale = apply_baseline(report, load_baseline(baseline))
-        assert matched == 1 and stale == []
-        assert report.ok
-
-    def test_new_findings_still_fail(self, tmp_path):
-        tree = self.fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(analyze_paths([tree]), baseline)
-        digest = tree / "repro/sim/digest.py"
-        digest.write_text(
-            digest.read_text() + "def also():\n    return 1\n"
-        )
-        # Introduce a second, new source.
-        digest.write_text(
-            digest.read_text().replace(
-                "    return time.time()\n",
-                "    import os\n"
-                "    os.urandom(4)\n"
-                "    return time.time()\n",
-            )
-        )
-        report = analyze_paths([tree])
-        matched, _stale = apply_baseline(report, load_baseline(baseline))
-        assert matched == 1
-        assert not report.ok
-        assert "os.urandom" in report.violations[0].message
-
-    def test_stale_entries_reported_not_fatal(self, tmp_path):
-        tree = self.fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(analyze_paths([tree]), baseline)
-        (tree / "repro/sim/digest.py").write_text(
-            "def run_digest(result):\n    return repr(result)\n"
-        )
-        report = analyze_paths([tree])
-        matched, stale = apply_baseline(report, load_baseline(baseline))
-        assert matched == 0
-        assert len(stale) == 1 and stale[0][0] == "ANA001"
-        assert report.ok
-
-    def test_identity_is_line_insensitive(self, tmp_path):
-        tree = self.fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(analyze_paths([tree]), baseline)
-        digest = tree / "repro/sim/digest.py"
-        digest.write_text("# a new leading comment\n" + digest.read_text())
-        report = analyze_paths([tree])
-        matched, stale = apply_baseline(report, load_baseline(baseline))
-        assert matched == 1 and stale == []
-        assert report.ok

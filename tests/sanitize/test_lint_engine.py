@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.sanitize import lint_paths, render_json, render_text, rule_catalogue
+from repro.sanitize import render_json, render_text, rule_catalogue, run_lint
 from repro.sanitize.lint import registered_rules
 
 
@@ -21,7 +21,7 @@ class TestDiscoveryAndScope:
         write_sim_file(tmp_path, "a.py", "x = 1\n")
         write_sim_file(tmp_path, "b.py", "y = 2\n")
         (tmp_path / "notes.txt").write_text("not python\n")
-        report = lint_paths([tmp_path])
+        report = run_lint([tmp_path])
         assert report.files_scanned == 2
         assert report.ok
 
@@ -30,19 +30,19 @@ class TestDiscoveryAndScope:
         out_of_scope = tmp_path / "scripts" / "helper.py"
         out_of_scope.parent.mkdir(parents=True)
         out_of_scope.write_text("import time\nnow = time.time()\n")
-        report = lint_paths([out_of_scope])
+        report = run_lint([out_of_scope])
         assert report.ok
 
     def test_single_file_argument(self, tmp_path):
         bad = write_sim_file(
             tmp_path, "clock.py", "import time\nnow = time.time()\n"
         )
-        report = lint_paths([bad])
+        report = run_lint([bad])
         assert [v.code for v in report.violations] == ["DET001"]
 
     def test_syntax_error_reported_as_parse_violation(self, tmp_path):
         bad = write_sim_file(tmp_path, "broken.py", "def f(:\n")
-        report = lint_paths([bad])
+        report = run_lint([bad])
         assert len(report.violations) == 1
         assert report.violations[0].code == "PARSE"
         assert not report.ok
@@ -55,7 +55,7 @@ class TestSuppressions:
             "import time\n"
             "now = time.time()  # sanitize: ignore[DET001]\n",
         )
-        assert lint_paths([tmp_path]).ok
+        assert run_lint([tmp_path]).ok
 
     def test_line_above_suppression(self, tmp_path):
         write_sim_file(
@@ -64,7 +64,7 @@ class TestSuppressions:
             "# sanitize: ignore[DET001]\n"
             "now = time.time()\n",
         )
-        assert lint_paths([tmp_path]).ok
+        assert run_lint([tmp_path]).ok
 
     def test_multi_code_suppression(self, tmp_path):
         write_sim_file(
@@ -73,7 +73,7 @@ class TestSuppressions:
             "# sanitize: ignore[DET002, DET001]\n"
             "now = time.time()\n",
         )
-        assert lint_paths([tmp_path]).ok
+        assert run_lint([tmp_path]).ok
 
     def test_wrong_code_does_not_suppress(self, tmp_path):
         write_sim_file(
@@ -81,7 +81,7 @@ class TestSuppressions:
             "import time\n"
             "now = time.time()  # sanitize: ignore[OBS001]\n",
         )
-        report = lint_paths([tmp_path])
+        report = run_lint([tmp_path])
         assert [v.code for v in report.violations] == ["DET001"]
 
 
@@ -97,7 +97,7 @@ class TestSuppressionExtent:
             "    time.time(),  # sanitize: ignore[DET001]\n"
             ")\n",
         )
-        report = lint_paths([tmp_path])
+        report = run_lint([tmp_path])
         assert report.ok
         assert [v.code for v in report.suppressed] == ["DET001"]
 
@@ -110,7 +110,7 @@ class TestSuppressionExtent:
             "    time.time(),\n"
             ")  # sanitize: ignore[DET001]\n",
         )
-        assert lint_paths([tmp_path]).ok
+        assert run_lint([tmp_path]).ok
 
     def test_comment_above_a_multiline_statement(self, tmp_path):
         write_sim_file(
@@ -122,7 +122,7 @@ class TestSuppressionExtent:
             "    time.time(),\n"
             ")\n",
         )
-        assert lint_paths([tmp_path]).ok
+        assert run_lint([tmp_path]).ok
 
     def test_comment_above_decorators_of_a_flagged_def(self, tmp_path):
         # PERF001 anchors on a node inside the def body, but OBS002-style
@@ -139,7 +139,7 @@ class TestSuppressionExtent:
             "def step():\n"
             "    return 1\n",
         )
-        assert lint_paths([tmp_path]).ok
+        assert run_lint([tmp_path]).ok
 
     def test_comment_on_a_decorator_line(self, tmp_path):
         write_sim_file(
@@ -152,7 +152,7 @@ class TestSuppressionExtent:
             "def step():\n"
             "    return 1\n",
         )
-        assert lint_paths([tmp_path]).ok
+        assert run_lint([tmp_path]).ok
 
     def test_def_body_lines_do_not_suppress_the_def(self, tmp_path):
         # A suppression comment buried in the body must not silence a
@@ -165,7 +165,7 @@ class TestSuppressionExtent:
             "def step():\n"
             "    return 1  # sanitize: ignore[DET001]\n",
         )
-        report = lint_paths([tmp_path])
+        report = run_lint([tmp_path])
         assert [v.code for v in report.violations] == ["DET001"]
 
     def test_suppressed_findings_are_reported_with_flag(self, tmp_path):
@@ -174,7 +174,7 @@ class TestSuppressionExtent:
             "import time\n"
             "now = time.time()  # sanitize: ignore[DET001]\n",
         )
-        report = lint_paths([tmp_path])
+        report = run_lint([tmp_path])
         assert report.ok
         assert len(report.suppressed) == 1
         assert report.suppressed[0].suppressed is True
@@ -185,21 +185,21 @@ class TestReporters:
         write_sim_file(
             tmp_path, "clock.py", "import time\nnow = time.time()\n"
         )
-        text = render_text(lint_paths([tmp_path]))
+        text = render_text(run_lint([tmp_path]))
         assert "clock.py:2:" in text
         assert "DET001" in text
         assert "1 file checked, 1 violation" in text
 
     def test_clean_text_report(self, tmp_path):
         write_sim_file(tmp_path, "ok.py", "x = 1\n")
-        text = render_text(lint_paths([tmp_path]))
+        text = render_text(run_lint([tmp_path]))
         assert "no violations" in text
 
     def test_json_report_round_trips(self, tmp_path):
         write_sim_file(
             tmp_path, "clock.py", "import time\nnow = time.time()\n"
         )
-        payload = json.loads(render_json(lint_paths([tmp_path])))
+        payload = json.loads(render_json(run_lint([tmp_path])))
         assert payload["files_scanned"] == 1
         assert payload["ok"] is False
         assert payload["violations"][0]["code"] == "DET001"
@@ -213,7 +213,7 @@ class TestReporters:
             tmp_path, "a.py",
             "import time\na = time.time()\nb = time.monotonic()\n",
         )
-        report = lint_paths([tmp_path])
+        report = run_lint([tmp_path])
         keys = [v.sort_key() for v in report.violations]
         assert keys == sorted(keys)
 
@@ -224,7 +224,7 @@ class TestReporters:
             "a = time.time()\n"
             "b = time.time()  # sanitize: ignore[DET001]\n",
         )
-        payload = json.loads(render_json(lint_paths([tmp_path])))
+        payload = json.loads(render_json(run_lint([tmp_path])))
         assert payload["schema"] == 1
         assert payload["tool"] == "lint"
         assert payload["counts"] == {"active": 1, "suppressed": 1}
@@ -237,7 +237,7 @@ class TestReporters:
             "import time\n"
             "now = time.time()  # sanitize: ignore[DET001]\n",
         )
-        text = render_text(lint_paths([tmp_path]))
+        text = render_text(run_lint([tmp_path]))
         assert "no violations (1 suppressed)" in text
 
     def test_rule_catalogue_lists_all_codes(self):

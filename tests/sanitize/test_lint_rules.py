@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.sanitize import lint_paths
+from repro.sanitize import run_lint
 
 
 def lint_source(tmp_path, source, rel="repro/sim/mod.py"):
@@ -10,7 +10,7 @@ def lint_source(tmp_path, source, rel="repro/sim/mod.py"):
     target = tmp_path / rel
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(source)
-    return [v.code for v in lint_paths([target]).violations]
+    return [v.code for v in run_lint([target]).violations]
 
 
 class TestDET001:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pathlib
 
-from repro.sanitize import lint_paths, render_text
+from repro.sanitize import render_text, run_lint
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def test_source_tree_is_lint_clean():
-    report = lint_paths([SRC])
+    report = run_lint([SRC])
     assert report.files_scanned > 50
     assert report.ok, "\n" + render_text(report)

@@ -126,12 +126,25 @@ class TestParser:
         assert args.format == "text"
         assert not args.list_rules
 
+        assert args.sarif is None
+
         args = parser.parse_args(
             ["lint", "a.py", "b/", "--format", "json", "--list-rules"]
         )
         assert args.paths == ["a.py", "b/"]
         assert args.format == "json"
         assert args.list_rules
+        args = parser.parse_args(
+            ["lint", "src/repro", "--format", "sarif", "--sarif", "out.sarif"]
+        )
+        assert args.format == "sarif"
+        assert args.sarif == "out.sarif"
+
+    def test_analyze_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["analyze"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'analyze'" in capsys.readouterr().err
 
 
 class TestLintCommand:
@@ -172,23 +185,77 @@ class TestLintCommand:
         src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
         assert main(["lint", str(src)]) == 0
 
+    @staticmethod
+    def mixed_tree(tmp_path):
+        """A per-file DET001 hit and a whole-program ANA003 hit."""
+        sim = tmp_path / "repro" / "sim"
+        sim.mkdir(parents=True)
+        (sim / "clock.py").write_text("import time\nnow = time.time()\n")
+        (sim / "machine.py").write_text(
+            "class RunResult:\n"
+            "    makespan: float = 0.0\n"
+            "    surprise: int = 0\n"
+        )
+        (sim / "digest.py").write_text(
+            "def run_digest(result):\n"
+            "    return repr(result.makespan)\n"
+        )
+        return tmp_path
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
+    def test_one_run_reports_both_families_sorted(self, fmt, tmp_path, capsys):
+        tree = self.mixed_tree(tmp_path)
+        assert main(["lint", str(tree), "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        if fmt == "text":
+            found = [
+                (line.split(":")[0], int(line.split(":")[1]), line.split()[1])
+                for line in out.splitlines()
+                if line.startswith(str(tree))
+            ]
+            assert out.rstrip().endswith("3 files checked, 2 violations")
+        elif fmt == "json":
+            found = [
+                (v["path"], v["line"], v["code"])
+                for v in json.loads(out)["violations"]
+            ]
+        else:
+            found = [
+                (
+                    r["locations"][0]["physicalLocation"]["artifactLocation"][
+                        "uri"
+                    ],
+                    r["locations"][0]["physicalLocation"]["region"]["startLine"],
+                    r["ruleId"],
+                )
+                for r in json.loads(out)["runs"][0]["results"]
+            ]
+        sim = tree / "repro" / "sim"
+        assert found == [
+            (str(sim / "clock.py"), 2, "DET001"),
+            (str(sim / "machine.py"), 3, "ANA003"),
+        ]
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("repr0", "does not exist"),
+            ("README.md", "is neither a directory nor a .py file"),
+        ],
+        ids=["missing", "not-python"],
+    )
+    def test_mistyped_path_is_an_error(self, name, message, tmp_path, capsys):
+        (tmp_path / "README.md").write_text("# not python\n")
+        assert main(["lint", str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("colab-repro: error: lint path ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestAnalyzeCommand:
-    def test_parser_options(self):
-        parser = build_parser()
-        args = parser.parse_args(["analyze"])
-        assert args.command == "analyze"
-        assert args.paths == ["src/repro"]
-        assert args.format == "text"
-        assert args.baseline is None
-        assert not args.write_baseline
-        args = parser.parse_args(
-            ["analyze", "src/repro", "--format", "sarif",
-             "--baseline", "b.json", "--sarif", "out.sarif"]
-        )
-        assert args.format == "sarif"
-        assert args.baseline == "b.json"
-        assert args.sarif == "out.sarif"
+    """The ANA analyses, run by the one ``repro lint`` verb."""
 
     def tainted_tree(self, tmp_path):
         bad = tmp_path / "repro" / "sim" / "digest.py"
@@ -202,42 +269,29 @@ class TestAnalyzeCommand:
 
     def test_findings_exit_nonzero_with_chain(self, tmp_path, capsys):
         tree = self.tainted_tree(tmp_path)
-        assert main(["analyze", str(tree)]) == 1
+        assert main(["lint", str(tree)]) == 1
         out = capsys.readouterr().out
         assert "ANA001" in out
         assert "via run_digest" in out
 
     def test_json_format_shares_lint_schema(self, tmp_path, capsys):
         tree = self.tainted_tree(tmp_path)
-        assert main(["analyze", str(tree), "--format", "json"]) == 1
+        assert main(["lint", str(tree), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["tool"] == "analyze"
+        assert payload["tool"] == "lint"
         assert payload["schema"] == 1
         assert payload["violations"][0]["code"] == "ANA001"
         assert payload["violations"][0]["suppressed"] is False
 
-    def test_baseline_round_trip(self, tmp_path, capsys):
-        tree = self.tainted_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            ["analyze", str(tree), "--baseline", str(baseline),
-             "--write-baseline"]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["analyze", str(tree), "--baseline", str(baseline)]
-        ) == 0
-        assert "no violations" in capsys.readouterr().out
-
     def test_sarif_artifact_written(self, tmp_path, capsys):
         tree = self.tainted_tree(tmp_path)
         artifact = tmp_path / "out.sarif"
-        assert main(["analyze", str(tree), "--sarif", str(artifact)]) == 1
+        assert main(["lint", str(tree), "--sarif", str(artifact)]) == 1
         document = json.loads(artifact.read_text())
         assert document["version"] == "2.1.0"
 
     def test_list_rules_includes_ana_family(self, capsys):
-        assert main(["analyze", "--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("ANA001", "ANA002", "ANA003", "ANA004"):
             assert code in out
@@ -247,9 +301,10 @@ class TestAnalyzeCommand:
 
         root = pathlib.Path(__file__).resolve().parents[1]
         assert main(
-            ["analyze", str(root / "src" / "repro"),
-             "--baseline", str(root / ".sanitize-baseline.json")]
+            ["lint", str(root / "src" / "repro"), "--format", "sarif"]
         ) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["runs"][0]["results"] == []
 
 
 class TestRunCommand:
@@ -292,6 +347,37 @@ class TestErrorExit:
         assert captured.err.startswith(f"colab-repro: error: {message}")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "does not exist"),
+            ('{"points_total": 3, "hist', "is not valid JSON"),
+            ("[1, 2]", "holds no JSON object"),
+        ],
+        ids=["missing", "truncated", "not-an-object"],
+    )
+    @pytest.mark.parametrize("command", ["sweep-report", "dash"])
+    def test_bad_sweep_report_is_one_line(
+        self, command, content, message, tmp_path, capsys
+    ):
+        report = tmp_path / "report.json"
+        if content is not None:
+            report.write_text(content)
+        if command == "dash":
+            argv = self.BASE + [
+                "dash", "--sweep-report", str(report),
+                "--out", str(tmp_path / "d.html"),
+            ]
+        else:
+            argv = ["sweep-report", str(report)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"colab-repro: error: sweep report {report} {message}"
+        )
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "d.html").exists()
 
     def test_simulation_error_keeps_its_traceback(self, monkeypatch):
         from repro import cli

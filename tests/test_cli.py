@@ -126,19 +126,12 @@ class TestParser:
         assert args.format == "text"
         assert not args.list_rules
 
-        assert args.sarif is None
-
         args = parser.parse_args(
             ["lint", "a.py", "b/", "--format", "json", "--list-rules"]
         )
         assert args.paths == ["a.py", "b/"]
         assert args.format == "json"
         assert args.list_rules
-        args = parser.parse_args(
-            ["lint", "src/repro", "--format", "sarif", "--sarif", "out.sarif"]
-        )
-        assert args.format == "sarif"
-        assert args.sarif == "out.sarif"
 
     def test_analyze_verb_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -256,6 +249,17 @@ class TestLintCommand:
 
 class TestAnalyzeCommand:
     """The ANA analyses, run by the one ``repro lint`` verb."""
+
+    def test_parser_options(self):
+        parser = build_parser()
+        args = parser.parse_args(["lint"])
+        assert args.format == "text"
+        assert args.sarif is None
+        args = parser.parse_args(
+            ["lint", "src/repro", "--format", "sarif", "--sarif", "out.sarif"]
+        )
+        assert args.format == "sarif"
+        assert args.sarif == "out.sarif"
 
     def tainted_tree(self, tmp_path):
         bad = tmp_path / "repro" / "sim" / "digest.py"

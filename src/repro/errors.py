@@ -59,7 +59,7 @@ class SanitizerError(ReproError):
 
     Attributes:
         check: Short identifier of the violated invariant
-            ("rbtree" / "task_state" / "futex_pairing" / ...).
+            ("runqueue" / "task_state" / "futex_pairing" / ...).
         events: Recent :class:`repro.obs.tracer.TraceEvent` records
             (empty when the run was not traced).
     """

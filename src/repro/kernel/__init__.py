@@ -6,9 +6,8 @@ COLAB paper modifies or relies upon:
 * :mod:`repro.kernel.task` -- the ``task_struct`` analogue, including the
   per-task bookkeeping COLAB adds (blocking time, predicted speedup,
   labels);
-* :mod:`repro.kernel.rbtree` -- the red-black tree used by CFS to order
-  runnable entities by virtual runtime;
-* :mod:`repro.kernel.runqueue` -- per-core runqueues built on the tree;
+* :mod:`repro.kernel.runqueue` -- per-core runqueues ordered by
+  ``(vruntime, tid)`` with a leftmost pick, the CFS timeline;
 * :mod:`repro.kernel.futex` -- the futex wait/wake machinery instrumented
   exactly where the paper instruments it (``futex_wait_queue_me`` /
   ``wake_futex``) to accumulate caused-wait time on the waker;
@@ -17,7 +16,6 @@ COLAB paper modifies or relies upon:
 """
 
 from repro.kernel.futex import FutexTable, FutexWaiter
-from repro.kernel.rbtree import RBTree
 from repro.kernel.runqueue import RunQueue
 from repro.kernel.sync import Barrier, CondVar, Mutex, Pipe, RWLock, Semaphore
 from repro.kernel.task import Task, TaskState
@@ -29,7 +27,6 @@ __all__ = [
     "FutexWaiter",
     "Mutex",
     "Pipe",
-    "RBTree",
     "RWLock",
     "RunQueue",
     "Semaphore",

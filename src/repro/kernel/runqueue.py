@@ -1,8 +1,11 @@
 """Per-core runqueues.
 
-Each core owns one :class:`RunQueue`.  Internally it is the CFS timeline: a
-red-black tree of READY tasks keyed by ``(vruntime, tid)`` with a
-monotonic ``min_vruntime`` watermark, exactly like ``struct cfs_rq``.
+Each core owns one :class:`RunQueue`.  Internally it is the CFS timeline:
+READY tasks ordered by ``(vruntime, tid)`` with a leftmost pick and a
+monotonic ``min_vruntime`` watermark, the semantics of ``struct cfs_rq``.
+The container is one sorted list rather than the kernel's red-black
+tree: a queue holds at most a few dozen tasks, and ``tid`` makes every
+key unique, so ``bisect`` keeps the order and never compares two tasks.
 
 All three reproduced schedulers share this structure:
 
@@ -16,10 +19,10 @@ All three reproduced schedulers share this structure:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, Iterator
 
 from repro.errors import KernelError
-from repro.kernel.rbtree import RBTree
 from repro.kernel.task import Task
 from repro.obs.probe import DEQUEUE, ENQUEUE, MIN_VRUNTIME, NO_HOOKS
 
@@ -34,12 +37,14 @@ class RunQueue:
 
     def __init__(self, core_id: int) -> None:
         self.core_id = core_id
-        self._tree = RBTree()
+        #: ``(vruntime, tid, task)`` entries in ascending key order; the
+        #: first entry is the leftmost (next CFS pick).
+        self._entries: list[tuple[float, int, Task]] = []
         self._by_tid: dict[int, Task] = {}
-        #: Tree node handle each task was inserted under; dequeue removes
-        #: through the handle (O(log n) with no key search), and it stays
-        #: valid even if the task's vruntime changed while queued.
-        self._nodes: dict[int, object] = {}
+        #: ``(vruntime, tid)`` key each task was inserted under; dequeue
+        #: searches for this key, so it still finds a task whose vruntime
+        #: changed while queued.
+        self._keys: dict[int, tuple[float, int]] = {}
         #: Monotonic watermark of the smallest vruntime ever at the head of
         #: this queue; used by CFS to place newly woken tasks fairly.
         self.min_vruntime: float = 0.0
@@ -62,7 +67,7 @@ class RunQueue:
 
     def tasks(self) -> Iterator[Task]:
         """Iterate queued tasks in ascending vruntime order."""
-        return iter(list(self._tree.values()))
+        return iter([entry[2] for entry in self._entries])
 
     # ------------------------------------------------------------------
     # Mutation
@@ -83,7 +88,8 @@ class RunQueue:
                 f"task {task.name} already on runqueue of core {task.rq_core_id}"
             )
         key = (task.vruntime, task.tid)
-        self._nodes[task.tid] = self._tree.insert(key, task)
+        insort(self._entries, (*key, task))
+        self._keys[task.tid] = key
         self._by_tid[task.tid] = task
         task.rq_core_id = self.core_id
         hook = self.hooks[ENQUEUE]
@@ -96,7 +102,8 @@ class RunQueue:
             raise KernelError(
                 f"task {task.name} not on runqueue of core {self.core_id}"
             )
-        self._tree.remove_node(self._nodes.pop(task.tid))
+        key = self._keys.pop(task.tid)
+        del self._entries[bisect_left(self._entries, key)]
         del self._by_tid[task.tid]
         task.rq_core_id = None
         hook = self.hooks[DEQUEUE]
@@ -112,11 +119,8 @@ class RunQueue:
     # Selection primitives
     # ------------------------------------------------------------------
     def peek_min(self) -> Task | None:
-        """Leftmost (minimum-vruntime) task, or None if empty.
-
-        O(1): the tree caches its leftmost node, and no tuple is built.
-        """
-        return self._tree.leftmost_value()
+        """Leftmost (minimum-vruntime) task, or None if empty."""
+        return self._entries[0][2] if self._entries else None
 
     def pop_min(self) -> Task | None:
         """Remove and return the leftmost task (CFS pick-next).
@@ -124,9 +128,9 @@ class RunQueue:
         Advances ``min_vruntime`` to the popped task's virtual runtime
         (it becomes the running "curr"), mirroring ``update_min_vruntime``.
         """
-        task = self._tree.leftmost_value()
-        if task is None:
+        if not self._entries:
             return None
+        task = self._entries[0][2]
         self.dequeue(task)
         if task.vruntime > self.min_vruntime:
             self.min_vruntime = task.vruntime
@@ -146,7 +150,7 @@ class RunQueue:
             return None
         best: Task | None = None
         best_key: tuple | None = None
-        for task in self._tree.values():
+        for _, _, task in self._entries:
             candidate = key(task)
             if best_key is None or candidate < best_key:
                 best_key = candidate
@@ -170,7 +174,7 @@ class RunQueue:
         metric = key if key is not None else (lambda t: t.blocking_level)
         best: Task | None = None
         best_key: tuple[float, float, int] | None = None
-        for task in self._tree.values():
+        for _, _, task in self._entries:
             candidate = (-metric(task), task.vruntime, task.tid)
             if best_key is None or candidate < best_key:
                 best_key = candidate
@@ -185,9 +189,8 @@ class RunQueue:
         accounting step, so it is written allocation-free (no candidate
         list); the branches compute exactly ``max(old, min(candidates))``.
         """
-        head = self._tree.leftmost_value()
-        if head is not None:
-            head_vruntime = head.vruntime
+        if self._entries:
+            head_vruntime = self._entries[0][2].vruntime
             if running_vruntime is None or head_vruntime < running_vruntime:
                 floor = head_vruntime
             else:
@@ -206,25 +209,38 @@ class RunQueue:
     def sanitize_violations(self) -> list[str]:
         """Describe every broken queue invariant (empty list = healthy).
 
-        Read-only: validates the red-black tree plus the lockstep between
-        the tree, the tid index, the node-handle map, and the queued tasks'
-        own bookkeeping.  Queued tasks must be READY and claim this core.
-        (A queued task's *vruntime* may legitimately drift from its tree
-        key -- dequeue removes through the recorded node handle -- so key
-        staleness is not a violation.)
+        Read-only: checks that the entries' keys ascend strictly, that
+        each entry agrees with the key map and the tid index, and that the
+        three stay in lockstep with the queued tasks' own bookkeeping.
+        Queued tasks must be READY and claim this core.  (A queued task's
+        *vruntime* may legitimately drift from its recorded key -- dequeue
+        searches for the recorded key -- so key staleness is not a
+        violation.)
         """
-        problems = self._tree.invariant_violations()
-        if len(self._by_tid) != len(self._tree):
+        problems: list[str] = []
+        if not len(self._entries) == len(self._by_tid) == len(self._keys):
             problems.append(
-                f"tid index holds {len(self._by_tid)} tasks but tree holds "
-                f"{len(self._tree)}"
+                f"queue holds {len(self._entries)} entries but tid index "
+                f"holds {len(self._by_tid)} and key map {len(self._keys)}"
             )
-        if set(self._nodes) != set(self._by_tid):
-            problems.append("node map and tid index disagree on queued tids")
-        for task in self._tree.values():
+        if set(self._keys) != set(self._by_tid):
+            problems.append("key map and tid index disagree on queued tids")
+        previous: tuple[float, int] | None = None
+        for vruntime, tid, task in self._entries:
+            key = (vruntime, tid)
+            if previous is not None and not previous < key:
+                problems.append(
+                    f"queue out of order: key {key} follows {previous}"
+                )
+            previous = key
+            if self._keys.get(task.tid) != key:
+                problems.append(
+                    f"entry {key} of task {task.name} disagrees with the "
+                    "key map"
+                )
             if self._by_tid.get(task.tid) is not task:
                 problems.append(
-                    f"tree task {task.name} (tid {task.tid}) missing from "
+                    f"queued task {task.name} (tid {task.tid}) missing from "
                     "tid index"
                 )
             if not task.is_runnable:

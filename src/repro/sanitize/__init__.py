@@ -15,8 +15,8 @@ guarantees are machine-checked instead of enforced by convention.
   (:mod:`repro.sanitize.reporting`,
   :mod:`repro.sanitize.analyze.sarif`).
 * :mod:`repro.sanitize.schedsan` -- a runtime sanitizer ("schedsan") of
-  read-only invariant hooks injected into the rbtree, runqueues, futex
-  table, and event engine behind ``MachineConfig(sanitize=True)``, raising
+  read-only invariant hooks injected into the runqueues, futex table,
+  and event engine behind ``MachineConfig(sanitize=True)``, raising
   :class:`repro.errors.SanitizerError` with recent trace events attached.
 """
 

@@ -46,7 +46,11 @@ def _relative_import_base(
 
 
 def module_name_for(path: pathlib.Path) -> str:
-    """Dotted module name for ``path``, rooted at its last ``repro`` part."""
+    """Dotted module name for ``path``, rooted at its last ``repro`` part.
+
+    Outside any ``repro`` tree a module is named by its stem, and an
+    ``__init__.py`` by its parent directory.
+    """
     parts = list(path.parts)
     anchors = [i for i, part in enumerate(parts) if part == "repro"]
     rel = parts[anchors[-1]:] if anchors else [parts[-1]]
@@ -55,7 +59,7 @@ def module_name_for(path: pathlib.Path) -> str:
         leaf = leaf[:-3]
     rel = list(rel[:-1]) + [leaf]
     if rel[-1] == "__init__":
-        rel = rel[:-1] or ["repro"]
+        rel = rel[:-1] or [path.absolute().parent.name]
     return ".".join(rel)
 
 

@@ -371,21 +371,20 @@ def obs004(module: ParsedModule) -> Iterator[Violation]:
 _KERN_SCOPE = tuple(
     part for part in DECISION_SCOPE
 )
-_KERN_EXCLUDED_FILES = ("kernel/runqueue.py", "kernel/rbtree.py")
-_RQ_PRIVATE_ATTRS = {"_tree", "_by_tid", "_keys", "_nodes"}
+_RQ_PRIVATE_ATTRS = {"_entries", "_by_tid", "_keys"}
 
 
 @rule(
     "KERN001",
-    "no rbtree/runqueue mutation outside RunQueue methods",
+    "no runqueue mutation outside RunQueue methods",
     _KERN_SCOPE,
 )
 def kern001(module: ParsedModule) -> Iterator[Violation]:
-    """RunQueue keeps three structures (tree, tid index, key map) plus the
+    """RunQueue keeps three structures (entries, tid index, key map) plus the
     task's rq_core_id in lockstep; touching any of them from outside
     desynchronises the bookkeeping the schedulers rely on.
     """
-    if any(module.posix.endswith(name) for name in _KERN_EXCLUDED_FILES):
+    if module.posix.endswith("kernel/runqueue.py"):
         return
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Attribute) and node.attr in _RQ_PRIVATE_ATTRS:
@@ -393,18 +392,6 @@ def kern001(module: ParsedModule) -> Iterator[Violation]:
                 node, "KERN001",
                 f"access to runqueue internal .{node.attr} outside RunQueue; "
                 "use the public enqueue/dequeue/tasks API",
-            )
-        elif isinstance(node, ast.Call) and (
-            (isinstance(node.func, ast.Name) and node.func.id == "RBTree")
-            or (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "RBTree"
-            )
-        ):
-            yield module.violation(
-                node, "KERN001",
-                "direct RBTree construction outside the kernel substrate; "
-                "timelines belong to RunQueue",
             )
         elif isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (

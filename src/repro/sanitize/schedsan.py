@@ -10,10 +10,9 @@ or off.
 
 Checked invariants (the ones COLAB's who-wins evaluation rests on):
 
-* **rbtree** -- red-black properties, BST order, size counter, leftmost
-  cache after every runqueue mutation;
-* **runqueue** -- tree / tid-index / key-map kept in lockstep; queued
-  tasks READY and owned by this core;
+* **runqueue** -- after every runqueue mutation: entries in strictly
+  ascending ``(vruntime, tid)`` order, entries / tid index / key map
+  kept in lockstep, queued tasks READY and owned by this core;
 * **min_vruntime** -- the per-queue watermark never moves backwards;
 * **task state** -- post-drain, every READY task sits on exactly one
   runqueue, RUNNING tasks biject with ``core.current``, SLEEPING tasks
@@ -113,7 +112,7 @@ class SchedSanitizer(Probe):
         raise SanitizerError(message, check=check, events=events)
 
     # ------------------------------------------------------------------
-    # Runqueue / rbtree hooks (called after every mutation)
+    # Runqueue hooks (called after every mutation)
     # ------------------------------------------------------------------
     def on_rq_change(self, rq: "RunQueue") -> None:
         """Validate ``rq`` after an enqueue/dequeue."""
@@ -121,7 +120,7 @@ class SchedSanitizer(Probe):
         problems = rq.sanitize_violations()
         if problems:
             self._fail(
-                "rbtree",
+                "runqueue",
                 f"runqueue of core {rq.core_id} corrupt after mutation: "
                 + "; ".join(problems),
             )

@@ -8,8 +8,8 @@ sensitivity or thread criticality.
 
 Reproduced mechanisms (scaled to the simulator's millisecond clock):
 
-* per-core runqueues ordered by virtual runtime in a red-black tree, with
-  the leftmost task picked next;
+* per-core runqueues ordered by ``(vruntime, tid)``, with the leftmost
+  task picked next;
 * ``sched_latency`` / ``min_granularity`` time slices that shrink as the
   queue grows;
 * wakeup placement (``place_entity``): a waking sleeper's vruntime is

@@ -102,8 +102,9 @@ class MachineConfig:
     #: included, land in :attr:`RunResult.events`.
     obs: ObsConfig | None = None
     #: Enable the runtime scheduler sanitizer (schedsan): read-only
-    #: invariant checks on the rbtree, runqueues, futex pairing, event
-    #: ordering, task states, and work conservation.  Scheduling outcomes
+    #: invariant checks on the runqueues' ``(vruntime, tid)`` order and
+    #: bookkeeping, futex pairing, event ordering, task states, and work
+    #: conservation.  Scheduling outcomes
     #: are bit-identical with this on or off; violations raise
     #: :class:`repro.errors.SanitizerError`.
     sanitize: bool = False

@@ -31,6 +31,9 @@ class TestModuleNames:
         path = pathlib.Path("/pytest-0/test_x0/repro/parallel/executor.py")
         assert module_name_for(path) == "repro.parallel.executor"
 
+    def test_init_outside_repro_named_after_its_directory(self):
+        assert module_name_for(pathlib.Path("tests/__init__.py")) == "tests"
+
 
 class TestModuleGraph:
     def test_build_and_import_edges(self, tmp_path):
@@ -43,6 +46,16 @@ class TestModuleGraph:
         assert graph.modules["repro.sim.a"].imports == {"repro.sim.b"}
         assert graph.importers_of("repro.sim.b") == ["repro.sim.a"]
         assert graph.files_scanned == 2
+
+    def test_package_init_keeps_its_name_beside_other_packages(self, tmp_path):
+        write_tree(tmp_path, {
+            "tests/__init__.py": "",
+            "src/repro/__init__.py": "",
+            "src/repro/sim/machine.py": "x = 1\n",
+        })
+        graph = ModuleGraph.build([tmp_path / "tests", tmp_path / "src/repro"])
+        assert graph.modules["repro"].posix.endswith("src/repro/__init__.py")
+        assert graph.modules["tests"].posix.endswith("tests/__init__.py")
 
     def test_find_by_suffix(self, tmp_path):
         write_tree(tmp_path, {"repro/sim/machine.py": "x = 1\n"})

@@ -346,17 +346,8 @@ class TestKERN001:
     def test_private_tree_access_flagged(self, tmp_path):
         codes = lint_source(
             tmp_path,
-            "def steal(rq):\n    return rq._tree.min_key()\n",
+            "def steal(rq):\n    return rq._entries[0]\n",
             rel="repro/schedulers/mod.py",
-        )
-        assert codes == ["KERN001"]
-
-    def test_rbtree_construction_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "from repro.kernel.rbtree import RBTree\n"
-            "def fresh():\n    return RBTree()\n",
-            rel="repro/sim/mod.py",
         )
         assert codes == ["KERN001"]
 
@@ -381,7 +372,7 @@ class TestKERN001:
         codes = lint_source(
             tmp_path,
             "def enqueue(self, task):\n"
-            "    self._tree.insert(key, task)\n",
+            "    insort(self._entries, (key, task))\n",
             rel="repro/kernel/runqueue.py",
         )
         assert codes == []

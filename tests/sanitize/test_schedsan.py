@@ -109,7 +109,22 @@ class TestRunQueueChecks:
         assert rq.sanitize_violations()
         with pytest.raises(SanitizerError) as err:
             sanitizer.on_rq_change(rq)
-        assert err.value.check == "rbtree"
+        assert err.value.check == "runqueue"
+
+    def test_out_of_order_queue_detected(self):
+        sanitizer, rq, _ = self.make_rq_with_tasks()
+        entries = rq._entries  # simulate external corruption
+        entries[0], entries[1] = entries[1], entries[0]
+        with pytest.raises(SanitizerError, match="out of order") as err:
+            sanitizer.on_rq_change(rq)
+        assert err.value.check == "runqueue"
+
+    def test_desynced_key_map_detected(self):
+        sanitizer, rq, tasks = self.make_rq_with_tasks()
+        del rq._keys[tasks[2].tid]  # simulate external corruption
+        with pytest.raises(SanitizerError, match="key map") as err:
+            sanitizer.on_rq_change(rq)
+        assert err.value.check == "runqueue"
 
     def test_queued_task_in_wrong_state_detected(self):
         sanitizer, rq, tasks = self.make_rq_with_tasks()
@@ -127,8 +142,8 @@ class TestRunQueueChecks:
         assert err.value.check == "min_vruntime"
 
     def test_stale_tree_key_is_not_a_violation(self):
-        # Queued vruntime may drift from the insertion key; dequeue uses
-        # the recorded key, so this must NOT trip the sanitizer.
+        # Queued vruntime may drift from the insertion key; dequeue searches
+        # for the recorded key, so this must NOT trip the sanitizer.
         _, rq, tasks = self.make_rq_with_tasks()
         tasks[0].vruntime += 100.0
         assert rq.sanitize_violations() == []

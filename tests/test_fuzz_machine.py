@@ -22,7 +22,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel.rbtree import RBTree
+from repro.kernel.runqueue import RunQueue
 from repro.kernel.sync import Barrier, Mutex, Pipe
 from repro.kernel.task import Task
 from repro.sanitize.schedsan import SchedSanitizer
@@ -38,7 +38,7 @@ from repro.workloads.actions import (
     PipePut,
     Sleep,
 )
-from tests.conftest import NEUTRAL_PROFILE, observer_of
+from tests.conftest import NEUTRAL_PROFILE, make_simple_task, observer_of
 
 SCHEDULER_NAMES = ("linux", "wash", "colab", "gts")
 
@@ -181,7 +181,7 @@ def test_random_workloads_complete_with_invariants(
 def test_random_workloads_pass_schedsan(spec, scheduler_name, seed):
     """Every random workload survives the runtime sanitizer.
 
-    schedsan validates the rbtree, runqueue lockstep, futex pairing,
+    schedsan validates runqueue order and lockstep, futex pairing,
     task state machine and work conservation after every mutation; any
     false positive (or real regression) raises SanitizerError here.
     """
@@ -197,97 +197,71 @@ def test_random_workloads_pass_schedsan(spec, scheduler_name, seed):
 
 
 @st.composite
-def rbtree_ops(draw):
-    """A random insert/delete/reweight sequence over small float keys."""
+def runqueue_ops(draw):
+    """A random enqueue/dequeue/pop_min/requeue/drift sequence.
+
+    Vruntimes come partly from a three-value pool so equal vruntimes with
+    distinct tids are common; ``drift`` changes a queued task's vruntime
+    without re-keying it, as accounting does to a task that waits.
+    """
     n_ops = draw(st.integers(1, 60))
+    vruntimes = st.one_of(
+        st.sampled_from((0.0, 1.0, 2.5)),
+        st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
+    )
     ops = []
     for _ in range(n_ops):
-        kind = draw(st.sampled_from(("insert", "delete", "reweight")))
-        vruntime = draw(
-            st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
-        )
-        tid = draw(st.integers(0, 15))
-        ops.append((kind, vruntime, tid))
+        kind = draw(st.sampled_from(
+            ("enqueue", "dequeue", "pop_min", "requeue", "drift")
+        ))
+        ops.append((kind, draw(vruntimes), draw(st.integers(0, 11))))
     return ops
 
 
-@given(ops=rbtree_ops())
+@given(ops=runqueue_ops())
 @settings(max_examples=150, deadline=None)
-def test_rbtree_against_sorted_list_oracle(ops):
-    """Randomised rbtree mutations cross-checked against a sorted list.
+def test_runqueue_against_sorted_list_oracle(ops):
+    """Randomised runqueue mutations cross-checked against a sorted list.
 
-    The oracle is the obvious O(n log n) structure: a sorted list of
-    (vruntime, tid) keys.  After every operation the tree must agree
-    with it on ordering, membership and the leftmost entry, and keep
-    every red-black invariant.
+    The oracle maps each queued task to the ``(vruntime, tid)`` key it was
+    (re)queued under.  After every operation the runqueue must agree with
+    the oracle's sorted keys on ``tasks()`` order, ``peek_min()`` and
+    ``len()``, and report no broken invariant.
     """
-    tree = RBTree()
-    oracle: dict[int, float] = {}  # tid -> vruntime currently in the tree
+    tasks = []
+    for i in range(12):
+        task = make_simple_task(f"t{i}")
+        task.mark_ready()
+        tasks.append(task)
+    rq = RunQueue(core_id=0)
+    oracle: dict[int, tuple[float, int]] = {}  # slot -> recorded key
 
-    for kind, vruntime, tid in ops:
-        if kind == "insert" and tid not in oracle:
-            tree.insert((vruntime, tid), f"task{tid}")
-            oracle[tid] = vruntime
-        elif kind == "delete" and tid in oracle:
-            value = tree.remove((oracle.pop(tid), tid))
-            assert value == f"task{tid}"
-        elif kind == "reweight" and tid in oracle:
-            tree.remove((oracle[tid], tid))
-            tree.insert((vruntime, tid), f"task{tid}")
-            oracle[tid] = vruntime
+    for kind, vruntime, slot in ops:
+        task = tasks[slot]
+        if kind == "enqueue" and slot not in oracle:
+            task.vruntime = vruntime
+            rq.enqueue(task)
+            oracle[slot] = (vruntime, task.tid)
+        elif kind == "dequeue" and slot in oracle:
+            rq.dequeue(task)
+            del oracle[slot]
+        elif kind == "pop_min":
+            expected = min(oracle, key=oracle.get, default=None)
+            popped = rq.pop_min()
+            assert popped is (None if expected is None else tasks[expected])
+            oracle.pop(expected, None)
+        elif kind == "requeue" and slot in oracle:
+            task.vruntime = vruntime
+            rq.requeue(task)
+            oracle[slot] = (vruntime, task.tid)
+        elif kind == "drift" and slot in oracle:
+            task.vruntime = vruntime
 
-        assert tree.invariant_violations() == []
-        expected = sorted((v, t) for t, v in oracle.items())
-        assert list(tree.keys()) == expected
-        assert len(tree) == len(expected)
-        assert tree.leftmost() == (
-            (expected[0], f"task{expected[0][1]}") if expected else None
-        )
-
-    # Drain in order: pop_leftmost yields the oracle's sorted sequence.
-    drained = []
-    while True:
-        entry = tree.pop_leftmost()
-        if entry is None:
-            break
-        drained.append(entry[0])
-        assert tree.invariant_violations() == []
-    assert drained == sorted((v, t) for t, v in oracle.items())
-
-
-@given(ops=rbtree_ops())
-@settings(max_examples=150, deadline=None)
-def test_rbtree_node_handles_against_sorted_list_oracle(ops):
-    """The O(1)-removal handle API agrees with the sorted-list oracle.
-
-    This is the runqueue's actual access pattern: ``insert`` returns a
-    node handle (the ``rb_node`` analogue), deletions go through
-    ``remove_node`` without a key lookup, and the scheduler's pick reads
-    ``leftmost_value``.  The oracle is the same sorted list as above.
-    """
-    tree = RBTree()
-    oracle: dict[int, float] = {}
-    nodes: dict[int, object] = {}  # tid -> live node handle
-
-    for kind, vruntime, tid in ops:
-        if kind == "insert" and tid not in oracle:
-            nodes[tid] = tree.insert((vruntime, tid), f"task{tid}")
-            oracle[tid] = vruntime
-        elif kind == "delete" and tid in oracle:
-            oracle.pop(tid)
-            tree.remove_node(nodes.pop(tid))
-        elif kind == "reweight" and tid in oracle:
-            tree.remove_node(nodes.pop(tid))
-            nodes[tid] = tree.insert((vruntime, tid), f"task{tid}")
-            oracle[tid] = vruntime
-
-        assert tree.invariant_violations() == []
-        expected = sorted((v, t) for t, v in oracle.items())
-        assert list(tree.keys()) == expected
-        assert len(tree) == len(expected)
-        assert tree.leftmost_value() == (
-            f"task{expected[0][1]}" if expected else None
-        )
+        order = sorted(oracle, key=oracle.get)
+        assert list(rq.tasks()) == [tasks[i] for i in order]
+        assert rq.peek_min() is (tasks[order[0]] if order else None)
+        assert len(rq) == len(order)
+        assert rq.sanitize_violations() == []
 
 
 @given(

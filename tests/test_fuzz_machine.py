@@ -196,9 +196,12 @@ def test_random_workloads_pass_schedsan(spec, scheduler_name, seed):
     assert observer_of(machine, SchedSanitizer).checks_run > 0
 
 
+ORDER_OPS = ("enqueue", "dequeue", "pop_min", "requeue")
+
+
 @st.composite
-def runqueue_ops(draw):
-    """A random enqueue/dequeue/pop_min/requeue/drift sequence.
+def runqueue_ops(draw, kinds=ORDER_OPS):
+    """A random sequence of runqueue operations drawn from ``kinds``.
 
     Vruntimes come partly from a three-value pool so equal vruntimes with
     distinct tids are common; ``drift`` changes a queued task's vruntime
@@ -211,22 +214,19 @@ def runqueue_ops(draw):
     )
     ops = []
     for _ in range(n_ops):
-        kind = draw(st.sampled_from(
-            ("enqueue", "dequeue", "pop_min", "requeue", "drift")
-        ))
+        kind = draw(st.sampled_from(kinds))
         ops.append((kind, draw(vruntimes), draw(st.integers(0, 11))))
     return ops
 
 
-@given(ops=runqueue_ops())
-@settings(max_examples=150, deadline=None)
-def test_runqueue_against_sorted_list_oracle(ops):
-    """Randomised runqueue mutations cross-checked against a sorted list.
+def _run_against_sorted_list_oracle(ops):
+    """Apply ``ops`` to a real RunQueue and to a sorted-list oracle.
 
     The oracle maps each queued task to the ``(vruntime, tid)`` key it was
     (re)queued under.  After every operation the runqueue must agree with
     the oracle's sorted keys on ``tasks()`` order, ``peek_min()`` and
-    ``len()``, and report no broken invariant.
+    ``len()``, and report no broken invariant.  Returns the runqueue, the
+    tasks and the oracle as they stand after the last operation.
     """
     tasks = []
     for i in range(12):
@@ -262,6 +262,41 @@ def test_runqueue_against_sorted_list_oracle(ops):
         assert rq.peek_min() is (tasks[order[0]] if order else None)
         assert len(rq) == len(order)
         assert rq.sanitize_violations() == []
+    return rq, tasks, oracle
+
+
+@given(ops=runqueue_ops())
+@settings(max_examples=150, deadline=None)
+def test_rbtree_against_sorted_list_oracle(ops):
+    """Runqueue ordering agrees with a sorted list, then drains in order.
+
+    The name is kept from the red-black tree the runqueue used to hold;
+    the structure under test is now the sorted-list ``RunQueue``.  Random
+    enqueue/dequeue/pop_min/requeue sequences with tied vruntimes are
+    cross-checked after every step, and ``pop_min`` must then yield the
+    oracle's sorted sequence.
+    """
+    rq, tasks, oracle = _run_against_sorted_list_oracle(ops)
+    drained = []
+    while (task := rq.pop_min()) is not None:
+        drained.append(task)
+        assert rq.sanitize_violations() == []
+    assert drained == [tasks[i] for i in sorted(oracle, key=oracle.get)]
+    assert len(rq) == 0 and rq.peek_min() is None
+
+
+@given(ops=runqueue_ops(kinds=ORDER_OPS + ("drift",)))
+@settings(max_examples=150, deadline=None)
+def test_rbtree_node_handles_against_sorted_list_oracle(ops):
+    """Removal goes through the key recorded at enqueue, not the live one.
+
+    The name is kept from the red-black tree's node handles; in the
+    sorted-list ``RunQueue`` that handle is the ``(vruntime, tid)`` key
+    recorded per tid.  ``drift`` changes a queued task's vruntime without
+    re-keying it, so ``dequeue``, ``requeue`` and ``pop_min`` must still
+    find the entry where it was inserted.
+    """
+    _run_against_sorted_list_oracle(ops)
 
 
 @given(

@@ -19,6 +19,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -900,9 +901,15 @@ def main(argv: list[str] | None = None) -> int:
     configure(verbosity=args.verbose)
     try:
         result = args.func(args)
+        sys.stdout.flush()
     except ExperimentError as exc:
         print(f"colab-repro: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point it at devnull
+        # so the interpreter's exit-time flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return int(result or 0)
 
 

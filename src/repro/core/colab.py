@@ -86,9 +86,8 @@ class COLABScheduler(Scheduler):
         )
         self.allocator: HierarchicalRRAllocator | None = None
         #: Memo for prediction-derived charge scales, invalidated on every
-        #: labeling pass; only consulted when the machine's hot path is on.
+        #: labeling pass.
         self._pred_cache = PredictionCache()
-        self._pred_cache_on = False
 
     # ------------------------------------------------------------------
     def attach(self, machine: "Machine") -> None:
@@ -96,7 +95,6 @@ class COLABScheduler(Scheduler):
         self.allocator = HierarchicalRRAllocator(
             machine.big_cores, machine.little_cores
         )
-        self._pred_cache_on = bool(getattr(machine.config, "hotpath", False))
 
     def label_period(self) -> float | None:
         return self.label_period_ms
@@ -192,8 +190,6 @@ class COLABScheduler(Scheduler):
     # Scale-slice preemption and equal-progress accounting
     # ------------------------------------------------------------------
     def _charge_scale(self, task: "Task", core: "Core") -> float:
-        if not self._pred_cache_on:
-            return self.policy.charge_scale(task, core)
         cache = self._pred_cache
         is_big = core.is_big
         scale = cache.get(task.tid, is_big)
@@ -207,14 +203,14 @@ class COLABScheduler(Scheduler):
         task.vruntime += delta * self._charge_scale(task, core)
 
     def slice_for(self, task: "Task", core: "Core") -> float:
-        if not (self._pred_cache_on and self.policy.enabled and core.is_big):
-            return self.policy.slice_for(task, core)
         # Mirrors ScaleSlicePolicy.slice_for with the prediction-derived
         # divisor memoized: on big cores the divisor max(1, predicted)
         # is exactly the charge scale, so the same cache entry serves both.
         policy = self.policy
         nr_running = len(core.rq) + 1
         base = max(policy.min_granularity, policy.sched_latency / nr_running)
+        if not (policy.enabled and core.is_big):
+            return base
         return max(
             policy.min_granularity / 2, base / self._charge_scale(task, core)
         )

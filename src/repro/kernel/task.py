@@ -215,11 +215,9 @@ class Task:
         # calls begin() when the task first wakes), and lint rule OBS003
         # rejects writes anywhere else.  Readers use getattr with a default.
 
-        #: ``profile.speedup()`` memo, primed by the machine at task
-        #: registration when the hot path is enabled.  The profile is
-        #: frozen, so its speedup is a constant the hot path should not
-        #: keep paying ``np.clip`` for; the reference path leaves this
-        #: unset and recomputes per call (see :meth:`true_speedup`).
+        #: ``profile.speedup()`` memo, set by :meth:`true_speedup` on first
+        #: use.  The profile is frozen, so its speedup is a constant that
+        #: need not pay ``np.clip`` on every call.
         self._profile_speedup: float | None = None
 
     # ------------------------------------------------------------------
@@ -290,22 +288,13 @@ class Task:
         profile speedup applies.  Non-compute phases (blocked on I/O or
         synchronisation) are core-insensitive by definition.
         """
-        if self.current_segment is not None and self.current_segment.speedup is not None:
-            return self.current_segment.speedup
+        segment = self.current_segment
+        if segment is not None and segment.speedup is not None:
+            return segment.speedup
         cached = self._profile_speedup
-        if cached is not None:
-            return cached
-        return self.profile.speedup()
-
-    def prime_speedup_cache(self) -> None:
-        """Memoize ``profile.speedup()`` for :meth:`true_speedup`.
-
-        Called by the machine at registration time on the hot path only;
-        the memoized value is by construction identical to what the
-        reference path recomputes on every call.
-        """
-        if self._profile_speedup is None:
-            self._profile_speedup = self.profile.speedup()
+        if cached is None:
+            cached = self._profile_speedup = self.profile.speedup()
+        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -118,10 +118,9 @@ class OracleSpeedupModel(SpeedupEstimator):
         self._rng = np.random.default_rng(seed)
 
     def estimate(self, task: "Task", window: dict[str, float]) -> float | None:
-        # The machine primes the task's profile-speedup memo on the hot
-        # path only; when set it is identical to profile.speedup(), so
-        # reading it preserves bit-exact parity while sparing the
-        # reference path nothing (it recomputes, as the seed did).
+        # Task.true_speedup memoizes profile.speedup() on first use; when
+        # set the memo is identical to it, so reading it is bit-exact.
+        # Before the task's first dispatch it is unset and recomputed.
         truth = task._profile_speedup
         if truth is None:
             truth = task.profile.speedup()

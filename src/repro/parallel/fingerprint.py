@@ -62,13 +62,12 @@ PINNED_CONFIG_FIELDS = (
 )
 
 #: MachineConfig switches asserted digest-neutral: runs produce
-#: bit-identical behavioural results with them on or off (the hot-path
-#: parity suite and the tracer/schedsan/timeseries tests pin this), so
-#: they must not fragment the cache key space.
+#: bit-identical behavioural results with them on or off (the
+#: observer-neutrality fuzz test and the tracer/schedsan/timeseries tests
+#: pin this), so they must not fragment the cache key space.
 PARITY_NEUTRAL_FIELDS = (
     "obs",
     "sanitize",
-    "hotpath",
     "timeseries",
 )
 

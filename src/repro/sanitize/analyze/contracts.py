@@ -7,7 +7,7 @@ on an explicit exclusion tuple with a rationale.  Silence -- a field the
 serialiser neither reads nor excludes -- is the bug class these catch:
 a sweep parameter that does not reach the cache key shares cache entries
 between runs that should differ; a behavioural result field that never
-reaches ``run_digest`` lets the hot path drift from the reference
+reaches ``run_digest`` lets the simulator drift from the stored digests
 unnoticed.
 
 A field counts as *covered* when its name appears in the consumer module
@@ -123,10 +123,10 @@ def ana002(project: Project) -> Iterator[Violation]:
     project=True,
 )
 def ana003(project: Project) -> Iterator[Violation]:
-    """run_digest parity is the proof that the optimised hot path is
-    bit-identical to the reference simulator; a RunResult or TaskStats
+    """run_digest equality with the stored digests is the proof that a
+    change keeps the simulator bit-identical; a RunResult or TaskStats
     field the digest neither hashes nor explicitly excludes is a blind
-    spot where the two paths could diverge without any test noticing.
+    spot where behaviour could drift without any test noticing.
     """
     consumer = project.graph.find_by_suffix("sim/digest.py")
     if consumer is None:
@@ -140,6 +140,6 @@ def ana003(project: Project) -> Iterator[Violation]:
             node,
             "ANA003",
             f"{class_name}.{name} is neither hashed by run_digest nor "
-            "named on a *_FIELDS exclusion tuple; hot-path drift in it "
-            "would escape digest parity",
+            "named on a *_FIELDS exclusion tuple; drift in it would "
+            "escape the stored digests",
         )

@@ -90,8 +90,8 @@ class Core:
     #: dispatch will fire; lets the machine prove a segment-done event
     #: scheduled after it can never be observed (stale-event suppression).
     slice_deadline: float = 0.0
-    #: Scratch pool of recycled timer events (hot path only; stays empty
-    #: on the reference path so event identity is unchanged there).
+    #: Scratch pool of recycled timer events (at most 8; see
+    #: :meth:`repro.sim.machine.Machine._recycle_event`).
     event_pool: list = field(default_factory=list)
 
     # --- statistics -------------------------------------------------------

@@ -178,7 +178,7 @@ _COMPUTE_NOISY_NAMES: tuple[str, ...] = (
     "fetch.IcacheWaitRetryStallCycles",
 )
 
-#: Noise factors the hot path draws per ``Generator.normal`` call: eight
+#: Noise factors drawn per ``Generator.normal`` call: eight
 #: :meth:`PerformanceCounters.record_compute` calls' worth.  Kept small,
 #: and packed as float64 (440 bytes, against 1.3 KB as a list of floats),
 #: because every task object holds its block for as long as it lives.
@@ -197,29 +197,27 @@ class PerformanceCounters:
     others ``Task.counters`` is None, meaning "the policy reads no
     counters", and no segment pays for counter synthesis.
 
-    When ``hotpath`` is set, :meth:`record_compute` takes its five noise
-    factors from a block of :data:`_NOISE_BLOCK` drawn by one
-    ``Generator.normal`` call, refilled when fewer than five remain,
-    instead of making five scalar calls.  numpy's Generator fills
-    ``normal(size=N)`` element by element from the same bit-stream, so
-    the values are those the scalar calls would draw, in the same order.
-    That makes every counter bit-identical provided ``rng`` has no other
-    consumer, since the block draws ahead of use: the machine seeds one
-    generator per task for its counters alone, and nothing but
-    :meth:`record_compute` draws from it.  The block amortises numpy's
-    per-call dispatch overhead on the simulator's hottest accounting
-    site.
+    :meth:`record_compute` takes its five noise factors from a block of
+    :data:`_NOISE_BLOCK` drawn by one ``Generator.normal`` call, refilled
+    when fewer than five remain, instead of making five scalar calls.
+    numpy's Generator fills ``normal(size=N)`` element by element from the
+    same bit-stream, so the values are those the scalar calls would draw,
+    in the same order.  That makes every counter bit-identical to per-call
+    draws provided ``rng`` has no other consumer, since the block draws
+    ahead of use: the machine seeds one generator per task for its
+    counters alone, and nothing but :meth:`record_compute` draws from it.
+    The block amortises numpy's per-call dispatch overhead on the
+    simulator's hottest accounting site.
     """
 
     profile: MicroArchProfile
     rng: np.random.Generator
     totals: dict[str, float] = field(default_factory=dict)
     window: dict[str, float] = field(default_factory=dict)
-    hotpath: bool = False
-    # Per-instruction rates are a fixed function of the (frozen) profile;
-    # the hot path computes them once instead of per record_compute call.
-    _rates: tuple[float, ...] | None = field(default=None, repr=False)
-    # Hot-path noise block and the index of its next unused factor.
+    # Per-instruction rates are a fixed function of the (frozen) profile,
+    # computed once instead of per record_compute call.
+    _rates: tuple[float, ...] = field(init=False, repr=False)
+    # Noise block and the index of its next unused factor.
     _noise: array = field(default_factory=lambda: array("d"), repr=False)
     _cursor: int = field(default=0, repr=False)
 
@@ -227,12 +225,16 @@ class PerformanceCounters:
         for name in INFORMATIVE_NAMES:
             self.totals.setdefault(name, 0.0)
             self.window.setdefault(name, 0.0)
+        p = self.profile
+        self._rates = (
+            0.05 + 0.40 * p.ilp,
+            0.02 + 0.20 * p.branchiness,
+            0.002 + 0.05 * p.store_pressure,
+            0.05 + 0.60 * p.mem_bound,
+            0.005 + 0.12 * p.frontend_stall,
+        )
 
     # -- accumulation -------------------------------------------------------
-    def _bump(self, name: str, amount: float) -> None:
-        self.totals[name] += amount
-        self.window[name] += amount
-
     def record_compute(self, work: float, cpu_time: float) -> None:
         """Account ``work`` units retired over ``cpu_time`` ms of execution.
 
@@ -245,52 +247,27 @@ class PerformanceCounters:
         if work == 0.0:
             return
         insts = work * INSTRUCTIONS_PER_WORK
-        p = self.profile
-        if self.hotpath:
-            rates = self._rates
-            if rates is None:
-                rates = self._rates = (
-                    0.05 + 0.40 * p.ilp,
-                    0.02 + 0.20 * p.branchiness,
-                    0.002 + 0.05 * p.store_pressure,
-                    0.05 + 0.60 * p.mem_bound,
-                    0.005 + 0.12 * p.frontend_stall,
-                )
-            noise = self._noise
-            start = self._cursor
-            if start > len(noise) - 5:
-                noise = self._noise = array(
-                    "d", self.rng.normal(0.0, 0.05, _NOISE_BLOCK).tobytes()
-                )
-                start = 0
-            self._cursor = start + 5
-            totals = self.totals
-            window = self.window
-            totals["commit.committedInsts"] += insts
-            window["commit.committedInsts"] += insts
-            for name, rate, sample in zip(
-                _COMPUTE_NOISY_NAMES, rates, noise[start:start + 5]
-            ):
-                # ``max(0.0, f)`` without the builtin call (same value
-                # for NaN and 0.0).
-                f = 1.0 + sample
-                amount = insts * rate * (f if f > 0.0 else 0.0)
-                totals[name] += amount
-                window[name] += amount
-            return
-
-        def noisy(rate: float) -> float:
-            return insts * rate * max(0.0, 1.0 + self.rng.normal(0.0, 0.05))
-
-        self._bump("commit.committedInsts", insts)
-        self._bump("fp_regfile_writes", noisy(0.05 + 0.40 * p.ilp))
-        self._bump("fetch.Branches", noisy(0.02 + 0.20 * p.branchiness))
-        self._bump("rename.SQFullEvents", noisy(0.002 + 0.05 * p.store_pressure))
-        self._bump("dcache.tags.tagsinuse", noisy(0.05 + 0.60 * p.mem_bound))
-        self._bump(
-            "fetch.IcacheWaitRetryStallCycles",
-            noisy(0.005 + 0.12 * p.frontend_stall),
-        )
+        noise = self._noise
+        start = self._cursor
+        if start > len(noise) - 5:
+            noise = self._noise = array(
+                "d", self.rng.normal(0.0, 0.05, _NOISE_BLOCK).tobytes()
+            )
+            start = 0
+        self._cursor = start + 5
+        totals = self.totals
+        window = self.window
+        totals["commit.committedInsts"] += insts
+        window["commit.committedInsts"] += insts
+        for name, rate, sample in zip(
+            _COMPUTE_NOISY_NAMES, self._rates, noise[start:start + 5]
+        ):
+            # ``max(0.0, f)`` without the builtin call (same value for NaN
+            # and 0.0).
+            f = 1.0 + sample
+            amount = insts * rate * (f if f > 0.0 else 0.0)
+            totals[name] += amount
+            window[name] += amount
 
     def record_wait(self, wait_time: float) -> None:
         """Account blocked time as quiesce (interrupt-wait) cycles."""
@@ -298,7 +275,8 @@ class PerformanceCounters:
             raise SimulationError(f"negative wait time {wait_time}")
         # 2 GHz big-core cycles per ms of quiescence, profile-weighted.
         cycles = wait_time * 2.0e6 * (0.5 + 0.5 * self.profile.quiesce)
-        self._bump("quiesceCycles", cycles)
+        self.totals["quiesceCycles"] += cycles
+        self.window["quiesceCycles"] += cycles
 
     # -- snapshots ------------------------------------------------------------
     def read_window(self, reset: bool = True) -> dict[str, float]:

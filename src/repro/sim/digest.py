@@ -3,9 +3,10 @@
 :func:`run_digest` hashes every *behavioural* field of a run -- schedule
 outcomes, per-task accounting, per-core residency, and the DISPATCH
 records of a traced run's ``events`` -- into one hex string.  Two runs
-are scheduling-equivalent iff their digests match; the hot-path benchmark
-and the fuzz suite use this to assert that the optimised simulator path
-is bit-identical to the reference path.
+are scheduling-equivalent iff their digests match; the stored digests
+under ``hostbench/expected/`` and the observer-neutrality fuzz test use
+this to assert that a change to the simulator or an enabled observer
+leaves behaviour bit-identical.
 
 Floats are hashed through ``repr`` (the shortest round-tripping form), so
 any bit-level drift in a single accounting value changes the digest.
@@ -35,9 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: * ``trace_metadata`` -- exporter context (topology, scheduler, seed,
 #:   core kinds) fixed by the run's inputs.
 #: * ``events_processed`` / ``events_discarded`` / ``events_suppressed``
-#:   / ``metrics`` -- engine bookkeeping counters; the hot path suppresses
-#:   stale events by design, so these differ between paths that are
-#:   behaviourally identical.
+#:   / ``metrics`` -- engine bookkeeping counters; they count how stale
+#:   events were suppressed or discarded, which an engine optimisation
+#:   may change without changing behaviour.
 #: * ``attribution`` -- observational per-task time accounting, derived
 #:   from the same dispatch stream the digest already hashes.
 #: * ``timeseries`` -- observational windowed aggregates sampled from the

@@ -1,11 +1,11 @@
 """The discrete-event simulation engine.
 
 :class:`Engine` is a minimal, deterministic event loop: a binary heap of
-:class:`~repro.sim.events.Event` records ordered by
-``(time, kind-priority, insertion sequence)``.  The
-:class:`~repro.sim.machine.Machine` owns an engine and registers one
-handler per event kind; the engine itself knows nothing about cores,
-tasks, or schedulers.
+``(time, kind, seq, event)`` tuples, so :class:`~repro.sim.events.Event`
+records are processed in ``(time, kind-priority, insertion sequence)``
+order.  The :class:`~repro.sim.machine.Machine` owns an engine and
+registers one handler per event kind; the engine itself knows nothing
+about cores, tasks, or schedulers.
 
 Determinism contract
 --------------------
@@ -18,8 +18,7 @@ on.
 
 from __future__ import annotations
 
-import heapq
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -47,15 +46,10 @@ class Engine:
         [1.0, 2.0]
     """
 
-    def __init__(self, max_events: int = 50_000_000, hotpath: bool = True) -> None:
-        #: Hot-path heap layout: entries are (time, kind, seq, event)
-        #: tuples whose ordering fields are compared natively in C instead
-        #: of through Event.__lt__, and whose unique seq guarantees the
-        #: Event itself is never compared.  The order is exactly
-        #: Event.sort_key(), so both layouts process events identically;
-        #: ``hotpath=False`` selects the reference layout (Event objects
-        #: compared via sort_key) for A/B parity measurement.
-        self._hot = hotpath
+    def __init__(self, max_events: int = 50_000_000) -> None:
+        #: Entries are (time, kind, seq, event) tuples: the ordering fields
+        #: are compared natively in C, and the unique seq guarantees the
+        #: Event itself is never compared.
         self._heap: list = []
         # Indexed by EventKind value: list indexing beats dict hashing on
         # the hottest line of the simulator (every event dispatches here).
@@ -119,10 +113,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         event.seq = seq
-        if self._hot:
-            heapq.heappush(self._heap, (event.time, event.kind, seq, event))
-        else:
-            heapq.heappush(self._heap, event)
+        heappush(self._heap, (event.time, event.kind, seq, event))
         return event
 
     def push_at(self, time: float, kind: EventKind, **fields: object) -> Event:
@@ -161,11 +152,7 @@ class Engine:
         heap = self._heap
         if not heap:
             return None
-        if self._hot:
-            event_time, _kind, _seq, event = heappop(heap)
-        else:
-            event = heappop(heap)
-            event_time = event.time
+        event_time, _kind, _seq, event = heappop(heap)
         if event_time < self.now:
             raise SimulationError(
                 f"heap produced past event at t={event_time} < now={self.now}"
@@ -202,20 +189,9 @@ class Engine:
         heap = self._heap
         step = self.step
         recycle = self.recycle
-        hot = self._hot
-        if recycle is None:
-            while heap and not self._stopped:
-                if until is not None:
-                    frontier = heap[0][0] if hot else heap[0].time
-                    if frontier > until:
-                        break
-                step()
-        else:
-            while heap and not self._stopped:
-                if until is not None:
-                    frontier = heap[0][0] if hot else heap[0].time
-                    if frontier > until:
-                        break
-                event = step()
-                if event is not None:
-                    recycle(event)
+        while heap and not self._stopped:
+            if until is not None and heap[0][0] > until:
+                break
+            event = step()
+            if recycle is not None:
+                recycle(event)

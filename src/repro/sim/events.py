@@ -64,13 +64,3 @@ class Event:
     core_id: int = -1
     version: int = -1
     payload: Any = field(default=None, repr=False)
-
-    def sort_key(self) -> tuple[float, int, int]:
-        """Total order used by the engine's priority queue."""
-        return (self.time, int(self.kind), self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        # Only exercised by the reference (hotpath=False) engine heap,
-        # which stores Event objects directly; the hot path compares
-        # (time, kind, seq) tuples natively and never calls this.
-        return self.sort_key() < other.sort_key()

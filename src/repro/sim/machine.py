@@ -111,14 +111,6 @@ class MachineConfig:
     #: Optional per-cluster frequency scaling policy
     #: (:class:`repro.sim.dvfs.DVFSPolicy`).
     dvfs: object | None = None
-    #: Enable the single-run hot path: stale-event suppression at push
-    #: time, fast discard of version-stale timers at pop time, a per-core
-    #: scratch event pool, memoized speedup predictions, and PMU noise
-    #: drawn in blocks (:class:`~repro.sim.counters.PerformanceCounters`).
-    #: Outcomes are bit-identical with this on or off (the parity
-    #: benchmark asserts it); ``False`` selects the reference path for
-    #: A/B comparison.
-    hotpath: bool = True
     #: Enable the sim-time metrics timeline (:mod:`repro.obs.timeseries`):
     #: a fixed-cadence, read-only sampler of runqueue depth, utilization,
     #: migration/preemption rates, futex waiters, vruntime spread, and
@@ -216,7 +208,7 @@ class Machine:
         self.topology = topology
         self.config = config or MachineConfig()
         self.obs = Observability(self.config.obs)
-        self.engine = Engine(hotpath=self.config.hotpath)
+        self.engine = Engine()
         self.cores: list[Core] = topology.build_cores()
         for core in self.cores:
             core.rq = RunQueue(core.core_id)
@@ -251,18 +243,11 @@ class Machine:
         self._dispatch_pending: set[int] = set()
         self._ran = False
 
-        #: Hot-path switches (see :attr:`MachineConfig.hotpath`).  The
-        #: discard/recycle hooks are only installed on the hot path, so
-        #: the reference path never drops an event early and its per-core
-        #: event pools stay empty (every timer is a fresh allocation,
-        #: exactly as before this optimisation existed).
-        self._hotpath = self.config.hotpath
         #: SEGMENT_DONE pushes skipped because a live slice expiry proves
         #: they could never fire valid.
         self.events_suppressed = 0
-        if self._hotpath:
-            self.engine.discard = self._fast_discard
-            self.engine.recycle = self._recycle_event
+        self.engine.discard = self._fast_discard
+        self.engine.recycle = self._recycle_event
 
         self.engine.register(EventKind.SEGMENT_DONE, self._on_segment_done)
         self.engine.register(EventKind.SLICE_EXPIRY, self._on_slice_expiry)
@@ -321,12 +306,8 @@ class Machine:
             seed = self.rng.integers(0, 2**63)
             if self.scheduler.reads_counters:
                 task.counters = PerformanceCounters(
-                    profile=task.profile,
-                    rng=np.random.default_rng(seed),
-                    hotpath=self._hotpath,
+                    profile=task.profile, rng=np.random.default_rng(seed)
                 )
-        if self._hotpath:
-            task.prime_speedup_cache()
         self.tasks.append(task)
         if app_name is not None:
             self.app_names.setdefault(task.app_id, app_name)
@@ -565,10 +546,9 @@ class Machine:
             if outcome != "compute":
                 return
         # Both timers derive from the same (now, pending_penalty) state, so
-        # the slice deadline can be fixed before the segment-done push; the
-        # push order (segment-done, then expiry) matches the reference path
-        # so sequence numbers line up event-for-event when nothing is
-        # suppressed.
+        # the slice deadline is fixed before the segment-done push, which
+        # it may suppress.  Push order (segment-done, then expiry) fixes
+        # the sequence numbers the stored digests were recorded with.
         slice_len = self.scheduler.slice_for(task, core)
         if slice_len <= 0:
             raise SchedulerError(
@@ -583,12 +563,12 @@ class Machine:
     def _schedule_segment_done(self, core: Core, task: Task, now: float) -> None:
         """Schedule the running segment's completion timer.
 
-        Stale-event suppression (hot path only): ``core.slice_deadline``
-        holds the firing time of the live slice-expiry timer for the same
-        scheduling version.  A completion strictly after that deadline can
-        never fire valid -- either the expiry fires first and bumps the
-        version, or something else already bumped it (which stales both
-        timers) -- so the push is skipped entirely.  A completion *at* the
+        Stale-event suppression: ``core.slice_deadline`` holds the firing
+        time of the live slice-expiry timer for the same scheduling
+        version.  A completion strictly after that deadline can never fire
+        valid -- either the expiry fires first and bumps the version, or
+        something else already bumped it (which stales both timers) -- so
+        the push is skipped entirely.  A completion *at* the
         deadline still fires first (SEGMENT_DONE outranks SLICE_EXPIRY at
         equal timestamps) and must be pushed.
         """
@@ -597,7 +577,7 @@ class Machine:
             raise SimulationError(f"no segment to schedule for {task.name}")
         rate = core.rate_for(task)
         finish = now + task.pending_penalty + segment.remaining / rate
-        if self._hotpath and finish > core.slice_deadline:
+        if finish > core.slice_deadline:
             self.events_suppressed += 1
             return
         self._push_timer(finish, EventKind.SEGMENT_DONE, core, core.sched_version)
@@ -607,9 +587,8 @@ class Machine:
     ) -> None:
         """Push a core-directed timer, reusing a pooled event if possible.
 
-        The pool only ever holds events on the hot path (the recycle hook
-        that feeds it is not installed otherwise), so the reference path
-        allocates every timer fresh, exactly as it always did.
+        :meth:`_recycle_event` feeds the pool with dead timers of the same
+        core; a timer is allocated fresh only when the pool is empty.
         """
         pool = core.event_pool
         if pool:

@@ -182,7 +182,7 @@ def per_call_draws(works, profile, seed):
 
 
 class TestBlockDrawnNoise:
-    """The hot path draws noise in blocks; values match per-call draws."""
+    """Noise is drawn in blocks; values match per-call draws."""
 
     @pytest.mark.parametrize("n_calls", [1, 7, 8, 9, 17])
     def test_matches_per_call_draws(self, n_calls):
@@ -191,7 +191,7 @@ class TestBlockDrawnNoise:
         for at in sorted({0, n_calls // 2, 8, n_calls}, reverse=True):
             works.insert(min(at, len(works)), 0.0)
         counters = PerformanceCounters(
-            profile=FAST_PROFILE, rng=np.random.default_rng(11), hotpath=True
+            profile=FAST_PROFILE, rng=np.random.default_rng(11)
         )
         for work in works:
             counters.record_compute(work, cpu_time=work)
@@ -201,7 +201,7 @@ class TestBlockDrawnNoise:
 
     def test_zero_work_draws_nothing(self):
         counters = PerformanceCounters(
-            profile=FAST_PROFILE, rng=np.random.default_rng(11), hotpath=True
+            profile=FAST_PROFILE, rng=np.random.default_rng(11)
         )
         untouched = np.random.default_rng(11).bit_generator.state
         for _ in range(3):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -382,6 +386,33 @@ class TestErrorExit:
         )
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "d.html").exists()
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["lint", "--list-rules"], 0),
+            (["lint", "src/repro", "tests", "benchmarks", "examples", "hostbench"], 1),
+        ],
+        ids=["closed-before-output", "closed-after-one-line"],
+    )
+    def test_closed_stdout_exits_without_traceback(self, argv, lines):
+        """``repro ... | head -1`` ends quietly with exit code 1.
+
+        Closing the pipe before any output makes the broken pipe certain;
+        after one line it depends on when the reader closes.
+        """
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            for _ in range(lines):
+                assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
     def test_simulation_error_keeps_its_traceback(self, monkeypatch):
         from repro import cli

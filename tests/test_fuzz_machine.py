@@ -17,6 +17,7 @@ dispatches).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from hypothesis import given, settings
@@ -304,30 +305,42 @@ def test_rbtree_node_handles_against_sorted_list_oracle(ops):
     scheduler_name=st.sampled_from(SCHEDULER_NAMES),
     seed=st.integers(0, 2**16),
 )
-@settings(max_examples=25, deadline=None)
-def test_hotpath_matches_reference_digest(spec, scheduler_name, seed):
-    """Hot path and reference path produce bit-identical runs.
+@settings(max_examples=100, deadline=None)
+def test_observers_leave_digest_unchanged(spec, scheduler_name, seed):
+    """schedsan, the tracer, metrics and the sampler never change a run.
 
-    The suppression/discard/pool/memoization machinery is only allowed
-    to change wall-clock cost, never outcomes: for any random workload,
-    scheduler and seed, ``MachineConfig(hotpath=True)`` must yield the
-    same :func:`run_digest` as ``hotpath=False``.  The global tid
-    counter is reset per build because task ids are digest fields.
+    ``PARITY_NEUTRAL_FIELDS`` keeps ``sanitize``, ``obs`` and
+    ``timeseries`` out of the result-cache key on this claim: for any
+    random workload, scheduler and seed, a run with all of them on has
+    the :func:`run_digest` of the run with all of them off.  The traced
+    run's DISPATCH records are hashed too (they exist only when tracing),
+    so they are dropped before the comparison.  The global tid counter
+    is reset per build because task ids are digest fields.
     """
     from repro.kernel.task import reset_tid_counter
+    from repro.obs.context import ObsConfig
     from repro.sim.digest import run_digest
 
-    def digest(hotpath: bool) -> str:
+    def run(observed: bool):
         reset_tid_counter()
         machine = Machine(
             make_topology(2, 1),
             make_scheduler(scheduler_name),
-            MachineConfig(seed=seed, hotpath=hotpath),
+            MachineConfig(
+                seed=seed,
+                sanitize=observed,
+                obs=ObsConfig(trace=True, metrics=True) if observed else None,
+                timeseries=observed,
+            ),
         )
         build_workload(machine, spec)
-        return run_digest(machine.run())
+        return machine, machine.run()
 
-    assert digest(True) == digest(False)
+    _, bare = run(observed=False)
+    machine, observed = run(observed=True)
+    assert observer_of(machine, SchedSanitizer).checks_run > 0
+    assert observed.events and observed.metrics and observed.timeseries
+    assert run_digest(dataclasses.replace(observed, events=[])) == run_digest(bare)
 
 
 @given(

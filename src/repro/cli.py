@@ -9,11 +9,12 @@ Examples::
     colab-repro train                # Table 2 pipeline only
     colab-repro trace --mix Sync-2   # Perfetto trace + metrics of one run
     colab-repro trace --timeseries   # + sim-time counter tracks
-    colab-repro dash                 # self-contained HTML dashboard
     colab-repro -vv trace ...        # same, with DEBUG decision logs
-    colab-repro sweep --jobs 4       # telemetry sweep: timeline + report
-    colab-repro sweep-report sweep_report.json
+    colab-repro report --mix Sync-2  # per-task time attribution of one run
+    colab-repro sweep --jobs 4       # cross product, live progress line
+    colab-repro ledger list          # recorded runs and sweep points
     colab-repro diff a.jsonl b.jsonl # explain a run_digest mismatch
+    colab-repro lint src/repro       # static checks, one sorted report
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ def _context(args: argparse.Namespace) -> ExperimentContext:
     )
 
 
+def _names(text: str, what: str) -> list[str]:
+    """Split a comma-separated CLI list; an empty result is an error."""
+    from repro.errors import ExperimentError
+
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise ExperimentError(f"no {what} given in {text!r}")
+    return names
+
+
 def _cmd_train(args: argparse.Namespace) -> None:
     from repro.model.training import train_speedup_model
 
@@ -130,8 +141,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
     from repro.experiments.runner import sweep
     from repro.workloads.mixes import MIXES
 
+    schedulers = tuple(_names(args.schedulers, "schedulers"))
     ctx = _context(args)
-    schedulers = tuple(s.strip() for s in args.schedulers.split(","))
     points = sweep(
         ctx, [args.mix], configs=(args.config,), schedulers=schedulers,
         sanitize=args.sanitize,
@@ -248,74 +259,6 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         f"stale discarded={counters.get('engine.events.discarded', 0):.0f} "
         f"pred-cache hits={counters.get('model.pred_cache.hits', 0):.0f}"
         f"/misses={counters.get('model.pred_cache.misses', 0):.0f}"
-    )
-
-
-def _cmd_dash(args: argparse.Namespace) -> None:
-    """Render the self-contained HTML dashboard for one sampled run."""
-    import json
-    import pathlib
-
-    from repro.errors import ExperimentError
-    from repro.experiments.runner import run_mix_once
-    from repro.obs.dashboard import render_dashboard
-    from repro.obs.dist import load_sweep_report
-    from repro.workloads.mixes import MIXES
-
-    sweep = None
-    if args.sweep_report is not None:
-        sweep = load_sweep_report(args.sweep_report)
-    ctx = _context(args)
-    mix = MIXES.get(args.mix)
-    if mix is None:
-        raise ExperimentError(f"unknown mix {args.mix!r}")
-    result = run_mix_once(
-        ctx, mix, args.config, args.scheduler, big_first=True,
-        timeseries=True,
-    )
-    run_panel = {
-        "topology": result.topology_name,
-        "scheduler": result.scheduler_name,
-        "seed": ctx.seed,
-        "makespan_ms": result.makespan,
-        "timeseries": result.timeseries,
-    }
-
-    ledger_series = None
-    ledger = _open_ledger(args)
-    if ledger is not None:
-        with ledger:
-            ledger_series = ledger.metric_series(
-                ["makespan", "h_antt", "h_stp", "wall_s"],
-                mix=args.mix,
-                config=args.config,
-                scheduler=args.scheduler,
-                limit=args.ledger_limit,
-            )
-
-    benches: dict = {}
-    for path in sorted(pathlib.Path(args.bench_dir).glob("BENCH_*.json")):
-        try:
-            benches[path.stem] = json.loads(path.read_text())
-        except (OSError, ValueError):
-            print(f"warning: skipping unreadable {path}", file=sys.stderr)
-
-    document = render_dashboard(
-        run=run_panel,
-        sweep=sweep,
-        ledger_series=ledger_series,
-        benches=benches,
-        title=(
-            f"repro dashboard: {args.scheduler} / {args.config} / {args.mix}"
-        ),
-    )
-    with open(args.out, "w") as handle:
-        handle.write(document)
-    series = (result.timeseries or {}).get("series", {})
-    print(
-        f"wrote {args.out}: {len(document)} bytes, {len(series)} run series, "
-        f"{len(benches)} bench artifact(s) "
-        "(self-contained -- open in any browser)"
     )
 
 
@@ -454,61 +397,25 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    """Telemetry-enabled sweep: results + merged timeline + report."""
-    import json
-
+    """Sweep a cross product of points behind a live progress line."""
     from repro.experiments.runner import sweep
-    from repro.obs.dist import (
-        DistTelemetry,
-        SweepProgress,
-        render_sweep_report,
-    )
+    from repro.obs.progress import SweepProgress
 
+    mixes = _names(args.mixes, "mixes")
+    configs = tuple(_names(args.configs, "configs"))
+    schedulers = tuple(_names(args.schedulers, "schedulers"))
     ctx = _context(args)
-    mixes = [m.strip() for m in args.mixes.split(",") if m.strip()]
-    configs = tuple(c.strip() for c in args.configs.split(","))
-    schedulers = tuple(s.strip() for s in args.schedulers.split(","))
     total = len(mixes) * len(configs) * len(schedulers)
-    telemetry = DistTelemetry(
-        progress=SweepProgress(total, enabled=not args.no_progress)
-    )
     points = sweep(
         ctx, mixes, configs=configs, schedulers=schedulers, jobs=args.jobs,
-        sanitize=args.sanitize, telemetry=telemetry,
+        sanitize=args.sanitize,
+        progress=SweepProgress(total, enabled=not args.no_progress),
     )
     for metrics in points:
         print(
             f"{metrics.mix_index}/{metrics.config}/{metrics.scheduler:<8} "
             f"H_ANTT={metrics.h_antt:.3f} H_STP={metrics.h_stp:.3f}"
         )
-    document = telemetry.merged_timeline()
-    with open(args.timeline, "w") as handle:
-        json.dump(document, handle)
-    report = telemetry.report()
-    with open(args.report, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(
-        f"\nwrote {args.timeline}: "
-        f"{len(document['traceEvents'])} trace_event records, "
-        f"{document['otherData']['workers']} worker tracks "
-        f"(open at https://ui.perfetto.dev)"
-    )
-    print(f"wrote {args.report}")
-    print()
-    print(render_sweep_report(report))
-
-
-def _cmd_sweep_report(args: argparse.Namespace) -> None:
-    """Summarise a sweep-report JSON written by ``sweep``."""
-    import json
-
-    from repro.obs.dist import load_sweep_report, render_sweep_report
-
-    report = load_sweep_report(args.report)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_sweep_report(report))
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -717,41 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Perfetto counter track per series (a 'timeline' process)",
     )
     trace.set_defaults(func=_cmd_trace)
-    dash = sub.add_parser(
-        "dash",
-        help="render one self-contained HTML dashboard (inline SVG, no "
-        "scripts): sampled run timeline + sweep report + ledger trends "
-        "+ BENCH_*.json artifacts",
-    )
-    dash.add_argument("--mix", default="Sync-2", help="Table 4 mix index")
-    dash.add_argument("--config", default="2B2S", help="2B2S/2B4S/4B2S/4B4S")
-    dash.add_argument(
-        "--scheduler", default="colab", help="linux/wash/colab/gts"
-    )
-    dash.add_argument(
-        "--out", default="dashboard.html", help="HTML output path"
-    )
-    dash.add_argument(
-        "--sweep-report",
-        default=None,
-        metavar="JSON",
-        help="sweep report written by `repro sweep --report` to include "
-        "as the sweep panel",
-    )
-    dash.add_argument(
-        "--bench-dir",
-        default=".",
-        metavar="DIR",
-        help="directory globbed for BENCH_*.json artifacts (default: cwd)",
-    )
-    dash.add_argument(
-        "--ledger-limit",
-        type=int,
-        default=20,
-        metavar="N",
-        help="ledger history points per metric in the trends panel",
-    )
-    dash.set_defaults(func=_cmd_dash)
     report = sub.add_parser(
         "report",
         help="per-task time attribution + decision-quality report of one "
@@ -815,8 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     ledger_trend.set_defaults(func=_cmd_ledger)
     sweep_cmd = sub.add_parser(
         "sweep",
-        help="telemetry-enabled sweep: merged multi-process timeline, "
-        "live progress, sweep report",
+        help="evaluate a mixes x configs x schedulers cross product "
+        "behind a live progress line",
     )
     sweep_cmd.add_argument(
         "--mixes", default="Sync-1,Sync-2",
@@ -830,14 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated: linux/wash/colab/gts",
     )
     sweep_cmd.add_argument(
-        "--timeline", default="sweep_timeline.json",
-        help="merged Perfetto timeline output path",
-    )
-    sweep_cmd.add_argument(
-        "--report", default="sweep_report.json",
-        help="sweep-report JSON output path",
-    )
-    sweep_cmd.add_argument(
         "--no-progress", action="store_true",
         help="suppress the live progress line",
     )
@@ -846,16 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every point under the scheduler sanitizer (schedsan)",
     )
     sweep_cmd.set_defaults(func=_cmd_sweep)
-    sweep_report = sub.add_parser(
-        "sweep-report", help="summarise a sweep-report JSON (text or JSON)"
-    )
-    sweep_report.add_argument(
-        "report", help="sweep-report JSON written by the sweep subcommand"
-    )
-    sweep_report.add_argument(
-        "--json", action="store_true", help="re-emit the JSON payload"
-    )
-    sweep_report.set_defaults(func=_cmd_sweep_report)
     diff = sub.add_parser(
         "diff",
         help="first divergence between two JSONL traces (exit 1 if any)",

@@ -30,8 +30,7 @@ from repro.metrics.baselines import BaselineCache
 from repro.metrics.turnaround import h_antt, h_stp
 from repro.model.speedup import OracleSpeedupModel, SpeedupEstimator
 from repro.obs.metrics import Counter, MetricsRegistry
-from repro.obs.spans import SpanCollector
-from repro.schedulers import make_scheduler
+from repro.schedulers import SCHEDULER_NAMES, make_scheduler
 from repro.sim.machine import Machine, MachineConfig, RunResult
 from repro.sim.topology import Topology, make_topology, standard_topologies
 from repro.workloads.mixes import MIXES, WorkloadMix
@@ -154,11 +153,6 @@ class ExperimentContext:
     obs_metrics: MetricsRegistry = field(
         default_factory=lambda: MetricsRegistry(enabled=True), repr=False
     )
-    #: Host-side span collector (:class:`repro.obs.spans.SpanCollector`)
-    #: for sweep telemetry; ``None`` keeps the hot path span-free.  Worker
-    #: processes get their own collector (built by the pool initializer),
-    #: never the parent's.
-    spans: object | None = field(default=None, repr=False)
     #: Optional append-only run ledger (:class:`repro.obs.ledger.Ledger`).
     #: When set, :func:`sweep` records every point (ledger semantics in
     #: its docstring).  Recording happens strictly after results exist
@@ -250,6 +244,10 @@ class ExperimentContext:
 
     def make_scheduler(self, name: str):
         """Fresh scheduler instance (schedulers are per-machine objects)."""
+        if name.lower() not in SCHEDULER_NAMES:
+            raise ExperimentError(
+                f"unknown scheduler {name!r}; expected linux/wash/colab/gts"
+            )
         if name in ("wash", "colab"):
             return make_scheduler(name, estimator=self.get_estimator())
         return make_scheduler(name)
@@ -293,16 +291,10 @@ def run_mix_once(
     and a cached bare result would lack the requested checking/series.
     """
     key = (mix.index, config, scheduler_name, big_first)
-    spans = ctx.spans if ctx.spans is not None and ctx.spans.enabled else None
     cacheable = obs is None and not sanitize and not timeseries
     if cacheable:
         cached = ctx._run_cache.get(key)
         if cached is not None:
-            if spans is not None:
-                spans.event(
-                    "run_cache_hit", mix=mix.index, config=config,
-                    scheduler=scheduler_name, big_first=big_first,
-                )
             return cached
     topology = ctx.topology(config, big_first)
     machine = Machine(
@@ -315,14 +307,7 @@ def run_mix_once(
     env = ProgramEnv.for_machine(machine, work_scale=ctx.work_scale)
     for instance in mix.instantiate(env):
         machine.add_program(instance)
-    if spans is not None:
-        with spans.span(
-            "run", mix=mix.index, config=config, scheduler=scheduler_name,
-            big_first=big_first,
-        ):
-            result = machine.run()
-    else:
-        result = machine.run()
+    result = machine.run()
     registry = ctx.obs_metrics
     if registry.enabled:
         # Fresh computation only -- cache hits above return early, so these
@@ -410,7 +395,7 @@ def sweep(
     schedulers: tuple[str, ...] = SCHEDULERS,
     jobs: int | None = None,
     sanitize: bool = False,
-    telemetry=None,
+    progress=None,
 ) -> list[MixMetrics]:
     """Evaluate the full cross product (cached, order-averaged).
 
@@ -418,15 +403,14 @@ def sweep(
     (skipped when ``sanitize``), evaluate the rest, store them, and
     record every point in ``ctx.ledger`` in point order.  The only fork
     is where pending points run: in this process when the job count
-    (``jobs``, else ``ctx.jobs``) is 1 and no ``telemetry`` is attached,
-    otherwise on :func:`repro.parallel.executor.evaluate_on_pool`, whose
-    output is merged in submission order and is bit-identical to the
-    in-process path for pure estimators.
+    (``jobs``, else ``ctx.jobs``) is 1, otherwise on
+    :func:`repro.parallel.executor.evaluate_on_pool`, whose output is
+    merged in submission order and is bit-identical to the in-process
+    path for pure estimators.
 
-    ``telemetry`` (a :class:`repro.obs.dist.DistTelemetry`, optional)
-    collects cross-process spans, progress, and the sweep report; it
-    routes even ``jobs=1`` through the pool so the merged timeline always
-    has the same parent + worker track structure.
+    ``progress`` (a :class:`repro.obs.progress.SweepProgress`, optional)
+    is updated once per finished point on either path and finished at
+    the end; it only displays.
 
     Ledger rows: an evaluated point records its measured ``wall_s`` and
     ``cache_hit=False``; a cache hit records ``wall_s=None`` and
@@ -440,31 +424,26 @@ def sweep(
         for scheduler in schedulers
     ]
     jobs = max(1, ctx.jobs if jobs is None else jobs)
-    if telemetry is not None:
-        telemetry.begin(points, jobs)
-        if telemetry.progress is not None:
-            telemetry.progress.total = len(points)
-        spans = telemetry.parent
-    else:
-        spans = SpanCollector(actor="parent", enabled=False)
 
     results: dict[MetricsKey, MixMetrics] = {}
-    with spans.span("resolve_cache"):
-        for point in () if sanitize else points:
-            hit = ctx.peek_metrics(*point)
-            if hit is not None:
-                results[point] = hit
-                if telemetry is not None:
-                    telemetry.record_cached(point)
+    for point in () if sanitize else points:
+        hit = ctx.peek_metrics(*point)
+        if hit is not None:
+            results[point] = hit
     pending = [point for point in points if point not in results]
+    if progress is not None:
+        progress.total = len(points)
+        progress.update(len(results), force=True)
 
-    pooled = jobs > 1 or telemetry is not None
-    if pooled:
+    if jobs > 1:
         from repro.parallel.executor import evaluate_on_pool
 
         evaluated = evaluate_on_pool(
-            ctx, pending, jobs, sanitize, telemetry, from_cache=len(results)
+            ctx, pending, jobs, sanitize, progress, from_cache=len(results)
         )
+        if not sanitize:
+            for metrics, _seconds in evaluated:
+                ctx.store_metrics(metrics)
     else:
         # Each point is stored as soon as it exists, so an interrupted
         # sweep keeps what it finished.
@@ -473,20 +452,15 @@ def sweep(
             started = time.perf_counter()
             metrics = _evaluate_uncached(ctx, *point, sanitize)
             evaluated.append((metrics, time.perf_counter() - started))
+            if progress is not None:
+                progress.update(len(results) + len(evaluated))
     wall_s: dict[MetricsKey, float] = {}
     for point, (metrics, seconds) in zip(pending, evaluated):
         results[point] = metrics
         wall_s[point] = seconds
-    if pooled and pending and not sanitize:
-        with spans.span("store_results", points=len(pending)):
-            for point in pending:
-                ctx.store_metrics(results[point])
 
-    if telemetry is not None:
-        telemetry.finish()
-        telemetry.aggregate_into(ctx.obs_metrics)
-        if telemetry.progress is not None:
-            telemetry.progress.finish()
+    if progress is not None:
+        progress.finish()
     _record_ledger(ctx, points, results, wall_s, sanitize)
     return [results[point] for point in points]
 

@@ -30,28 +30,13 @@ from repro.obs.attribution import (
     task_state_slices,
 )
 from repro.obs.context import Observability, ObsConfig
-from repro.obs.dashboard import (
-    DASHBOARD_SCHEMA_VERSION,
-    render_dashboard,
-    sparkline,
-)
 from repro.obs.diff import (
     TraceDiff,
     diff_trace_files,
     first_divergence,
     render_trace_diff,
 )
-from repro.obs.dist import (
-    REPORT_SCHEMA_VERSION,
-    DistTelemetry,
-    PointTelemetry,
-    SweepProgress,
-    point_label,
-    render_sweep_report,
-    timeline_shape,
-)
 from repro.obs.exporters import (
-    merged_sweep_trace,
     timeseries_counter_records,
     to_chrome_trace,
     to_jsonl,
@@ -76,12 +61,7 @@ from repro.obs.metrics import (
     TimeWeighted,
 )
 from repro.obs.profiling import Profiler
-from repro.obs.spans import (
-    SPAN_SCHEMA_VERSION,
-    Span,
-    SpanCollector,
-    SpanEvent,
-)
+from repro.obs.progress import SweepProgress
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA_VERSION,
     TimeseriesConfig,
@@ -100,8 +80,6 @@ __all__ = [
     "ATTRIBUTION_SCHEMA_VERSION",
     "AttributionAccounting",
     "Counter",
-    "DASHBOARD_SCHEMA_VERSION",
-    "DistTelemetry",
     "EventKind",
     "Gauge",
     "Histogram",
@@ -111,15 +89,9 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "ObsConfig",
-    "PointTelemetry",
     "Profiler",
-    "REPORT_SCHEMA_VERSION",
     "SCHEMA_VERSION",
-    "SPAN_SCHEMA_VERSION",
     "STATE_NAMES",
-    "Span",
-    "SpanCollector",
-    "SpanEvent",
     "SweepProgress",
     "TIMESERIES_SCHEMA_VERSION",
     "TimeWeighted",
@@ -136,21 +108,15 @@ __all__ = [
     "first_divergence",
     "get_logger",
     "link_decisions",
-    "merged_sweep_trace",
-    "point_label",
     "record_point",
     "render_attribution",
-    "render_dashboard",
     "render_decision_quality",
     "render_ledger_rows",
-    "render_sweep_report",
     "render_trace_diff",
     "render_trend",
     "series_value",
-    "sparkline",
     "summarize_attribution",
     "task_state_slices",
-    "timeline_shape",
     "timeseries_counter_records",
     "to_chrome_trace",
     "to_jsonl",

@@ -348,147 +348,3 @@ def write_chrome_trace(
         ),
         handle,
     )
-
-
-# ----------------------------------------------------------------------
-# Multi-process sweep timelines (repro.obs.dist)
-# ----------------------------------------------------------------------
-
-def _s_to_us(wall_s: float, t0: float) -> float:
-    """Rebase an epoch timestamp to the sweep start, in microseconds."""
-    return max(0.0, wall_s - t0) * 1e6
-
-
-def _span_records(spans, pid: int, t0: float) -> list[dict]:
-    """Complete ("X") trace_event records for one actor's spans."""
-    records = []
-    for span in spans:
-        end_s = span.end_s if span.end_s is not None else span.start_s
-        args = dict(span.args or {})
-        args["span_id"] = span.span_id
-        if span.parent_id is not None:
-            args["parent_id"] = span.parent_id
-        records.append(
-            {
-                "ph": _PH_COMPLETE,
-                "name": span.name,
-                "cat": "span",
-                "pid": pid,
-                "tid": 0,
-                "ts": _s_to_us(span.start_s, t0),
-                "dur": max(0.0, (end_s - span.start_s) * 1e6),
-                "args": args,
-            }
-        )
-    return records
-
-
-def _event_records(events, pid: int, t0: float) -> list[dict]:
-    """Instant ("i") trace_event records for one actor's span-events."""
-    return [
-        {
-            "ph": _PH_INSTANT,
-            "name": event.name,
-            "cat": "mark",
-            "pid": pid,
-            "tid": 0,
-            "ts": _s_to_us(event.time_s, t0),
-            "s": "t",
-            "args": dict(event.args or {}),
-        }
-        for event in events
-    ]
-
-
-def _process_metadata(pid: int, name: str) -> list[dict]:
-    return [
-        {
-            "ph": _PH_METADATA,
-            "name": "process_name",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": name},
-        },
-        {
-            "ph": _PH_METADATA,
-            "name": "process_sort_index",
-            "pid": pid,
-            "tid": 0,
-            "args": {"sort_index": pid},
-        },
-    ]
-
-
-def merged_sweep_trace(
-    parent_spans: list,
-    parent_events: list,
-    bundles: list,
-    t0: float,
-    trace_id: str | None = None,
-) -> dict:
-    """Merge one sweep's telemetry into a single Perfetto document.
-
-    Args:
-        parent_spans / parent_events: The parent orchestration track
-            (:class:`repro.obs.spans.Span` / ``SpanEvent`` records).
-        bundles: :class:`repro.obs.dist.PointTelemetry` bundles **in
-            submission-point order** -- the caller
-            (:meth:`repro.obs.dist.DistTelemetry.merged_timeline`) owns
-            that ordering; this function must stay a pure function of its
-            arguments so repeated merges are identical.
-        t0: Sweep-start epoch seconds; every timestamp is rebased to it.
-        trace_id: Recorded in ``otherData`` for cross-referencing.
-
-    Returns:
-        A Chrome ``trace_event`` JSON document: pid 0 is the parent
-        orchestration track; each worker gets its own pid (1 + track
-        index, tracks ordered by first appearance over the ordered
-        bundles).  Worker point spans are complete slices; the
-        submit->start gap of each point is rendered as an explicit
-        ``queue-wait`` slice on the worker's track so queue-wait vs
-        compute is visible at a glance.
-    """
-    records: list[dict] = []
-    records.extend(_process_metadata(0, "sweep parent [orchestration]"))
-    records.extend(_span_records(parent_spans, 0, t0))
-    records.extend(_event_records(parent_events, 0, t0))
-
-    worker_pids: list[int] = []
-    for bundle in bundles:
-        if bundle.pid not in worker_pids:
-            worker_pids.append(bundle.pid)
-    track_of = {pid: index for index, pid in enumerate(worker_pids)}
-
-    for pid in worker_pids:
-        track = track_of[pid]
-        records.extend(
-            _process_metadata(1 + track, f"worker {track} [pid {pid}]")
-        )
-
-    for bundle in bundles:
-        doc_pid = 1 + track_of[bundle.pid]
-        if bundle.queue_wait_s > 0.0:
-            records.append(
-                {
-                    "ph": _PH_COMPLETE,
-                    "name": "queue-wait",
-                    "cat": "queue",
-                    "pid": doc_pid,
-                    "tid": 0,
-                    "ts": _s_to_us(bundle.submit_s, t0),
-                    "dur": bundle.queue_wait_s * 1e6,
-                    "args": {"point": "/".join(bundle.point)},
-                }
-            )
-        records.extend(_span_records(bundle.spans, doc_pid, t0))
-        records.extend(_event_records(bundle.events, doc_pid, t0))
-
-    return {
-        "traceEvents": records,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "schema_version": SCHEMA_VERSION,
-            "trace_id": trace_id or "",
-            "workers": len(worker_pids),
-        },
-    }

@@ -268,48 +268,6 @@ class Ledger:
                 series.append((record["id"], float(value)))
         return series
 
-    def metric_series(
-        self,
-        metrics: list[str],
-        *,
-        mix: str | None = None,
-        config: str | None = None,
-        scheduler: str | None = None,
-        limit: int = 50,
-        kind: str | None = None,
-    ) -> dict:
-        """Per-metric history summaries for dashboard trend panels.
-
-        One :meth:`history` query per metric over the same
-        (mix, config, scheduler) group, summarised to the shape the
-        dashboard renders: the raw ``ids``/``values`` series plus the
-        latest value and the median of everything before it (the same
-        baseline :meth:`trend` judges against).  Metrics with no recorded
-        numeric values are omitted.
-        """
-        # Imported here: at module level it would add decimal and fractions
-        # to every ``import repro``.
-        import statistics
-
-        out: dict[str, dict] = {}
-        for metric in metrics:
-            series = self.history(
-                mix=mix, config=config, scheduler=scheduler,
-                metric=metric, limit=limit, kind=kind,
-            )
-            if not series:
-                continue
-            values = [value for _, value in series]
-            out[metric] = {
-                "ids": [row_id for row_id, _ in series],
-                "values": values,
-                "latest": values[-1],
-                "median_prior": statistics.median(values[:-1])
-                if len(values) > 1 else None,
-                "lower_is_better": LOWER_IS_BETTER.get(metric, True),
-            }
-        return out
-
     def compare(self, id_a: int, id_b: int) -> dict:
         """Metric + attribution-total deltas between two rows (b - a)."""
         a, b = self.get_run(id_a), self.get_run(id_b)
@@ -371,7 +329,9 @@ class Ledger:
         }
         if len(series) < 3:
             return result
-        import statistics  # imported here, see metric_series
+        # Imported here: at module level it would add decimal and fractions
+        # to every ``import repro``.
+        import statistics
 
         *prior, (latest_id, latest) = series
         baseline = statistics.median(value for _, value in prior)

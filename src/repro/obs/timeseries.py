@@ -358,8 +358,8 @@ def series_value(series: dict, window: dict) -> float:
     """The one representative value of ``window`` for counter tracks/charts.
 
     Gauges plot their window mean, rates their per-second rate, ratios
-    their value -- the single number a Perfetto counter track or a
-    dashboard sparkline shows per window.
+    their value -- the single number a Perfetto counter track shows per
+    window.
     """
     kind = series.get("kind", "gauge")
     if kind == "rate":

@@ -1,9 +1,8 @@
 """Process-pool evaluation of sweep points with deterministic merging.
 
 :func:`repro.experiments.runner.sweep` resolves cached points, stores
-results, and records the ledger; when it runs pending points on a pool
-(``jobs > 1`` or telemetry attached) it hands them to
-:func:`evaluate_on_pool`, which fans them out over a
+results, and records the ledger; when ``jobs > 1`` it hands the pending
+points to :func:`evaluate_on_pool`, which fans them out over a
 :class:`concurrent.futures.ProcessPoolExecutor` while preserving the
 repo's determinism contract:
 
@@ -18,15 +17,10 @@ repo's determinism contract:
   rebuilds it exactly instead of re-running the Table 2 pipeline per
   process.  With nothing pending (a fully warm cache) no model is
   trained and no worker is spawned.
-* **Observational telemetry** -- with a
-  :class:`repro.obs.dist.DistTelemetry` attached, each worker records
-  spans and counter deltas per point and ships a
-  :class:`~repro.obs.dist.PointTelemetry` bundle back alongside the
-  result.  Bundles ride the same futures but never touch the merge keys,
-  the caches, or the fingerprint, so telemetry-enabled sweeps return
-  bit-identical results to plain ones.  Live progress polls futures in
-  submission order with a timeout (display only; the merge is oblivious
-  to which future finished first).
+* **Display-only progress** -- with a
+  :class:`repro.obs.progress.SweepProgress` attached, the collector polls
+  futures in submission order with a timeout and updates the progress
+  line per point; the merge is oblivious to which future finished first.
 
 Caveat: an impure estimator (oracle with ``noise_std > 0``) draws from a
 sequential RNG stream, so its predictions depend on how many estimates
@@ -44,120 +38,54 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import ExperimentContext, MixMetrics, evaluate_mix
+from repro.experiments.runner import (
+    ExperimentContext,
+    MetricsKey,
+    MixMetrics,
+    evaluate_mix,
+)
 from repro.model.speedup import estimator_from_spec, estimator_to_spec
-from repro.obs.dist import DistTelemetry, Point, PointTelemetry, point_label
-from repro.obs.spans import SpanCollector
+from repro.obs.progress import SweepProgress
 
 #: Worker-process context, built once per worker by :func:`_init_worker`.
 _WORKER_CTX: ExperimentContext | None = None
 
 
-def _init_worker(
-    seed: int,
-    work_scale: float,
-    estimator_spec: dict,
-    telemetry_ctx: dict | None = None,
-) -> None:
-    """Build the per-worker context from the parent's shipped state.
-
-    ``telemetry_ctx`` (``{"trace_id": ...}``) propagates the sweep's
-    trace id; when present the worker context gets its own
-    :class:`~repro.obs.spans.SpanCollector` whose spans are drained into
-    per-point bundles by :func:`_eval_point`.
-    """
+def _init_worker(seed: int, work_scale: float, estimator_spec: dict) -> None:
+    """Build the per-worker context from the parent's shipped state."""
     global _WORKER_CTX
     _WORKER_CTX = ExperimentContext(
         seed=seed,
         work_scale=work_scale,
         estimator=estimator_from_spec(estimator_spec),
     )
-    if telemetry_ctx is not None:
-        _WORKER_CTX.spans = SpanCollector(
-            actor=f"pid-{os.getpid()}",
-            trace_id=telemetry_ctx.get("trace_id", ""),
-        )
-
-
-def _counter_snapshot(ctx: ExperimentContext) -> dict[str, float]:
-    """Current counter values of the worker context's registry."""
-    if not ctx.obs_metrics.enabled:
-        return {}
-    return dict(ctx.obs_metrics.snapshot().get("counters", {}))
 
 
 def _eval_point(
-    mix_index: str,
-    config: str,
-    scheduler: str,
-    sanitize: bool,
-    submit_s: float | None = None,
-) -> tuple[MixMetrics, int, float, PointTelemetry | None]:
-    """Worker task: one evaluation point plus utilisation bookkeeping.
-
-    With telemetry enabled (a span collector on the worker context and a
-    ``submit_s`` from the parent), also returns the point's telemetry
-    bundle: the point span (wrapping the whole evaluation), any nested
-    run spans / cache-hit marks, and the counter deltas this point caused
-    (sim event totals, run-cache traffic, ...).
-    """
+    mix_index: str, config: str, scheduler: str, sanitize: bool
+) -> tuple[MixMetrics, int, float]:
+    """Worker task: one evaluation point plus utilisation bookkeeping."""
     if _WORKER_CTX is None:  # pragma: no cover - initializer contract
         raise ExperimentError("worker context missing; pool not initialised")
-    ctx = _WORKER_CTX
     started = time.perf_counter()
-    spans = ctx.spans
-    collect = spans is not None and spans.enabled and submit_s is not None
-    if not collect:
-        metrics = evaluate_mix(ctx, mix_index, config, scheduler, sanitize=sanitize)
-        return metrics, os.getpid(), time.perf_counter() - started, None
-
-    point = (mix_index, config, scheduler)
-    before = _counter_snapshot(ctx)
-    start_s = time.time()
-    with spans.span(
-        point_label(point), mix=mix_index, config=config, scheduler=scheduler
-    ):
-        metrics = evaluate_mix(ctx, mix_index, config, scheduler, sanitize=sanitize)
-    end_s = time.time()
-    after = _counter_snapshot(ctx)
-    deltas = {
-        name: value - before.get(name, 0.0)
-        for name, value in after.items()
-        if value != before.get(name, 0.0)
-    }
-    point_spans, point_events = spans.drain()
-    bundle = PointTelemetry(
-        point=point,
-        pid=os.getpid(),
-        submit_s=submit_s,
-        start_s=start_s,
-        end_s=end_s,
-        spans=point_spans,
-        events=point_events,
-        counters=deltas,
+    metrics = evaluate_mix(
+        _WORKER_CTX, mix_index, config, scheduler, sanitize=sanitize
     )
-    return metrics, os.getpid(), time.perf_counter() - started, bundle
+    return metrics, os.getpid(), time.perf_counter() - started
 
 
-def _collect_with_progress(submitted, telemetry: DistTelemetry):
+def _collect_with_progress(submitted, progress: SweepProgress, done: int):
     """Drain futures in submission order, rendering live progress.
 
-    Yields ``(point, result)`` strictly in submission order -- progress
+    Yields each future's result strictly in submission order -- progress
     polling uses ``Future.result(timeout=...)`` on the *next* pending
     future, so completion order is display-only and can never reorder
     the merge (DET003).
     """
-    progress = telemetry.progress
-    live = progress is not None and progress.enabled
-    done = len(telemetry.cached)
-    if live:
-        progress.update(done, force=True)
-    for index, (point, future) in enumerate(submitted):
+    for index, (_point, future) in enumerate(submitted):
         while True:
             try:
-                result = future.result(
-                    timeout=progress.poll_interval_s if live else None
-                )
+                result = future.result(timeout=progress.poll_interval_s)
                 break
             except FutureTimeoutError:
                 stragglers = tuple(
@@ -165,17 +93,16 @@ def _collect_with_progress(submitted, telemetry: DistTelemetry):
                 )
                 progress.update(done, stragglers)
         done += 1
-        if live:
-            progress.update(done)
-        yield point, result
+        progress.update(done)
+        yield result
 
 
 def evaluate_on_pool(
     ctx: ExperimentContext,
-    pending: list[Point],
+    pending: list[MetricsKey],
     jobs: int,
     sanitize: bool,
-    telemetry: DistTelemetry | None,
+    progress: SweepProgress | None,
     from_cache: int,
 ) -> list[tuple[MixMetrics, float]]:
     """Evaluate ``pending`` on ``jobs`` workers; ``(metrics, wall_s)`` each.
@@ -183,27 +110,19 @@ def evaluate_on_pool(
     The output is in submission (= ``pending``) order.  Workers neither
     read nor write the parent's caches; the caller stores the results.
     Publishes the ``parallel.*`` metrics (``from_cache`` counts the points
-    the caller resolved without the pool) and, with ``telemetry``, the
-    worker bundles, the parent's orchestration spans and the pool
-    accounting.
+    the caller resolved without the pool, and is where ``progress``
+    starts counting).
     """
     registry = ctx.obs_metrics
     registry.gauge("parallel.jobs").set(jobs)
     registry.counter("parallel.points_from_cache").inc(from_cache)
     if not pending:
         return []
-    if telemetry is not None:
-        spans = telemetry.parent
-        telemetry_ctx = {"trace_id": telemetry.trace_id}
-    else:
-        spans = SpanCollector(actor="parent", enabled=False)
-        telemetry_ctx = None
 
     # Train (or reuse) the model once in the parent; workers rebuild it
     # from the fitted spec instead of re-running the training pipeline.
-    with spans.span("train_estimator"):
-        estimator_spec = estimator_to_spec(ctx.get_estimator())
-    initargs = (ctx.seed, ctx.work_scale, estimator_spec, telemetry_ctx)
+    estimator_spec = estimator_to_spec(ctx.get_estimator())
+    initargs = (ctx.seed, ctx.work_scale, estimator_spec)
 
     evaluated: list[tuple[MixMetrics, float]] = []
     busy_s: dict[int, float] = {}
@@ -212,39 +131,23 @@ def evaluate_on_pool(
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=initargs
     ) as pool:
-        with spans.span("submit", points=len(pending)):
-            submitted = [
-                (
-                    point,
-                    pool.submit(
-                        _eval_point,
-                        *point,
-                        sanitize,
-                        time.time() if telemetry is not None else None,
-                    ),
-                )
-                for point in pending
-            ]
+        submitted = [
+            (point, pool.submit(_eval_point, *point, sanitize))
+            for point in pending
+        ]
         # Deterministic merge: collect by evaluation point in submission
         # order.  Completion order must never influence the output (or
         # anything else observable) -- see DET003.
-        with spans.span("collect", points=len(pending)):
-            if telemetry is not None:
-                outcomes = _collect_with_progress(submitted, telemetry)
-            else:
-                outcomes = (
-                    (point, future.result()) for point, future in submitted
-                )
-            for point, (metrics, pid, seconds, bundle) in outcomes:
-                evaluated.append((metrics, seconds))
-                busy_s[pid] = busy_s.get(pid, 0.0) + seconds
-                points_by_pid[pid] = points_by_pid.get(pid, 0) + 1
-                if bundle is not None:
-                    telemetry.record_bundle(point, bundle)
+        if progress is not None:
+            outcomes = _collect_with_progress(submitted, progress, from_cache)
+        else:
+            outcomes = (future.result() for _point, future in submitted)
+        for metrics, pid, seconds in outcomes:
+            evaluated.append((metrics, seconds))
+            busy_s[pid] = busy_s.get(pid, 0.0) + seconds
+            points_by_pid[pid] = points_by_pid.get(pid, 0) + 1
     elapsed = time.perf_counter() - started
 
-    if telemetry is not None:
-        telemetry.record_pool(busy_s, points_by_pid, elapsed)
     registry.counter("parallel.points_executed").inc(len(pending))
     registry.gauge("parallel.wall_s").set(elapsed)
     registry.gauge("parallel.workers_used").set(len(busy_s))

@@ -20,11 +20,9 @@ oracle draws from a sequential RNG stream) have no stable fingerprint:
 :func:`estimator_fingerprint` returns ``None`` and callers must skip the
 persistent cache for them.
 
-Telemetry is deliberately **not** key material: whether a sweep ran with
-``repro.obs.dist`` spans/progress enabled changes nothing about the
-outcome (telemetry is observational by contract), so a telemetry-enabled
-sweep must hit the same cache entries a plain one wrote -- and telemetry
-bundles are likewise never part of the cached payload.
+Observation is deliberately **not** key material: the context's metrics
+registry and run ledger change nothing about the outcome, so a sweep
+that records them must hit the same cache entries a plain one wrote.
 :data:`TELEMETRY_EXCLUDED_FIELDS` names the excluded state for tests.
 """
 
@@ -43,11 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Bump when the cached payload layout or key material changes shape.
 SCHEMA_VERSION = 1
 
-#: Context/sweep state that must never appear in key material or cached
-#: payloads: telemetry describes an execution, not an outcome.  The run
-#: ledger is recording-only in the same sense -- it observes results
-#: after they exist and can never influence them.
-TELEMETRY_EXCLUDED_FIELDS = ("spans", "obs_metrics", "ledger")
+#: Context state that must never appear in key material or cached
+#: payloads: the metrics registry describes an execution, not an outcome,
+#: and the run ledger observes results after they exist and can never
+#: influence them.
+TELEMETRY_EXCLUDED_FIELDS = ("obs_metrics", "ledger")
 
 #: MachineConfig knobs the experiment runner pins at their defaults for
 #: every sweep point (it only ever varies seed/topology/scheduler).  A

@@ -69,6 +69,8 @@ class ModuleInfo:
 
     name: str
     path: pathlib.Path
+    #: The lint path this file was found under (its tree).
+    root: pathlib.Path
     posix: str
     module: ParsedModule
     #: Local name -> fully qualified origin (``{"np": "numpy"}``).
@@ -88,7 +90,7 @@ class ModuleGraph:
     @classmethod
     def build(cls, paths: Iterable[str | pathlib.Path]) -> "ModuleGraph":
         graph = cls()
-        for path in iter_python_files(paths):
+        for root, path in iter_python_files(paths):
             graph.files_scanned += 1
             parsed = parse_module(path)
             if isinstance(parsed, Violation):
@@ -101,6 +103,7 @@ class ModuleGraph:
             info = ModuleInfo(
                 name=name,
                 path=path,
+                root=root,
                 posix=path.as_posix(),
                 module=parsed,
                 aliases=import_aliases(parsed.tree),

@@ -18,7 +18,7 @@ parameters are findings too: an unverifiable payload is not a safe one.
 
 Unknown *external* types (numpy arrays, stdlib value types) are trusted;
 only known-unsafe leaves (callables, generators, locks, IO handles,
-tracer/collector/registry/ledger handles) and opaque ``Any``/``object``
+tracer/registry/ledger handles) and opaque ``Any``/``object``
 annotations are flagged.  Project-local classes must be dataclasses or
 define ``__slots__``, and their fields recurse.
 """
@@ -54,7 +54,7 @@ UNSAFE_LEAVES = {
     "Lock", "RLock", "Condition", "Event", "Semaphore", "BoundedSemaphore",
     "Barrier", "Thread", "Connection", "socket",
     "IO", "TextIO", "BinaryIO", "TextIOWrapper", "BufferedReader",
-    "EventTracer", "SpanCollector", "MetricsRegistry", "RunLedger",
+    "EventTracer", "MetricsRegistry", "RunLedger",
 }
 #: Dotted prefixes that are never pickle-safe payload material.
 UNSAFE_PREFIXES = ("threading.", "multiprocessing.", "sqlite3.", "socket.")

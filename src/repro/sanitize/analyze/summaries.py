@@ -15,10 +15,15 @@ Call resolution is deliberately conservative-over-approximate:
    enclosing class for ``self.``/``cls.`` calls), including class
    instantiation resolving to ``__init__``,
 3. a CHA-style fallback for unresolved attribute calls: ``x.foo(...)``
-   may target *any* analysed method named ``foo``.
+   may target any analysed method named ``foo`` in the caller's own tree
+   (the lint path it was found under) or in a module the caller's module
+   reaches through its imports.
 
 Over-approximation is the right failure mode for taint: a spurious edge
-can only add findings, never hide one.
+can only add findings, never hide one.  The fallback's bound keeps one
+lint pass over several trees equal to linting each alone: a benchmark
+harness's ``TimedCache.load`` is no target of ``result_cache.load`` in
+``src/repro``, which never imports the harness.
 """
 
 from __future__ import annotations
@@ -79,14 +84,17 @@ def own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
 class ProjectSummaries:
     """Summaries for every function in a :class:`ModuleGraph`."""
 
-    def __init__(self) -> None:
+    def __init__(self, graph: ModuleGraph) -> None:
+        self.graph = graph
         self.functions: dict[str, FunctionSummary] = {}
         #: bare method name -> keys of every analysed method with it (CHA).
         self.methods_by_name: dict[str, list[str]] = {}
+        #: module name -> modules it reaches through imports (itself too).
+        self._reach: dict[str, set[str]] = {}
 
     @classmethod
     def build(cls, graph: ModuleGraph) -> "ProjectSummaries":
-        self = cls()
+        self = cls(graph)
         for info in graph.modules.values():
             self._collect(info)
         for summary in self.functions.values():
@@ -167,8 +175,37 @@ class ProjectSummaries:
                     found.append(f"{candidate}.__init__")  # instantiation
                     break
         if not found and isinstance(call.func, ast.Attribute):
-            found.extend(self.methods_by_name.get(call.func.attr, ()))
+            found.extend(
+                key
+                for key in self.methods_by_name.get(call.func.attr, ())
+                if self._may_call(summary.module, self.functions[key].module)
+            )
         return tuple(dict.fromkeys(found))
+
+    def _may_call(self, caller: str, callee: str) -> bool:
+        """May a method fallback in ``caller`` land in ``callee``?
+
+        Yes within one tree, and across trees only along the caller's
+        imports.
+        """
+        modules = self.graph.modules
+        if modules[caller].root == modules[callee].root:
+            return True
+        return callee in self._reachable(caller)
+
+    def _reachable(self, module: str) -> set[str]:
+        """``module`` and every analysed module its imports reach."""
+        reach = self._reach.get(module)
+        if reach is None:
+            reach = {module}
+            queue = deque([module])
+            while queue:
+                for name in self.graph.modules[queue.popleft()].imports:
+                    if name not in reach:
+                        reach.add(name)
+                        queue.append(name)
+            self._reach[module] = reach
+        return reach
 
     # -- lookups -------------------------------------------------------
 

@@ -52,9 +52,6 @@ DECISION_SCOPE = (
 #: Where sweep results are produced and merged; the deterministic-merge
 #: contract (submission-order collection) is enforced here.
 MERGE_SCOPE = ("repro/experiments/", "repro/parallel/")
-#: Where host-side telemetry spans (repro.obs.spans) may be opened; the
-#: close-on-all-paths contract (OBS002) applies to the whole package.
-SPAN_SCOPE = ("repro/",)
 #: Sim-time sampling paths: the timeline sampler, the engine that calls
 #: its hook, and the probe seam in between.  Timeline timestamps must come
 #: from the simulated clock, so wall-clock reads are banned here outright
@@ -283,11 +280,14 @@ def registered_rules() -> list[Rule]:
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
 
-def iter_python_files(paths: Iterable[str | pathlib.Path]) -> Iterator[pathlib.Path]:
+def iter_python_files(
+    paths: Iterable[str | pathlib.Path],
+) -> Iterator[tuple[pathlib.Path, pathlib.Path]]:
     """Expand files/directories into a deterministic list of ``.py`` files.
 
-    A file named twice (directly or through overlapping directories) is
-    yielded once.
+    Yields ``(root, file)``: each file with the named path it was found
+    under.  A file named twice (directly or through overlapping
+    directories) is yielded once, under the first.
 
     Raises:
         ExperimentError: for a path that does not exist, or that is
@@ -310,7 +310,7 @@ def iter_python_files(paths: Iterable[str | pathlib.Path]) -> Iterator[pathlib.P
         for file in found:
             if file.resolve() not in seen:
                 seen.add(file.resolve())
-                yield file
+                yield path, file
 
 
 def parse_module(path: pathlib.Path) -> ParsedModule | Violation:

@@ -24,7 +24,6 @@ from repro.sanitize.lint import (
     MERGE_SCOPE,
     SAMPLING_SCOPE,
     SIM_KERNEL_SCOPE,
-    SPAN_SCOPE,
     ParsedModule,
     Violation,
     rule,
@@ -228,57 +227,6 @@ def obs001(module: ParsedModule) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# OBS002 -- spans must be closed on all paths
-# ----------------------------------------------------------------------
-
-
-def _has_finally_end_span(scope: ast.AST) -> bool:
-    """Does ``scope`` contain a ``finally:`` block calling ``end_span``?"""
-    for node in ast.walk(scope):
-        if not (isinstance(node, ast.Try) and node.finalbody):
-            continue
-        for statement in node.finalbody:
-            for inner in ast.walk(statement):
-                if (
-                    isinstance(inner, ast.Call)
-                    and isinstance(inner.func, ast.Attribute)
-                    and inner.func.attr == "end_span"
-                ):
-                    return True
-    return False
-
-
-@rule(
-    "OBS002",
-    "every start_span() paired with a finally-path end_span()",
-    SPAN_SCOPE,
-)
-def obs002(module: ParsedModule) -> Iterator[Violation]:
-    """A span left open on an exception path corrupts the merged timeline
-    (its duration reads as zero and its children re-parent); the manual
-    start_span()/end_span() form is only legal when the close sits in a
-    `finally:` of the same function.  Prefer the context manager
-    `with collector.span(...)`, which closes on all paths by
-    construction.
-    """
-    for node in ast.walk(module.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "start_span"
-        ):
-            continue
-        scope = _enclosing_scope(module, node)
-        if not _has_finally_end_span(scope):
-            yield module.violation(
-                node, "OBS002",
-                "start_span() without an end_span() on a `finally:` path in "
-                "the same function; an exception would leak an open span -- "
-                "use `with collector.span(...)` or close in `finally`",
-            )
-
-
-# ----------------------------------------------------------------------
 # OBS003 -- attribution state has a single writer
 # ----------------------------------------------------------------------
 
@@ -302,7 +250,7 @@ def _attribution_target(target: ast.expr) -> str | None:
 @rule(
     "OBS003",
     "attribution state written only through AttributionAccounting",
-    SPAN_SCOPE,
+    ("repro/",),
 )
 def obs003(module: ParsedModule) -> Iterator[Violation]:
     """Per-task time attribution (attr_ms/attr_since/attr_state) telescopes
@@ -348,7 +296,7 @@ def obs004(module: ParsedModule) -> Iterator[Violation]:
     anywhere in the sampler, the engine or the probe seam between them
     (repro.obs.probe) would smuggle host timing
     into the series, breaking the byte-identical-exports guarantee the
-    dashboard and counter-track tests pin.
+    counter-track tests pin.
     """
     aliases = import_aliases(module.tree)
     for node in ast.walk(module.tree):

@@ -12,6 +12,9 @@ from repro.schedulers.cfs import CFSScheduler
 from repro.schedulers.gts import GTSScheduler
 from repro.schedulers.wash import WASHScheduler
 
+#: Every name :func:`make_scheduler` accepts (case-insensitive).
+SCHEDULER_NAMES = ("linux", "cfs", "wash", "colab", "gts")
+
 
 def make_scheduler(name: str, **kwargs) -> Scheduler:
     """Build a scheduler by its evaluation name.
@@ -39,6 +42,7 @@ def make_scheduler(name: str, **kwargs) -> Scheduler:
 __all__ = [
     "CFSScheduler",
     "GTSScheduler",
+    "SCHEDULER_NAMES",
     "Scheduler",
     "SchedulerStats",
     "WASHScheduler",

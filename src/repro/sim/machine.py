@@ -164,7 +164,7 @@ class RunResult:
     #: the exporters; empty unless the run enabled tracing.
     trace_metadata: dict = field(default_factory=dict)
     #: Always-on event-engine accounting (populated whether or not obs
-    #: metrics ran, so sweep telemetry can aggregate them from workers;
+    #: metrics ran, so the experiment runner can count simulation work;
     #: deliberately outside :func:`repro.sim.digest.run_digest`).
     events_processed: int = 0
     events_discarded: int = 0

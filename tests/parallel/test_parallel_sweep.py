@@ -9,6 +9,7 @@ point came from the persistent cache.
 from __future__ import annotations
 
 import dataclasses
+import io
 
 import pytest
 
@@ -45,11 +46,14 @@ def run_sweep(ctx: ExperimentContext, **kwargs):
 
 class TestParallelSerialParity:
     def test_jobs1_pool_matches_serial(self):
-        # Telemetry is the route to a one-worker pool.
+        # sweep() never starts a one-worker pool; drive the pool directly.
+        from repro.parallel.executor import evaluate_on_pool
+
         serial = run_sweep(pure_ctx())
         ctx = pure_ctx()
-        pooled = run_sweep(ctx, jobs=1, telemetry=telemetry_for(12))
-        assert pooled == serial
+        points = [(m.mix_index, m.config, m.scheduler) for m in serial]
+        pooled = evaluate_on_pool(ctx, points, 1, False, None, from_cache=0)
+        assert [metrics for metrics, _seconds in pooled] == serial
         assert ctx.obs_metrics.gauge("parallel.workers_used").value == 1.0
 
     def test_jobs4_pool_matches_serial(self):
@@ -96,90 +100,62 @@ class TestParallelSerialParity:
         assert gauges["parallel.worker.0.points"] >= 1.0
 
 
-def telemetry_for(points_count: int):
-    """A DistTelemetry with silent progress, for telemetry-enabled runs."""
-    from repro.obs.dist import DistTelemetry, SweepProgress
+def progress_line():
+    """An unthrottled progress line writing into a string buffer."""
+    from repro.obs.progress import SweepProgress
 
-    return DistTelemetry(
-        progress=SweepProgress(points_count, enabled=False)
-    )
+    stream = io.StringIO()
+    return SweepProgress(0, stream=stream, min_interval_s=0.0), stream
+
+
+def every_point_shown(text: str, total: int = 12) -> bool:
+    """Did the line count up through every point to ``total``?"""
+    return all(f"sweep {done}/{total} " in text for done in range(total + 1))
 
 
 class TestSweepTelemetry:
-    """Telemetry is observational: identical results, richer outputs."""
+    """The progress line is observational: identical results."""
 
     def test_telemetry_enabled_jobs2_matches_plain_serial(self):
         plain = run_sweep(pure_ctx())
-        telemetry = telemetry_for(12)
-        observed = run_sweep(pure_ctx(), jobs=2, telemetry=telemetry)
+        progress, stream = progress_line()
+        observed = run_sweep(pure_ctx(), jobs=2, progress=progress)
         assert observed == plain
-        assert len(telemetry.bundles) == 12
-        assert telemetry.report()["points_executed"] == 12
+        assert progress.done == 12
+        assert every_point_shown(stream.getvalue())
+        assert stream.getvalue().endswith("\n")
 
     def test_telemetry_enabled_jobs4_matches_plain_serial(self):
         plain = run_sweep(pure_ctx())
-        telemetry = telemetry_for(12)
-        assert run_sweep(pure_ctx(), jobs=4, telemetry=telemetry) == plain
-
-    def test_jobs1_and_jobs4_timelines_agree_on_shape(self):
-        from repro.obs.dist import timeline_shape
-
-        one = telemetry_for(12)
-        run_sweep(pure_ctx(), jobs=1, telemetry=one)
-        four = telemetry_for(12)
-        run_sweep(pure_ctx(), jobs=4, telemetry=four)
-        assert timeline_shape(one.merged_timeline()) == timeline_shape(
-            four.merged_timeline()
-        )
+        progress, _stream = progress_line()
+        assert run_sweep(pure_ctx(), jobs=4, progress=progress) == plain
 
     def test_telemetry_reads_cache_entries_written_without_it(self, tmp_path):
-        # Bundles stay out of the fingerprint: a plain sweep's persistent
-        # cache fully serves a telemetry-enabled sweep, and vice versa.
+        # A plain sweep's persistent cache fully serves a progress-on one.
         plain = run_sweep(pure_ctx(cache_dir=tmp_path))
-        telemetry = telemetry_for(12)
+        progress, stream = progress_line()
         warm_ctx = pure_ctx(cache_dir=tmp_path)
-        warm = run_sweep(warm_ctx, jobs=2, telemetry=telemetry)
+        warm = run_sweep(warm_ctx, jobs=2, progress=progress)
         assert warm == plain
-        report = telemetry.report()
-        assert report["points_from_cache"] == 12
-        assert report["points_executed"] == 0
-        assert report["cache_hit_ratio"] == 1.0
+        counters = warm_ctx.obs_metrics.snapshot()["counters"]
+        assert counters["parallel.points_from_cache"] == 12.0
+        assert counters.get("parallel.points_executed", 0.0) == 0.0
+        assert "sweep 12/12 (100%)" in stream.getvalue()
 
-    def test_bundles_carry_worker_counters_and_spans(self):
-        telemetry = telemetry_for(12)
-        run_sweep(pure_ctx(), jobs=2, telemetry=telemetry)
-        bundles = telemetry.bundles_in_point_order()
-        assert len(bundles) == 12
-        for bundle in bundles:
-            assert bundle.spans, "every executed point records its run span"
-            assert bundle.counters.get("sim.events_processed", 0) > 0
-        report = telemetry.report()
-        assert report["counters"]["sim.events_processed"] > 0
-        assert report["workers"], "at least one worker track"
+    def test_progress_on_jobs1_sweep_runs_in_process(self, monkeypatch):
+        def refuse_pool(*_args, **_kwargs):
+            raise AssertionError("a jobs=1 sweep must not start a pool")
 
-    def test_sweep_aggregates_into_context_registry(self):
-        ctx = pure_ctx()
-        telemetry = telemetry_for(12)
-        run_sweep(ctx, jobs=2, telemetry=telemetry)
-        snapshot = ctx.obs_metrics.snapshot()
-        assert snapshot["histograms"]["sweep.point_wall_s"]["count"] == 12
-        assert "sweep.cache_hit_ratio" in snapshot["gauges"]
-
-    def test_merged_timeline_json_roundtrips(self):
-        import json
-
-        telemetry = telemetry_for(12)
-        run_sweep(pure_ctx(), jobs=2, telemetry=telemetry)
-        document = json.loads(json.dumps(telemetry.merged_timeline()))
-        metadata = [
-            record for record in document["traceEvents"]
-            if record["ph"] == "M" and record["name"] == "process_name"
-        ]
-        assert any(
-            m["args"]["name"] == "sweep parent [orchestration]"
-            for m in metadata
+        monkeypatch.setattr(
+            "repro.parallel.executor.ProcessPoolExecutor", refuse_pool
         )
-        assert document["otherData"]["workers"] >= 1
+        progress, stream = progress_line()
+        ctx = pure_ctx()
+        assert run_sweep(ctx, jobs=1, progress=progress) == run_sweep(
+            pure_ctx()
+        )
+        assert every_point_shown(stream.getvalue())
+        assert "parallel.jobs" not in ctx.obs_metrics.snapshot()["gauges"]
 
 
 class TestPersistentCacheParity:
@@ -212,6 +188,40 @@ class TestPersistentCacheParity:
             "parallel.points_from_cache"
         ).value
         assert from_cache == 12.0
+
+    def test_interrupted_serial_sweep_resumes_where_it_stopped(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import runner
+
+        class Interrupted(Exception):
+            pass
+
+        uninterrupted = run_sweep(pure_ctx())
+        evaluate = runner._evaluate_uncached
+        evaluated = []
+
+        def recording(stop_at):
+            def evaluate_point(ctx, mix_index, config, scheduler, sanitize):
+                if len(evaluated) == stop_at:
+                    raise Interrupted
+                evaluated.append((mix_index, config, scheduler))
+                return evaluate(ctx, mix_index, config, scheduler, sanitize)
+
+            return evaluate_point
+
+        monkeypatch.setattr(runner, "_evaluate_uncached", recording(5))
+        with pytest.raises(Interrupted):
+            run_sweep(pure_ctx(cache_dir=tmp_path))
+        assert len(pure_ctx(cache_dir=tmp_path).result_cache) == 5
+
+        monkeypatch.setattr(runner, "_evaluate_uncached", recording(None))
+        resumed = run_sweep(pure_ctx(cache_dir=tmp_path))
+        assert resumed == uninterrupted
+        # Five points before the stop, the other seven after it: none twice.
+        assert evaluated == [
+            (m.mix_index, m.config, m.scheduler) for m in resumed
+        ]
 
     def test_parallel_sweep_fills_persistent_cache(self, tmp_path):
         ctx = pure_ctx(cache_dir=tmp_path)

@@ -232,6 +232,37 @@ class TestSummaries:
         targets = {t for site in go.calls for t in site.targets}
         assert "repro.sim.m.Machine.run" in targets
 
+    def test_cha_fallback_crosses_trees_only_along_imports(self, tmp_path):
+        def targets_of_go(tree, importing):
+            write_tree(tree / "src", {
+                "repro/sim/m.py": (
+                    ("import timing\n" if importing else "")
+                    + "def go(cache):\n    return cache.load()\n"
+                ),
+                "repro/kernel/k.py": (
+                    "class Store:\n"
+                    "    def load(self):\n"
+                    "        return 1\n"
+                ),
+            })
+            write_tree(tree / "tools", {
+                "timing.py": (
+                    "class TimedCache:\n"
+                    "    def load(self):\n"
+                    "        return 2\n"
+                ),
+            })
+            graph = ModuleGraph.build([tree / "src", tree / "tools"])
+            go = ProjectSummaries.build(graph).functions["repro.sim.m.go"]
+            return {t for site in go.calls for t in site.targets}
+
+        assert targets_of_go(tmp_path / "plain", False) == {
+            "repro.kernel.k.Store.load",
+        }
+        assert targets_of_go(tmp_path / "imports", True) == {
+            "repro.kernel.k.Store.load", "timing.TimedCache.load",
+        }
+
     def test_instantiation_resolves_to_init(self, tmp_path):
         summaries = self.build(tmp_path, {
             "repro/sim/m.py": (

@@ -27,13 +27,13 @@ def copy_real(tmp_path, *relpaths):
     return write_tree(tmp_path, files)
 
 
-def ana_report(tree):
-    """``run_lint`` over ``tree``, keeping only the ANA family's findings.
+def ana_report(*trees):
+    """``run_lint`` over ``trees``, keeping only the ANA family's findings.
 
     Taint fixtures put ``time.time()`` under ``repro/sim/``, where the
     per-file DET001 rule fires too; test_lint_rules covers that rule.
     """
-    report = run_lint([tree])
+    report = run_lint(list(trees))
     for found in (report.violations, report.suppressed):
         found[:] = [v for v in found if v.code.startswith("ANA")]
     return report
@@ -157,6 +157,35 @@ class TestTaintANA001:
         report = ana_report(tree)
         assert codes(report) == ["ANA001"]
         assert "Machine.run" in report.violations[0].chain[0]
+
+    def test_method_fallback_needs_an_import_across_trees(self, tmp_path):
+        # The runner calls a method on an object handed to it; only a tree
+        # it imports may supply that method.
+        runner = (
+            "def evaluate_mix(ctx, key):\n"
+            "    return ctx.cache.load(key)\n"
+        )
+        a, b = tmp_path / "a", tmp_path / "b"
+        write_tree(a, {"repro/experiments/runner.py": runner})
+        write_tree(b, {
+            "bench/timing.py": (
+                "import time\n"
+                "class TimedCache:\n"
+                "    def load(self, key):\n"
+                "        return time.perf_counter()\n"
+            ),
+        })
+        assert ana_report(a, b).ok
+        assert ana_report(a).ok and ana_report(b).ok
+
+        write_tree(a, {"repro/experiments/runner.py": "import timing\n" + runner})
+        report = ana_report(a, b)
+        assert codes(report) == ["ANA001"]
+        finding = report.violations[0]
+        assert finding.path.endswith("timing.py")
+        assert [f.split(" ")[0] for f in finding.chain] == [
+            "evaluate_mix", "TimedCache.load",
+        ]
 
 
 class TestCoverageANA002:

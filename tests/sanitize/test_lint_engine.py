@@ -125,9 +125,8 @@ class TestSuppressionExtent:
         assert run_lint([tmp_path]).ok
 
     def test_comment_above_decorators_of_a_flagged_def(self, tmp_path):
-        # PERF001 anchors on a node inside the def body, but OBS002-style
-        # def-level findings anchor on the def itself; use a violation
-        # whose node is the comprehension inside a decorated hot function.
+        # The flagged node sits inside a decorator, so only a comment
+        # above the first decorator line precedes it.
         write_sim_file(
             tmp_path, "s.py",
             "import functools\n"

@@ -207,66 +207,6 @@ class TestOBS001:
         assert codes == []
 
 
-class TestOBS002:
-    def test_unpaired_start_span_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def submit(parent):\n"
-            "    span = parent.start_span('submit')\n"
-            "    do_work()\n"
-            "    parent.end_span(span)\n",
-            rel="repro/parallel/mod.py",
-        )
-        assert codes == ["OBS002"]
-
-    def test_finally_paired_start_span_allowed(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def submit(parent):\n"
-            "    span = parent.start_span('submit')\n"
-            "    try:\n"
-            "        do_work()\n"
-            "    finally:\n"
-            "        parent.end_span(span)\n",
-            rel="repro/parallel/mod.py",
-        )
-        assert codes == []
-
-    def test_try_without_finally_end_span_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def submit(parent):\n"
-            "    span = parent.start_span('submit')\n"
-            "    try:\n"
-            "        do_work()\n"
-            "    finally:\n"
-            "        cleanup()\n",
-            rel="repro/parallel/mod.py",
-        )
-        assert codes == ["OBS002"]
-
-    def test_context_manager_span_allowed(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def run(spans):\n"
-            "    with spans.span('run'):\n"
-            "        do_work()\n",
-            rel="repro/parallel/mod.py",
-        )
-        assert codes == []
-
-    def test_suppression_comment_honoured(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def submit(parent):\n"
-            "    span = parent.start_span('submit')  "
-            "# sanitize: ignore[OBS002]\n"
-            "    parent.end_span(span)\n",
-            rel="repro/parallel/mod.py",
-        )
-        assert codes == []
-
-
 class TestOBS004:
     def test_wall_clock_in_sampler_flagged(self, tmp_path):
         codes = lint_source(
@@ -337,7 +277,7 @@ class TestOBS004:
             "import time\n"
             "def stamp():\n"
             "    return time.time()\n",
-            rel="repro/obs/dashboard.py",
+            rel="repro/obs/ledger.py",
         )
         assert codes == []
 

@@ -410,7 +410,7 @@ def sweep(
 
     ``progress`` (a :class:`repro.obs.progress.SweepProgress`, optional)
     is updated once per finished point on either path and finished at
-    the end; it only displays.
+    the end, also when a point fails; it only displays.
 
     Ledger rows: an evaluated point records its measured ``wall_s`` and
     ``cache_hit=False``; a cache hit records ``wall_s=None`` and
@@ -435,32 +435,36 @@ def sweep(
         progress.total = len(points)
         progress.update(len(results), force=True)
 
-    if jobs > 1:
-        from repro.parallel.executor import evaluate_on_pool
+    try:
+        if jobs > 1:
+            from repro.parallel.executor import evaluate_on_pool
 
-        evaluated = evaluate_on_pool(
-            ctx, pending, jobs, sanitize, progress, from_cache=len(results)
-        )
-        if not sanitize:
-            for metrics, _seconds in evaluated:
-                ctx.store_metrics(metrics)
-    else:
-        # Each point is stored as soon as it exists, so an interrupted
-        # sweep keeps what it finished.
-        evaluated = []
-        for point in pending:
-            started = time.perf_counter()
-            metrics = _evaluate_uncached(ctx, *point, sanitize)
-            evaluated.append((metrics, time.perf_counter() - started))
-            if progress is not None:
-                progress.update(len(results) + len(evaluated))
+            evaluated = evaluate_on_pool(
+                ctx, pending, jobs, sanitize, progress, from_cache=len(results)
+            )
+            if not sanitize:
+                for metrics, _seconds in evaluated:
+                    ctx.store_metrics(metrics)
+        else:
+            # Each point is stored as soon as it exists, so an interrupted
+            # sweep keeps what it finished.
+            evaluated = []
+            for point in pending:
+                started = time.perf_counter()
+                metrics = _evaluate_uncached(ctx, *point, sanitize)
+                evaluated.append((metrics, time.perf_counter() - started))
+                if progress is not None:
+                    progress.update(len(results) + len(evaluated))
+    finally:
+        # On an error the line stops at the points that finished, and
+        # whatever is printed next starts a line of its own.
+        if progress is not None:
+            progress.finish(progress.done)
     wall_s: dict[MetricsKey, float] = {}
     for point, (metrics, seconds) in zip(pending, evaluated):
         results[point] = metrics
         wall_s[point] = seconds
 
-    if progress is not None:
-        progress.finish()
     _record_ledger(ctx, points, results, wall_s, sanitize)
     return [results[point] for point in points]
 

@@ -20,11 +20,14 @@ All three reproduced schedulers share this structure:
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterator, KeysView
 
 from repro.errors import KernelError
 from repro.kernel.task import Task
 from repro.obs.probe import DEQUEUE, ENQUEUE, MIN_VRUNTIME, NO_HOOKS
+
+_task_of = itemgetter(2)
 
 
 class RunQueue:
@@ -66,8 +69,23 @@ class RunQueue:
         return task.tid in self._by_tid
 
     def tasks(self) -> Iterator[Task]:
-        """Iterate queued tasks in ascending vruntime order."""
+        """Iterate queued tasks in ascending vruntime order.
+
+        Walks a copy, so the caller may enqueue or dequeue as it goes.
+        """
         return iter([entry[2] for entry in self._entries])
+
+    def queued(self) -> Iterator[Task]:
+        """Iterate queued tasks in ascending vruntime order, without a copy.
+
+        Read-only: the queue must not change while the iterator is live
+        (use :meth:`tasks` to mutate while walking).
+        """
+        return map(_task_of, self._entries)
+
+    def tids(self) -> KeysView[int]:
+        """Live read-only view of the queued tids (the tid index)."""
+        return self._by_tid.keys()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -223,7 +241,7 @@ class RunQueue:
                 f"queue holds {len(self._entries)} entries but tid index "
                 f"holds {len(self._by_tid)} and key map {len(self._keys)}"
             )
-        if set(self._keys) != set(self._by_tid):
+        if self._keys.keys() != self._by_tid.keys():
             problems.append("key map and tid index disagree on queued tids")
         previous: tuple[float, int] | None = None
         for vruntime, tid, task in self._entries:

@@ -96,10 +96,13 @@ class SweepProgress:
         self._stream.write("\r" + padded)
         self._stream.flush()
 
-    def finish(self) -> None:
-        """Emit the final line and terminate it with a newline."""
+    def finish(self, done: int | None = None) -> None:
+        """Emit the final line and terminate it with a newline.
+
+        The final line counts ``done`` points, all of them by default.
+        """
         if not self.enabled:
             return
-        self.update(self.total, force=True)
+        self.update(self.total if done is None else done, force=True)
         self._stream.write("\n")
         self._stream.flush()

@@ -16,7 +16,8 @@ Checked invariants (the ones COLAB's who-wins evaluation rests on):
 * **min_vruntime** -- the per-queue watermark never moves backwards;
 * **task state** -- post-drain, every READY task sits on exactly one
   runqueue, RUNNING tasks biject with ``core.current``, SLEEPING tasks
-  have a wait timestamp, DONE tasks a finish time; vruntime stays finite;
+  have a wait timestamp, DONE tasks a finish time; vruntime stays finite
+  (one O(tasks + cores) sweep per drain);
 * **futex pairing** -- no task parks twice, no wake of a non-waiter, and
   at the end of the run no waiter was lost;
 * **event queue** -- simulated time never travels backwards;
@@ -45,6 +46,10 @@ from repro.obs.probe import (
     MIN_VRUNTIME,
     PICK,
     Probe,
+)
+
+_READY, _RUNNING, _SLEEPING, _DONE = (
+    TaskState.READY, TaskState.RUNNING, TaskState.SLEEPING, TaskState.DONE,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -219,10 +224,22 @@ class SchedSanitizer(Probe):
     # Machine-wide sweeps
     # ------------------------------------------------------------------
     def check_machine(self, machine: "Machine") -> None:
-        """Post-drain sweep: task states, runqueue membership, idle cores."""
+        """Post-drain sweep: task states, runqueue membership, idle cores.
+
+        O(tasks + cores): one walk of each core's tid index builds the
+        tid -> queue map, so no task is looked up in every runqueue.
+        """
         self.checks_run += 1
         running_on_core: dict[int, int] = {}
+        # tid -> ids of the cores queueing it, in ascending core order.
+        queued_on: dict[int, list[int]] = {}
         for core in machine.cores:
+            for tid in core.rq.tids():
+                homes = queued_on.get(tid)
+                if homes is None:
+                    queued_on[tid] = [core.core_id]
+                else:
+                    homes.append(core.core_id)
             current = core.current
             if current is None:
                 if core.rq:
@@ -255,18 +272,18 @@ class SchedSanitizer(Probe):
             running_on_core[current.tid] = core.core_id
 
         for task in machine.tasks:
-            if not math.isfinite(task.vruntime) or task.vruntime < 0.0:
-                self._fail(
-                    "vruntime",
-                    f"{task.name} has vruntime {task.vruntime}",
-                )
-            homes = [c.core_id for c in machine.cores if task in c.rq]
-            if task.state is TaskState.READY:
+            vruntime = task.vruntime
+            # Finite and non-negative in one test: NaN fails every comparison.
+            if not 0.0 <= vruntime < math.inf:
+                self._fail("vruntime", f"{task.name} has vruntime {vruntime}")
+            homes = queued_on.get(task.tid, ())
+            state = task.state
+            if state is _READY:
                 if len(homes) != 1:
                     self._fail(
                         "task_state",
-                        f"READY task {task.name} is on "
-                        f"{len(homes)} runqueues {homes}, expected exactly 1",
+                        f"READY task {task.name} is on {len(homes)} "
+                        f"runqueues {list(homes)}, expected exactly 1",
                     )
                 if task.rq_core_id != homes[0]:
                     self._fail(
@@ -278,23 +295,23 @@ class SchedSanitizer(Probe):
                 if homes:
                     self._fail(
                         "task_state",
-                        f"{task.state.value} task {task.name} is on "
+                        f"{state.value} task {task.name} is on "
                         f"runqueue(s) {homes}",
                     )
-                if task.state is TaskState.RUNNING:
+                if state is _RUNNING:
                     if task.tid not in running_on_core:
                         self._fail(
                             "task_state",
                             f"RUNNING task {task.name} is no core's current",
                         )
-                elif task.state is TaskState.SLEEPING:
+                elif state is _SLEEPING:
                     if task.wait_started_at is None:
                         self._fail(
                             "task_state",
                             f"SLEEPING task {task.name} has no wait "
                             "timestamp",
                         )
-                elif task.state is TaskState.DONE:
+                elif state is _DONE:
                     if task.finish_time is None:
                         self._fail(
                             "task_state",

@@ -181,19 +181,22 @@ class Scheduler(abc.ABC):
         """
         problems: list[str] = []
         for core in machine.cores:
-            for task in core.rq.tasks():
-                if not task.allows_core(core.core_id):
+            core_id = core.core_id
+            for task in core.rq.queued():
+                if task.affinity is not None and core_id not in task.affinity:
                     problems.append(
                         f"{self.name}: task {task.name} queued on core "
-                        f"{core.core_id} outside affinity "
-                        f"{sorted(task.affinity or ())}"
+                        f"{core_id} outside affinity {sorted(task.affinity)}"
                     )
             current = core.current
-            if current is not None and not current.allows_core(core.core_id):
+            if (
+                current is not None
+                and current.affinity is not None
+                and core_id not in current.affinity
+            ):
                 problems.append(
                     f"{self.name}: task {current.name} running on core "
-                    f"{core.core_id} outside affinity "
-                    f"{sorted(current.affinity or ())}"
+                    f"{core_id} outside affinity {sorted(current.affinity)}"
                 )
         return problems
 

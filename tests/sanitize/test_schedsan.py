@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import SanitizerError
 from repro.kernel.runqueue import RunQueue
-from repro.kernel.task import Task, reset_tid_counter
+from repro.kernel.task import Task, TaskState, reset_tid_counter
 from repro.obs import ObsConfig
 from repro.sanitize import SchedSanitizer
 from repro.schedulers import make_scheduler
@@ -273,6 +273,203 @@ class TestMachineSweeps:
         with pytest.raises(SanitizerError) as err:
             sanitizer_of(machine).check_machine(machine)
         assert err.value.check == "policy"
+
+
+def busy_machine(n_big=2, n_little=2):
+    """A sanitized machine caught mid-run, built by hand.
+
+    Every core runs one task and queues one more, so the post-drain
+    sweep passes on it as is; a test corrupts one field and expects the
+    matching failure.
+    """
+    machine = Machine(
+        make_topology(n_big, n_little),
+        make_scheduler("linux"),
+        MachineConfig(seed=0, sanitize=True),
+    )
+    for i in range(2 * len(machine.cores)):
+        machine.add_task(make_simple_task(f"t{i}"))
+    for core in machine.cores:
+        running = machine.tasks[2 * core.core_id]
+        queued = machine.tasks[2 * core.core_id + 1]
+        running.mark_ready()
+        running.mark_running(core.core_id, core.kind_name)
+        core.current = running
+        queued.mark_ready()
+        core.rq.enqueue(queued)
+    return machine
+
+
+def check_machine_fails(machine, check, message):
+    with pytest.raises(SanitizerError, match=message) as err:
+        sanitizer_of(machine).check_machine(machine)
+    assert err.value.check == check
+
+
+class TestTaskStateSweep:
+    """Each branch of the post-drain task-state and policy checks."""
+
+    def test_busy_machine_is_healthy(self):
+        machine = busy_machine()
+        sanitizer_of(machine).check_machine(machine)
+
+    def test_ready_task_on_two_runqueues_detected(self):
+        machine = busy_machine()
+        queued = machine.tasks[1]  # queued on core 0
+        queued.rq_core_id = None
+        machine.cores[2].rq.enqueue(queued)
+        check_machine_fails(
+            machine, "task_state",
+            r"^\[schedsan:task_state\] READY task t1 is on 2 runqueues "
+            r"\[0, 2\], expected exactly 1",
+        )
+
+    def test_ready_task_on_no_runqueue_detected(self):
+        machine = busy_machine()
+        queued = machine.tasks[3]  # queued on core 1
+        machine.cores[1].rq.dequeue(queued)
+        check_machine_fails(
+            machine, "task_state",
+            r"READY task t3 is on 0 runqueues \[\], expected exactly 1",
+        )
+
+    def test_ready_task_with_wrong_rq_core_id_detected(self):
+        machine = busy_machine()
+        machine.tasks[3].rq_core_id = 2
+        check_machine_fails(
+            machine, "task_state",
+            r"READY task t3 records rq_core_id=2 but sits on core 1",
+        )
+
+    def test_sleeping_task_on_runqueue_detected(self):
+        machine = busy_machine()
+        queued = machine.tasks[1]
+        queued.state = TaskState.SLEEPING
+        queued.wait_started_at = 0.0
+        check_machine_fails(
+            machine, "task_state",
+            r"sleeping task t1 is on runqueue\(s\) \[0\]",
+        )
+
+    def test_sleeping_task_without_wait_timestamp_detected(self):
+        machine = busy_machine()
+        queued = machine.tasks[5]
+        machine.cores[2].rq.dequeue(queued)
+        queued.state = TaskState.SLEEPING
+        check_machine_fails(
+            machine, "task_state", r"SLEEPING task t5 has no wait timestamp",
+        )
+
+    def test_running_task_that_is_no_cores_current_detected(self):
+        machine = busy_machine()
+        queued = machine.tasks[1]
+        machine.cores[0].rq.dequeue(queued)
+        queued.mark_running(0, "big")
+        check_machine_fails(
+            machine, "task_state", r"RUNNING task t1 is no core's current",
+        )
+
+    def test_current_in_wrong_state_detected(self):
+        machine = busy_machine()
+        machine.cores[3].current.state = TaskState.SLEEPING
+        check_machine_fails(
+            machine, "task_state", r"core 3 runs t6 in state sleeping",
+        )
+
+    def test_running_on_disagreeing_with_core_detected(self):
+        machine = busy_machine()
+        machine.cores[1].current.running_on = 3
+        check_machine_fails(
+            machine, "task_state",
+            r"t2 runs on core 1 but records running_on=3",
+        )
+
+    def test_task_current_on_two_cores_detected(self):
+        # With distinct core ids the second core's running_on check
+        # fires first; the task is still reported.
+        machine = busy_machine()
+        machine.cores[1].current = machine.cores[0].current
+        check_machine_fails(
+            machine, "task_state",
+            r"t0 runs on core 1 but records running_on=0",
+        )
+
+    def test_task_current_on_two_cores_sharing_an_id_detected(self):
+        # Two cores claiming one id pass the running_on check, so only
+        # the bijection check can tell the task runs twice.
+        machine = busy_machine()
+        machine.cores[1].core_id = 0
+        machine.cores[1].current = machine.cores[0].current
+        check_machine_fails(
+            machine, "task_state", r"t0 is current on cores 0 and 0",
+        )
+
+    def test_queued_task_outside_affinity_detected(self):
+        machine = busy_machine()
+        machine.tasks[1].affinity = frozenset({2, 3})  # queued on core 0
+        check_machine_fails(
+            machine, "policy",
+            r"linux: task t1 queued on core 0 outside affinity \[2, 3\]",
+        )
+
+    def test_running_task_outside_affinity_detected(self):
+        machine = busy_machine()
+        machine.tasks[4].affinity = frozenset({0})  # runs on core 2
+        check_machine_fails(
+            machine, "policy",
+            r"linux: task t4 running on core 2 outside affinity \[0\]",
+        )
+
+
+@pytest.fixture
+def contains_calls(monkeypatch):
+    """A one-element list counting every ``RunQueue.__contains__`` call."""
+    calls = [0]
+    contains = RunQueue.__contains__
+
+    def counting_contains(rq, task):
+        calls[0] += 1
+        return contains(rq, task)
+
+    monkeypatch.setattr(RunQueue, "__contains__", counting_contains)
+    return calls
+
+
+class TestCheckMachineIsLinear:
+    """The post-drain sweep never looks a task up in every runqueue.
+
+    It counts ``RunQueue.__contains__`` calls, so the bound holds on any
+    host: a per-task scan over all cores makes ``tasks x cores`` calls,
+    more than ``tasks`` on any machine with two or more cores.
+    """
+
+    def test_membership_tests_per_check_at_most_tasks(self, contains_calls):
+        machine = busy_machine(n_big=4, n_little=4)
+        sanitizer_of(machine).check_machine(machine)
+        assert contains_calls[0] <= len(machine.tasks)
+
+    def test_membership_tests_per_drain_at_most_tasks(
+        self, contains_calls, monkeypatch
+    ):
+        machine = Machine(
+            make_topology(4, 4),
+            make_scheduler("colab"),
+            MachineConfig(seed=3, sanitize=True),
+        )
+        build_workload(machine, dict(SYNC_SPEC, n_threads=12))
+        sanitizer = sanitizer_of(machine)
+        check_machine = sanitizer.check_machine
+        per_check: list[int] = []
+
+        def counted_check(where):
+            before = contains_calls[0]
+            check_machine(where)
+            per_check.append(contains_calls[0] - before)
+
+        monkeypatch.setattr(sanitizer, "check_machine", counted_check)
+        machine.run()
+        assert len(per_check) > 10
+        assert max(per_check) <= len(machine.tasks)
 
 
 class TestErrorReports:

@@ -355,6 +355,20 @@ class TestErrorExit:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "pool"])
+    def test_failed_sweep_finishes_its_progress_line(self, jobs, capsys):
+        argv = ["--jobs", jobs, "sweep", "--mixes", "Sync-1",
+                "--configs", "2B2S", "--schedulers", "linux,lunix"]
+        assert main(self.BASE + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("\rsweep 0/2 (0%)")
+        progress, error, tail = err.split("\n")
+        assert "colab-repro" not in progress
+        assert error.startswith(
+            "colab-repro: error: unknown scheduler 'lunix'"
+        )
+        assert tail == ""
+
     @pytest.mark.parametrize(
         "argv, lines",
         [

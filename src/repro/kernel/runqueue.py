@@ -27,8 +27,6 @@ from repro.errors import KernelError
 from repro.kernel.task import Task
 from repro.obs.probe import DEQUEUE, ENQUEUE, MIN_VRUNTIME, NO_HOOKS
 
-_task_of = itemgetter(2)
-
 
 class RunQueue:
     """The per-core queue of READY tasks, ordered by virtual runtime.
@@ -69,19 +67,12 @@ class RunQueue:
         return task.tid in self._by_tid
 
     def tasks(self) -> Iterator[Task]:
-        """Iterate queued tasks in ascending vruntime order.
-
-        Walks a copy, so the caller may enqueue or dequeue as it goes.
-        """
-        return iter([entry[2] for entry in self._entries])
-
-    def queued(self) -> Iterator[Task]:
         """Iterate queued tasks in ascending vruntime order, without a copy.
 
-        Read-only: the queue must not change while the iterator is live
-        (use :meth:`tasks` to mutate while walking).
+        The queue must not change while it is walked: a caller that
+        enqueues or dequeues must stop walking there.
         """
-        return map(_task_of, self._entries)
+        return map(itemgetter(2), self._entries)
 
     def tids(self) -> KeysView[int]:
         """Live read-only view of the queued tids (the tid index)."""

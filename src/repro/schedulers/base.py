@@ -182,7 +182,7 @@ class Scheduler(abc.ABC):
         problems: list[str] = []
         for core in machine.cores:
             core_id = core.core_id
-            for task in core.rq.queued():
+            for task in core.rq.tasks():
                 if task.affinity is not None and core_id not in task.affinity:
                     problems.append(
                         f"{self.name}: task {task.name} queued on core "

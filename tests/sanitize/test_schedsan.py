@@ -421,36 +421,57 @@ class TestTaskStateSweep:
         )
 
 
+#: The RunQueue accessors that can answer "is this task queued here?".
+MEMBERSHIP_READS = ("__contains__", "tids", "tasks")
+
+
 @pytest.fixture
-def contains_calls(monkeypatch):
-    """A one-element list counting every ``RunQueue.__contains__`` call."""
-    calls = [0]
-    contains = RunQueue.__contains__
+def rq_reads(monkeypatch):
+    """Counts of every call to each of :data:`MEMBERSHIP_READS`."""
+    calls = dict.fromkeys(MEMBERSHIP_READS, 0)
 
-    def counting_contains(rq, task):
-        calls[0] += 1
-        return contains(rq, task)
+    def counting(name):
+        method = getattr(RunQueue, name)
 
-    monkeypatch.setattr(RunQueue, "__contains__", counting_contains)
+        def counted(rq, *args):
+            calls[name] += 1
+            return method(rq, *args)
+
+        return counted
+
+    for name in MEMBERSHIP_READS:
+        monkeypatch.setattr(RunQueue, name, counting(name))
     return calls
+
+
+def assert_linear(reads: dict[str, int], machine: Machine) -> None:
+    """No accessor is called once per (task, core) pair.
+
+    A per-task scan over all cores makes ``tasks x cores`` calls of one
+    accessor, more than ``tasks`` and more than ``cores`` on a machine
+    with two or more cores and more tasks than cores.
+    """
+    n_cores = len(machine.cores)
+    assert len(machine.tasks) > n_cores >= 2
+    assert reads["__contains__"] <= len(machine.tasks)
+    # One tid-index walk per core, one vruntime-order walk per core.
+    assert reads["tids"] <= n_cores
+    assert reads["tasks"] <= n_cores
 
 
 class TestCheckMachineIsLinear:
     """The post-drain sweep never looks a task up in every runqueue.
 
-    It counts ``RunQueue.__contains__`` calls, so the bound holds on any
-    host: a per-task scan over all cores makes ``tasks x cores`` calls,
-    more than ``tasks`` on any machine with two or more cores.
+    It counts calls of the runqueue's membership accessors, so the bound
+    holds on any host.
     """
 
-    def test_membership_tests_per_check_at_most_tasks(self, contains_calls):
+    def test_runqueue_reads_per_check_are_linear(self, rq_reads):
         machine = busy_machine(n_big=4, n_little=4)
         sanitizer_of(machine).check_machine(machine)
-        assert contains_calls[0] <= len(machine.tasks)
+        assert_linear(rq_reads, machine)
 
-    def test_membership_tests_per_drain_at_most_tasks(
-        self, contains_calls, monkeypatch
-    ):
+    def test_runqueue_reads_per_drain_are_linear(self, rq_reads, monkeypatch):
         machine = Machine(
             make_topology(4, 4),
             make_scheduler("colab"),
@@ -459,17 +480,20 @@ class TestCheckMachineIsLinear:
         build_workload(machine, dict(SYNC_SPEC, n_threads=12))
         sanitizer = sanitizer_of(machine)
         check_machine = sanitizer.check_machine
-        per_check: list[int] = []
+        per_check: list[dict[str, int]] = []
 
         def counted_check(where):
-            before = contains_calls[0]
+            before = dict(rq_reads)
             check_machine(where)
-            per_check.append(contains_calls[0] - before)
+            per_check.append(
+                {name: rq_reads[name] - before[name] for name in rq_reads}
+            )
 
         monkeypatch.setattr(sanitizer, "check_machine", counted_check)
         machine.run()
         assert len(per_check) > 10
-        assert max(per_check) <= len(machine.tasks)
+        for reads in per_check:
+            assert_linear(reads, machine)
 
 
 class TestErrorReports:

@@ -261,17 +261,20 @@ class SchedSanitizer(Probe):
                     f"core {core.core_id} runs {current.name} in state "
                     f"{current.state.value}",
                 )
-            if current.running_on != core.core_id:
-                self._fail(
-                    "task_state",
-                    f"{current.name} runs on core {core.core_id} but "
-                    f"records running_on={current.running_on}",
-                )
+            # The bijection test goes before the running_on test: a task
+            # current on two cores disagrees with one of them, and the
+            # message must name both cores.
             if current.tid in running_on_core:
                 self._fail(
                     "task_state",
                     f"{current.name} is current on cores "
                     f"{running_on_core[current.tid]} and {core.core_id}",
+                )
+            if current.running_on != core.core_id:
+                self._fail(
+                    "task_state",
+                    f"{current.name} runs on core {core.core_id} but "
+                    f"records running_on={current.running_on}",
                 )
             running_on_core[current.tid] = core.core_id
 

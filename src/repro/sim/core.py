@@ -86,12 +86,17 @@ class Core:
     sched_version: int = 0
     #: DVFS frequency scale in (0, 1]; 1.0 = nominal frequency.
     freq_scale: float = 1.0
-    #: Absolute time at which the live slice-expiry timer for the current
+    #: Absolute time at which the slice-expiry timer for the current
     #: dispatch will fire; lets the machine prove a segment-done event
     #: scheduled after it can never be observed (stale-event suppression).
     slice_deadline: float = 0.0
-    #: Scratch pool of recycled timer events (at most 8; see
-    #: :meth:`repro.sim.machine.Machine._recycle_event`).
+    #: Engine sequence number reserved for the current dispatch's slice
+    #: expiry while a segment-done timer is armed in its place, else None
+    #: (see :meth:`repro.sim.machine.Machine._schedule_segment_done`).
+    expiry_seq: int | None = None
+    #: Scratch pool of popped timer events, reused by the next push (see
+    #: :meth:`repro.sim.machine.Machine._reclaim_timer`).  It never holds
+    #: more events than the core once had queued at the same time.
     event_pool: list = field(default_factory=list)
 
     # --- statistics -------------------------------------------------------
@@ -143,8 +148,13 @@ class Core:
         return self.freq_scale / speedup
 
     def bump_version(self) -> int:
-        """Invalidate outstanding timer events for this core."""
+        """Invalidate outstanding timer events for this core.
+
+        Drops the slice-expiry reservation too: that expiry would be
+        stale, so it is never pushed.
+        """
         self.sched_version += 1
+        self.expiry_seq = None
         return self.sched_version
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -25,10 +25,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workloads.programs import ProgramEnv
 
 # ---------------------------------------------------------------------------
 # Table 2: the counters the paper's PCA selects
@@ -136,7 +140,7 @@ def profile_from_traits(
     compute_intensity: float,
     memory_intensity: float,
     sync_intensity: float,
-    rng: np.random.Generator,
+    rng: "np.random.Generator | ProgramEnv",
     jitter: float = 0.08,
 ) -> MicroArchProfile:
     """Derive a latent profile from benchmark-level traits.
@@ -146,7 +150,7 @@ def profile_from_traits(
         memory_intensity: 0..1, how memory-bound (erodes speedup).
         sync_intensity: 0..1, how synchronisation-heavy (drives quiesce).
         rng: Source of per-thread jitter, so threads of one benchmark are
-            similar but not identical.
+            similar but not identical (only its ``normal`` is called).
         jitter: Standard deviation of the additive per-field noise.
     """
 

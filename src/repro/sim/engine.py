@@ -65,18 +65,16 @@ class Engine:
         #: the machine.  Only its ``event`` hook concerns the engine:
         #: :meth:`step` calls it before each handler unless it is ``None``.
         self.probe = None
-        #: Optional fast-discard predicate installed by the machine: a
-        #: popped event for which it returns True is dropped before the
-        #: probe, clock, or handler see it.  Must only be used for
-        #: events whose handler is provably a no-op (e.g. version-stale
-        #: timers), so outcomes stay bit-identical.
-        self.discard = None
-        #: Events dropped by the fast-discard predicate.
+        #: Optional pop-time callback for version-guarded events
+        #: (``version >= 0``), installed by the machine: it takes the
+        #: popped event back for reuse and returns True if the event is
+        #: stale.  A stale event is dropped before the probe, clock, or
+        #: handler see it, so it must only answer True for events whose
+        #: handler is provably a no-op (version-stale timers), and
+        #: outcomes stay bit-identical.
+        self.reclaim = None
+        #: Events dropped as stale by :attr:`reclaim`.
         self.discarded = 0
-        #: Optional per-event recycling callback invoked by :meth:`run`
-        #: after each processed or discarded event (the machine returns
-        #: scratch timer events to a pool here).
-        self.recycle = None
 
     # ------------------------------------------------------------------
     # Registration and queueing
@@ -96,25 +94,42 @@ class Engine:
             if handler is not None:
                 self._handlers[kind] = wrap(kind, handler)
 
-    def push(self, event: Event) -> Event:
+    def push(self, event: Event, seq: int | None = None) -> Event:
         """Schedule ``event``, assigning it a deterministic sequence number.
 
-        Returns the event so call sites can keep a handle for version
-        bookkeeping.
+        ``seq``, a number from :meth:`reserve`, queues the event under
+        that number instead of the next one.  Returns the event so call
+        sites can keep a handle for version bookkeeping.
 
         Raises:
-            SimulationError: if ``event.time`` precedes the current time.
+            SimulationError: if ``event.time`` precedes the current time,
+                or ``seq`` was never handed out.
         """
         if event.time < self.now:
             raise SimulationError(
                 f"event {event.kind.name} scheduled at t={event.time} "
                 f"before current time t={self.now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        elif not 0 <= seq < self._seq:
+            raise SimulationError(f"sequence number {seq} was never reserved")
         event.seq = seq
         heappush(self._heap, (event.time, event.kind, seq, event))
         return event
+
+    def reserve(self) -> int:
+        """Take the next sequence number now, for an event pushed later.
+
+        ``push(event, seq)`` queues the event under it, so the event keeps
+        the ``(time, kind, seq)`` key it would have had if it had been
+        pushed at the moment of the reservation.  A reservation that is
+        never used simply leaves a gap in the numbering.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     def push_at(self, time: float, kind: EventKind, **fields: object) -> Event:
         """Convenience wrapper building and pushing an :class:`Event`."""
@@ -139,15 +154,20 @@ class Engine:
     def step(self) -> Event | None:
         """Process exactly one event; return it, or ``None`` if idle.
 
+        A timer the machine reclaimed may already be queued again, re-armed
+        by its own handler, by the time it is returned.
+
         The engine's own past-event guard runs before the probe sees the
         event: a corrupted heap is the engine's bug to report
         (:class:`~repro.errors.SimulationError`), and an observer's state
         must not be advanced by an event the engine refuses to process.
 
-        A machine-installed :attr:`discard` predicate is consulted next:
-        discarded events are dropped without advancing the clock, the
-        processed counter, or reaching the probe -- their handler would
-        have been a no-op, so every observable outcome is unchanged.
+        A version-guarded event (``version >= 0``) goes to the
+        machine-installed :attr:`reclaim` callback next, its one machine
+        call at the pop.  Stale events are dropped without advancing the
+        clock, the processed counter, or reaching the probe -- their
+        handler would have been a no-op, so every observable outcome is
+        unchanged.
         """
         heap = self._heap
         if not heap:
@@ -157,10 +177,11 @@ class Engine:
             raise SimulationError(
                 f"heap produced past event at t={event_time} < now={self.now}"
             )
-        discard = self.discard
-        if discard is not None and discard(event):
-            self.discarded += 1
-            return event
+        if event.version >= 0:
+            reclaim = self.reclaim
+            if reclaim is not None and reclaim(event):
+                self.discarded += 1
+                return event
         probe = self.probe
         on_event = probe.event if probe is not None else None
         if on_event is not None:
@@ -188,10 +209,7 @@ class Engine:
         self._stopped = False
         heap = self._heap
         step = self.step
-        recycle = self.recycle
         while heap and not self._stopped:
             if until is not None and heap[0][0] > until:
                 break
-            event = step()
-            if recycle is not None:
-                recycle(event)
+            step()

@@ -246,8 +246,9 @@ class Machine:
         #: SEGMENT_DONE pushes skipped because a live slice expiry proves
         #: they could never fire valid.
         self.events_suppressed = 0
-        self.engine.discard = self._fast_discard
-        self.engine.recycle = self._recycle_event
+        self.engine.reclaim = self._reclaim_timer
+        #: An observer watches drains, so every handler must drain.
+        self._drain_observed = self._hooks[DRAIN] is not None
 
         self.engine.register(EventKind.SEGMENT_DONE, self._on_segment_done)
         self.engine.register(EventKind.SLICE_EXPIRY, self._on_slice_expiry)
@@ -379,7 +380,8 @@ class Machine:
         outcome = self._advance(task, core, now)
         if outcome == "compute":
             self._schedule_segment_done(core, task, now)
-        self._drain(now)
+        if self._dispatch_pending or self._drain_observed:
+            self._drain(now)
 
     def _on_slice_expiry(self, event: Event) -> None:
         core = self.cores[event.core_id]
@@ -417,7 +419,8 @@ class Machine:
                 task.counters.record_wait(waited)
             task.wait_started_at = None
         self._wake_task(task, now)
-        self._drain(now)
+        if self._dispatch_pending or self._drain_observed:
+            self._drain(now)
 
     def _on_dvfs(self, event: Event) -> None:
         """Periodic frequency-governor evaluation (when DVFS is enabled)."""
@@ -430,7 +433,8 @@ class Machine:
             self.engine.push(
                 Event(time=now + policy.period_ms, kind=EventKind.CALLBACK)
             )
-        self._drain(now)
+        if self._dispatch_pending or self._drain_observed:
+            self._drain(now)
 
     def set_core_frequency(self, core: Core, scale: float, now: float) -> None:
         """Change ``core``'s DVFS scale, rescheduling in-flight work.
@@ -454,17 +458,7 @@ class Machine:
         if task is not None:
             core.bump_version()
             if task.current_segment is not None:
-                # Same shape as _start: fix the new slice deadline first,
-                # keep the segment-done-then-expiry push order.
-                slice_len = self.scheduler.slice_for(task, core)
-                core.slice_deadline = now + task.pending_penalty + slice_len
-                self._schedule_segment_done(core, task, now)
-                self._push_timer(
-                    core.slice_deadline,
-                    EventKind.SLICE_EXPIRY,
-                    core,
-                    core.sched_version,
-                )
+                self._arm(core, task, now)
 
     def _on_label(self, event: Event) -> None:
         now = self.engine.now
@@ -476,7 +470,8 @@ class Machine:
         period = self.scheduler.label_period()
         if period is not None and self._done_count < len(self.tasks):
             self.engine.push(Event(time=now + period, kind=EventKind.LABEL))
-        self._drain(now)
+        if self._dispatch_pending or self._drain_observed:
+            self._drain(now)
 
     # ------------------------------------------------------------------
     # Dispatch machinery
@@ -545,10 +540,17 @@ class Machine:
             outcome = self._advance(task, core, now)
             if outcome != "compute":
                 return
-        # Both timers derive from the same (now, pending_penalty) state, so
-        # the slice deadline is fixed before the segment-done push, which
-        # it may suppress.  Push order (segment-done, then expiry) fixes
-        # the sequence numbers the stored digests were recorded with.
+        self._arm(core, task, now)
+
+    def _arm(self, core: Core, task: Task, now: float) -> None:
+        """Start a fresh slice for ``task`` on ``core`` (dispatch or re-time).
+
+        Both timers derive from the same (now, pending_penalty) state, so
+        the slice deadline is fixed before the segment-done push, which
+        it may suppress.  The slice expiry's sequence number is taken
+        right after the segment-done push: that order (segment-done, then
+        expiry) fixes the numbers the stored digests were recorded with.
+        """
         slice_len = self.scheduler.slice_for(task, core)
         if slice_len <= 0:
             raise SchedulerError(
@@ -556,21 +558,24 @@ class Machine:
             )
         core.slice_deadline = now + task.pending_penalty + slice_len
         self._schedule_segment_done(core, task, now)
-        self._push_timer(
-            core.slice_deadline, EventKind.SLICE_EXPIRY, core, core.sched_version
-        )
 
     def _schedule_segment_done(self, core: Core, task: Task, now: float) -> None:
-        """Schedule the running segment's completion timer.
+        """Arm ``core``'s one timer for the running segment.
 
-        Stale-event suppression: ``core.slice_deadline`` holds the firing
-        time of the live slice-expiry timer for the same scheduling
-        version.  A completion strictly after that deadline can never fire
-        valid -- either the expiry fires first and bumps the version, or
-        something else already bumped it (which stales both timers) -- so
-        the push is skipped entirely.  A completion *at* the
-        deadline still fires first (SEGMENT_DONE outranks SLICE_EXPIRY at
-        equal timestamps) and must be pushed.
+        Each core has one armed timer per scheduling version.  While
+        segments finish inside the slice it is the segment-done timer, and
+        ``core.expiry_seq`` holds the sequence number the slice expiry
+        took when the slice started (:meth:`Engine.reserve`).  The expiry
+        itself is pushed, under that number, only once a segment would
+        finish after ``core.slice_deadline``: such a completion can never
+        fire valid -- either the expiry fires first and bumps the version,
+        or something else already bumped it -- so its push is suppressed.
+        Every pushed event thus keeps the ``(time, kind, seq)`` key it had
+        when both timers were pushed at the start of the slice, and a
+        block, finish or preemption (any version bump) drops the
+        reservation instead of leaving a stale expiry in the heap.  A
+        completion *at* the deadline still fires first (SEGMENT_DONE
+        outranks SLICE_EXPIRY at equal timestamps) and is pushed.
         """
         segment = task.current_segment
         if segment is None:
@@ -579,57 +584,59 @@ class Machine:
         finish = now + task.pending_penalty + segment.remaining / rate
         if finish > core.slice_deadline:
             self.events_suppressed += 1
+            seq = core.expiry_seq
+            core.expiry_seq = None
+            self._push_timer(core.slice_deadline, EventKind.SLICE_EXPIRY, core, seq)
             return
-        self._push_timer(finish, EventKind.SEGMENT_DONE, core, core.sched_version)
+        self._push_timer(finish, EventKind.SEGMENT_DONE, core)
+        if core.expiry_seq is None:
+            core.expiry_seq = self.engine.reserve()
 
     def _push_timer(
-        self, time: float, kind: EventKind, core: Core, version: int
+        self, time: float, kind: EventKind, core: Core, seq: int | None = None
     ) -> None:
-        """Push a core-directed timer, reusing a pooled event if possible.
+        """Push a timer for ``core``'s current version, reusing a pooled event.
 
-        :meth:`_recycle_event` feeds the pool with dead timers of the same
-        core; a timer is allocated fresh only when the pool is empty.
+        :meth:`_reclaim_timer` feeds the pool with the core's popped timers;
+        a timer is allocated fresh only when the pool is empty.  A ``seq``
+        from :meth:`Engine.reserve` queues the timer under that number.
         """
         pool = core.event_pool
         if pool:
             event = pool.pop()
             event.time = time
             event.kind = kind
-            event.version = version
-            self.engine.push(event)
+            event.version = core.sched_version
         else:
-            self.engine.push(
-                Event(
-                    time=time, kind=kind, core_id=core.core_id, version=version
-                )
+            event = Event(
+                time=time, kind=kind, core_id=core.core_id,
+                version=core.sched_version,
             )
+        self.engine.push(event, seq)
 
-    def _fast_discard(self, event: Event) -> bool:
-        """Engine pop-time predicate: is this timer provably a no-op?
+    def _reclaim_timer(self, event: Event) -> bool:
+        """Engine pop hook for a version-guarded timer: pool it; is it stale?
 
-        Only version-guarded timers (SEGMENT_DONE / SLICE_EXPIRY carry
-        ``version >= 0``) qualify; their handlers return immediately when
-        the version no longer matches, so dropping them before the clock,
-        sanitizer, or handler sees them changes no observable outcome.
+        The popped event goes back to its core's pool whether it is stale
+        or live: a live timer's handler reads its fields before anything
+        can reuse it.  Stale timers (SEGMENT_DONE / SLICE_EXPIRY of an
+        older version) have a no-op handler, so the engine drops them
+        before the clock, sanitizer, or handler sees them and no
+        observable outcome changes.
         """
-        version = event.version
-        return version >= 0 and version != self.cores[event.core_id].sched_version
-
-    def _recycle_event(self, event: Event) -> None:
-        """Engine post-step callback: pool dead timer events for reuse."""
-        if event.version >= 0:
-            pool = self.cores[event.core_id].event_pool
-            if len(pool) < 8:
-                pool.append(event)
+        core = self.cores[event.core_id]
+        core.event_pool.append(event)
+        return event.version != core.sched_version
 
     def _account(self, core: Core, now: float) -> None:
         """Charge execution since ``core.run_started`` to the running task.
 
         Hot path: runs at every deschedule/preempt/segment boundary, so
-        repeated attribute reads are hoisted into locals and each ``min``
+        repeated attribute reads are hoisted into locals, each ``min``
         is written as the comparison it performs (``min(a, b)`` is ``b if
-        b < a else a``, NaN and -0.0 included).  The arithmetic (and its
-        order) is untouched -- outcomes stay bit-identical.
+        b < a else a``, NaN and -0.0 included), and the residency sum
+        makes no ``dict.get`` call.  The arithmetic (and its order) is
+        untouched -- outcomes stay bit-identical.
         """
         task = core.current
         if task is None:
@@ -663,7 +670,10 @@ class Machine:
             core.busy_time += elapsed
             by_scale = core.busy_by_scale
             scale = core.freq_scale
-            by_scale[scale] = by_scale.get(scale, 0.0) + elapsed
+            if scale in by_scale:
+                by_scale[scale] += elapsed
+            else:
+                by_scale[scale] = elapsed  # == 0.0 + elapsed, as elapsed > 0
             hook = self._hooks[EXEC]
             if hook is not None:
                 hook(EXEC, task, core, now, penalty_used)
@@ -776,12 +786,12 @@ class Machine:
         (a task woken by one of our zero-time actions preempted us).
 
         Hot path: every resumption funnels through this loop, so the
-        generator handle and the action dispatcher are hoisted into
-        locals up front.
+        generator handle and the action table are hoisted into locals up
+        front, and :class:`Compute` -- most actions -- is handled inline.
         """
         actions = task.actions
         send = actions.send
-        apply_action = self._apply_action
+        handlers = self._ACTIONS
         for _ in range(self.config.max_actions_per_advance):
             try:
                 if not task.gen_started:
@@ -795,10 +805,18 @@ class Machine:
                 self._finish_task(task, core, now)
                 return "done"
 
-            status = apply_action(task, core, action, now)
-            if status == "compute":
-                return "compute"
-            if status == "blocked":
+            if type(action) is Compute:
+                if action.remaining > 0.0:
+                    task.current_segment = action
+                    return "compute"
+                continue  # zero-work segment: nothing to execute
+            try:
+                handler = handlers[type(action)]
+            except KeyError:
+                raise SimulationError(
+                    f"unknown action {action!r} from {task.name}"
+                ) from None
+            if handler(self, task, action, now) == "blocked":
                 task.blocked_action = action
                 task.mark_sleeping()
                 core.current = None
@@ -810,86 +828,116 @@ class Machine:
                 return "blocked"
             # Zero-time action completed; the wakeups it caused may have
             # preempted this very task.
-            if not task.is_running:
+            if task.state is not TaskState.RUNNING:
                 return "preempted"
         raise SimulationError(
             f"task {task.name} processed {self.config.max_actions_per_advance} "
             "zero-time actions without computing or blocking (livelock)"
         )
 
-    def _apply_action(self, task: Task, core: Core, action, now: float) -> str:
-        """Execute one action; returns "compute" / "blocked" / "continue"."""
-        if isinstance(action, Compute):
-            if action.remaining <= 0.0:
-                return "continue"  # zero-work segment: nothing to execute
-            task.current_segment = action
-            return "compute"
-        if isinstance(action, LockAcquire):
-            outcome = action.mutex.acquire(task, now)
-            return "blocked" if outcome == "blocked" else "continue"
-        if isinstance(action, LockRelease):
-            self._wake_all(action.mutex.release(task, now), now)
-            return "continue"
-        if isinstance(action, SemAcquire):
-            outcome = action.semaphore.acquire(task, now)
-            return "blocked" if outcome == "blocked" else "continue"
-        if isinstance(action, SemRelease):
-            self._wake_all(action.semaphore.release(task, now), now)
-            return "continue"
-        if isinstance(action, ReadAcquire):
-            outcome = action.rwlock.acquire_read(task, now)
-            return "blocked" if outcome == "blocked" else "continue"
-        if isinstance(action, ReadRelease):
-            self._wake_all(action.rwlock.release_read(task, now), now)
-            return "continue"
-        if isinstance(action, WriteAcquire):
-            outcome = action.rwlock.acquire_write(task, now)
-            return "blocked" if outcome == "blocked" else "continue"
-        if isinstance(action, WriteRelease):
-            self._wake_all(action.rwlock.release_write(task, now), now)
-            return "continue"
-        if isinstance(action, BarrierWait):
-            outcome = action.barrier.arrive(task, now)
-            if outcome == "blocked":
-                return "blocked"
-            self._wake_all(outcome, now)
-            return "continue"
-        if isinstance(action, CondWait):
-            action.cond.wait(task, now)
+    # One handler per zero-time action type, each returning "blocked" or
+    # "continue"; :attr:`_ACTIONS` maps the exact type to its handler.
+    def _act_lock_acquire(self, task, action: LockAcquire, now) -> str:
+        outcome = action.mutex.acquire(task, now)
+        return "blocked" if outcome == "blocked" else "continue"
+
+    def _act_lock_release(self, task, action: LockRelease, now) -> str:
+        self._wake_all(action.mutex.release(task, now), now)
+        return "continue"
+
+    def _act_sem_acquire(self, task, action: SemAcquire, now) -> str:
+        outcome = action.semaphore.acquire(task, now)
+        return "blocked" if outcome == "blocked" else "continue"
+
+    def _act_sem_release(self, task, action: SemRelease, now) -> str:
+        self._wake_all(action.semaphore.release(task, now), now)
+        return "continue"
+
+    def _act_read_acquire(self, task, action: ReadAcquire, now) -> str:
+        outcome = action.rwlock.acquire_read(task, now)
+        return "blocked" if outcome == "blocked" else "continue"
+
+    def _act_read_release(self, task, action: ReadRelease, now) -> str:
+        self._wake_all(action.rwlock.release_read(task, now), now)
+        return "continue"
+
+    def _act_write_acquire(self, task, action: WriteAcquire, now) -> str:
+        outcome = action.rwlock.acquire_write(task, now)
+        return "blocked" if outcome == "blocked" else "continue"
+
+    def _act_write_release(self, task, action: WriteRelease, now) -> str:
+        self._wake_all(action.rwlock.release_write(task, now), now)
+        return "continue"
+
+    def _act_barrier_wait(self, task, action: BarrierWait, now) -> str:
+        outcome = action.barrier.arrive(task, now)
+        if outcome == "blocked":
             return "blocked"
-        if isinstance(action, CondSignal):
-            self._wake_all(action.cond.signal(task, now), now)
-            return "continue"
-        if isinstance(action, CondBroadcast):
-            self._wake_all(action.cond.broadcast(task, now), now)
-            return "continue"
-        if isinstance(action, PipePut):
-            outcome = action.pipe.put(task, action.item, now)
-            if outcome == "blocked":
-                return "blocked"
-            self._wake_all(outcome, now)
-            return "continue"
-        if isinstance(action, PipeGet):
-            outcome = action.pipe.get(task, now)
-            if outcome == "blocked":
-                return "blocked"
-            item, woken = outcome
-            task.pending_result = item
-            self._wake_all(woken, now)
-            return "continue"
-        if isinstance(action, Spawn):
-            spawned = action.task
-            spawned.spawn_time = now
-            self._admit(spawned, task.name)
-            self._wake_task(spawned, now, is_new=True)
-            return "continue"
-        if isinstance(action, Sleep):
-            task.wait_started_at = now
-            self.engine.push(
-                Event(time=now + action.duration, kind=EventKind.WAKEUP, payload=task)
-            )
+        self._wake_all(outcome, now)
+        return "continue"
+
+    def _act_cond_wait(self, task, action: CondWait, now) -> str:
+        action.cond.wait(task, now)
+        return "blocked"
+
+    def _act_cond_signal(self, task, action: CondSignal, now) -> str:
+        self._wake_all(action.cond.signal(task, now), now)
+        return "continue"
+
+    def _act_cond_broadcast(self, task, action: CondBroadcast, now) -> str:
+        self._wake_all(action.cond.broadcast(task, now), now)
+        return "continue"
+
+    def _act_pipe_put(self, task, action: PipePut, now) -> str:
+        outcome = action.pipe.put(task, action.item, now)
+        if outcome == "blocked":
             return "blocked"
-        raise SimulationError(f"unknown action {action!r} from {task.name}")
+        self._wake_all(outcome, now)
+        return "continue"
+
+    def _act_pipe_get(self, task, action: PipeGet, now) -> str:
+        outcome = action.pipe.get(task, now)
+        if outcome == "blocked":
+            return "blocked"
+        item, woken = outcome
+        task.pending_result = item
+        self._wake_all(woken, now)
+        return "continue"
+
+    def _act_spawn(self, task, action: Spawn, now) -> str:
+        spawned = action.task
+        spawned.spawn_time = now
+        self._admit(spawned, task.name)
+        self._wake_task(spawned, now, is_new=True)
+        return "continue"
+
+    def _act_sleep(self, task, action: Sleep, now) -> str:
+        task.wait_started_at = now
+        self.engine.push(
+            Event(time=now + action.duration, kind=EventKind.WAKEUP, payload=task)
+        )
+        return "blocked"
+
+    #: Action type -> handler (unbound; called with the machine first).
+    #: :class:`Compute` is handled inline by :meth:`_advance`.
+    _ACTIONS = {
+        LockAcquire: _act_lock_acquire,
+        LockRelease: _act_lock_release,
+        SemAcquire: _act_sem_acquire,
+        SemRelease: _act_sem_release,
+        ReadAcquire: _act_read_acquire,
+        ReadRelease: _act_read_release,
+        WriteAcquire: _act_write_acquire,
+        WriteRelease: _act_write_release,
+        BarrierWait: _act_barrier_wait,
+        CondWait: _act_cond_wait,
+        CondSignal: _act_cond_signal,
+        CondBroadcast: _act_cond_broadcast,
+        PipePut: _act_pipe_put,
+        PipeGet: _act_pipe_get,
+        Spawn: _act_spawn,
+        Sleep: _act_sleep,
+    }
 
     def _wake_all(self, tasks: list[Task], now: float) -> None:
         for woken in tasks:

@@ -95,7 +95,7 @@ def data_parallel(
             yield BarrierWait(barrier)
 
     weights = [
-        float(max(0.3, 1.0 + env.rng.normal(0.0, imbalance)))
+        float(max(0.3, 1.0 + env.normal(0.0, imbalance)))
         for _ in range(n_threads)
     ]
     return [
@@ -286,7 +286,7 @@ def fork_join(
     per_cell = total_work / (n_threads * n_phases)
     shares = [
         [
-            float(max(0.2, 1.0 + env.rng.normal(0.0, imbalance)))
+            float(max(0.2, 1.0 + env.normal(0.0, imbalance)))
             for _ in range(n_phases)
         ]
         for _ in range(n_threads)

@@ -3,8 +3,8 @@
 A *program* is one application of a multi-programmed workload: a set of
 tasks sharing synchronisation objects.  :class:`ProgramEnv` carries the
 per-machine resources a model needs (the futex table its primitives park
-on, the RNG all stochastic structure derives from, and a global work
-scale), and :class:`ProgramInstance` is the finished bundle handed to
+on, the normal draws all stochastic structure derives from, and a global
+work scale), and :class:`ProgramInstance` is the finished bundle handed to
 :meth:`repro.sim.machine.Machine.add_program`.
 """
 
@@ -23,22 +23,39 @@ from repro.sim.counters import MicroArchProfile, profile_from_traits
 POISON = "__poison__"
 
 
-@dataclass
 class ProgramEnv:
     """Resources available to workload builders.
 
     Attributes:
         futexes: The machine's futex table (primitives must park there so
             blocking feeds the criticality metric).
-        rng: Deterministic randomness source for structure jitter.
         work_scale: Multiplies every compute segment; lets the experiment
             harness shrink simulations uniformly without changing their
             relative structure.
+
+    All structure jitter comes from :meth:`normal`, which serves the
+    env's private generator (the ``rng`` argument) in blocks: one
+    ``standard_normal(size=BLOCK)`` call per :data:`BLOCK` draws instead
+    of one ``Generator.normal`` call per draw.  ``Generator.normal(loc,
+    scale)`` is ``loc + scale * z`` for the next standard normal ``z`` of
+    the same stream, so every draw, and its place in the stream, is
+    unchanged.  That holds only while nothing else draws from the
+    generator, which is why it is private.
     """
 
-    futexes: FutexTable
-    rng: np.random.Generator
-    work_scale: float = 1.0
+    #: Standard normals drawn per refill.
+    BLOCK = 32
+
+    __slots__ = ("futexes", "work_scale", "_rng", "_block", "_next")
+
+    def __init__(
+        self, futexes: FutexTable, rng: np.random.Generator, work_scale: float = 1.0
+    ) -> None:
+        self.futexes = futexes
+        self.work_scale = work_scale
+        self._rng = rng
+        self._block: list[float] = []
+        self._next = self.BLOCK
 
     @classmethod
     def for_machine(cls, machine, work_scale: float = 1.0) -> "ProgramEnv":
@@ -48,6 +65,15 @@ class ProgramEnv:
             rng=np.random.default_rng(machine.rng.integers(0, 2**63)),
             work_scale=work_scale,
         )
+
+    def normal(self, loc: float, scale: float) -> float:
+        """The next draw of ``Generator.normal(loc, scale)``, bit for bit."""
+        i = self._next
+        if i == self.BLOCK:
+            self._block = self._rng.standard_normal(size=self.BLOCK).tolist()
+            i = 0
+        self._next = i + 1
+        return loc + scale * self._block[i]
 
 
 @dataclass
@@ -91,7 +117,7 @@ def make_profile(
         compute_intensity=traits.compute_intensity,
         memory_intensity=traits.memory_intensity,
         sync_intensity=traits.sync_intensity,
-        rng=env.rng,
+        rng=env,
         jitter=jitter,
     )
 
@@ -117,5 +143,5 @@ def jittered(env: ProgramEnv, work: float, sigma: float = 0.2) -> float:
     """Scaled work with lognormal jitter (never negative, mean ~= work)."""
     if work < 0:
         raise WorkloadError(f"negative work {work}")
-    factor = float(np.exp(env.rng.normal(-sigma * sigma / 2, sigma)))
+    factor = float(np.exp(env.normal(-sigma * sigma / 2, sigma)))
     return work * env.work_scale * factor

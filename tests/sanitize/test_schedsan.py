@@ -385,13 +385,12 @@ class TestTaskStateSweep:
         )
 
     def test_task_current_on_two_cores_detected(self):
-        # With distinct core ids the second core's running_on check
-        # fires first; the task is still reported.
+        # The bijection check runs before the running_on check, so the
+        # report names both cores.
         machine = busy_machine()
         machine.cores[1].current = machine.cores[0].current
         check_machine_fails(
-            machine, "task_state",
-            r"t0 runs on core 1 but records running_on=0",
+            machine, "task_state", r"t0 is current on cores 0 and 1",
         )
 
     def test_task_current_on_two_cores_sharing_an_id_detected(self):

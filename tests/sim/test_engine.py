@@ -237,9 +237,13 @@ class TestProbe:
     def test_discarded_events_skip_the_hook(self):
         engine, seen = collecting_engine()
         recorder = engine.probe = _EventRecorder()
-        engine.discard = lambda ev: ev.version == 1
         recycled = []
-        engine.recycle = recycled.append
+
+        def reclaim(ev):
+            recycled.append(ev)
+            return ev.version == 1
+
+        engine.reclaim = reclaim
         for i in range(4):
             engine.push(
                 Event(time=float(i), kind=EventKind.CALLBACK, version=i % 2)

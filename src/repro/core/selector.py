@@ -203,14 +203,16 @@ class BiasedGlobalSelector:
 
         The starvation anchor is each donor queue's own minimum vruntime,
         so a queue whose head is badly starved exports that head first.
+        An empty queue is skipped before its key closure is built.
         """
         best_key: tuple | None = None
         chosen: tuple["Core", "Task"] | None = None
         for other in cores:
-            key = self._rq_key(for_core, other.rq)
-            task = other.rq.best(key)
-            if task is None:
+            rq = other.rq
+            if not rq:
                 continue
+            key = self._rq_key(for_core, rq)
+            task = rq.best(key)
             candidate = key(task)
             if best_key is None or candidate < best_key:
                 best_key = candidate

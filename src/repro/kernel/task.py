@@ -217,7 +217,7 @@ class Task:
 
         #: ``profile.speedup()`` memo, set by :meth:`true_speedup` on first
         #: use.  The profile is frozen, so its speedup is a constant that
-        #: need not pay ``np.clip`` on every call.
+        #: need not be recomputed on every call.
         self._profile_speedup: float | None = None
 
     # ------------------------------------------------------------------

@@ -125,9 +125,9 @@ class OracleSpeedupModel(SpeedupEstimator):
         if truth is None:
             truth = task.profile.speedup()
         elif self.noise_std == 0.0:
-            # The memo is float(np.clip(..., 1.0, 2.9)) and the bounds
-            # below are the same [SPEEDUP_MIN, SPEEDUP_MAX], so the final
-            # clip is the identity -- skip its numpy dispatch.
+            # The memo is already clipped to [1.0, 2.9], the same
+            # [SPEEDUP_MIN, SPEEDUP_MAX] as below, so the final clip is
+            # the identity -- skip its numpy dispatch.
             return truth
         if self.noise_std > 0.0:
             truth += self._rng.normal(0.0, self.noise_std)
@@ -181,7 +181,11 @@ class LearnedSpeedupModel(SpeedupEstimator):
         if features is None:
             return None
         raw = float(self.regression.predict(features))
-        return float(np.clip(raw, SPEEDUP_MIN, SPEEDUP_MAX))
+        # The comparisons ``float(np.clip(raw, SPEEDUP_MIN, SPEEDUP_MAX))``
+        # performs, without its numpy dispatch (NaN passes through).
+        if raw < SPEEDUP_MIN:
+            return SPEEDUP_MIN
+        return SPEEDUP_MAX if raw > SPEEDUP_MAX else raw
 
     @property
     def is_pure(self) -> bool:

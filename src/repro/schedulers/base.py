@@ -227,6 +227,12 @@ class Scheduler(abc.ABC):
         return self.machine
 
     def allowed_cores(self, task: "Task") -> list["Core"]:
-        """Cores the task's affinity mask permits (all if unmasked)."""
+        """Cores the task's affinity mask permits (all if unmasked).
+
+        The result is read-only: for an unmasked task it is the machine's
+        own ``cores`` list, returned without a copy.
+        """
         machine = self._require_machine()
+        if task.affinity is None:
+            return machine.cores
         return [c for c in machine.cores if task.allows_core(c.core_id)]

@@ -24,7 +24,9 @@ with the same statistical shape:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -133,7 +135,10 @@ class MicroArchProfile:
         freq_ratio = 2.0 / 1.2
         ooo_benefit = 1.0 + 0.55 * self.ilp + 0.15 * self.store_pressure
         erosion = 1.0 + 0.85 * self.mem_bound + 0.25 * self.frontend_stall
-        return float(np.clip(freq_ratio * ooo_benefit / erosion, 1.0, 2.9))
+        # The comparisons ``float(np.clip(x, 1.0, 2.9))`` performs (NaN
+        # passes through, as it does there).
+        value = freq_ratio * ooo_benefit / erosion
+        return 1.0 if value < 1.0 else 2.9 if value > 2.9 else value
 
 
 def profile_from_traits(
@@ -155,7 +160,9 @@ def profile_from_traits(
     """
 
     def clamped(base: float) -> float:
-        return float(np.clip(base + rng.normal(0.0, jitter), 0.0, 1.0))
+        # ``float(np.clip(value, 0.0, 1.0))`` as the comparisons it makes.
+        value = base + rng.normal(0.0, jitter)
+        return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
     return MicroArchProfile(
         ilp=clamped(0.15 + 0.75 * compute_intensity),
@@ -172,9 +179,11 @@ def profile_from_traits(
 # ---------------------------------------------------------------------------
 
 
-#: Counters bumped by :meth:`PerformanceCounters.record_compute`, in the
-#: order their noise factors are drawn from the RNG stream.
-_COMPUTE_NOISY_NAMES: tuple[str, ...] = (
+#: Accumulators a compute record adds into, in fold order: committed
+#: instructions, then the five noisy counters in the order their noise
+#: factors are drawn from the RNG stream.
+_FOLDED_NAMES: tuple[str, ...] = (
+    "commit.committedInsts",
     "fp_regfile_writes",
     "fetch.Branches",
     "rename.SQFullEvents",
@@ -182,14 +191,18 @@ _COMPUTE_NOISY_NAMES: tuple[str, ...] = (
     "fetch.IcacheWaitRetryStallCycles",
 )
 
-#: Noise factors drawn per ``Generator.normal`` call: eight
-#: :meth:`PerformanceCounters.record_compute` calls' worth.  Kept small,
-#: and packed as float64 (440 bytes, against 1.3 KB as a list of floats),
-#: because every task object holds its block for as long as it lives.
+#: Noise factors are drawn in whole blocks of this many (eight compute
+#: records' worth), so the unused rest a task holds between folds is under
+#: one block.
 _NOISE_BLOCK = 40
 
+#: Compute records a task holds before they are folded without a read.
+#: Bounds the buffer (8 KB) of a task whose window is never read, such as
+#: a training run's; a labeled task's window is read every 10 ms, long
+#: before its buffer fills.
+PENDING_CAP = 1024
 
-@dataclass
+
 class PerformanceCounters:
     """Accumulating PMU state of one task.
 
@@ -201,35 +214,35 @@ class PerformanceCounters:
     others ``Task.counters`` is None, meaning "the policy reads no
     counters", and no segment pays for counter synthesis.
 
-    :meth:`record_compute` takes its five noise factors from a block of
-    :data:`_NOISE_BLOCK` drawn by one ``Generator.normal`` call, refilled
-    when fewer than five remain, instead of making five scalar calls.
-    numpy's Generator fills ``normal(size=N)`` element by element from the
-    same bit-stream, so the values are those the scalar calls would draw,
-    in the same order.  That makes every counter bit-identical to per-call
-    draws provided ``rng`` has no other consumer, since the block draws
-    ahead of use: the machine seeds one generator per task for its
-    counters alone, and nothing but :meth:`record_compute` draws from it.
-    The block amortises numpy's per-call dispatch overhead on the
-    simulator's hottest accounting site.
+    Counters are computed when they are read.  A compute record only
+    appends its work to :attr:`pending` (the machine calls the array's
+    ``append`` directly, so no Python frame runs per segment), and
+    :meth:`read_window` -- which the ``totals`` and ``window`` properties
+    and a full buffer also go through -- folds the pending records in one
+    loop.  The fold gives each record the five noise factors, the
+    accumulators and the order of additions that an eager per-segment
+    update would, so every float is the same: numpy's Generator fills
+    ``normal(size=N)`` element by element from one bit-stream, so the
+    factors do not depend on when or in what block sizes they are drawn,
+    provided ``rng`` has no other consumer.  The machine seeds one
+    generator per task for its counters alone.  :meth:`record_wait` stays
+    eager: it touches only ``quiesceCycles``, which no compute record
+    touches.
     """
 
-    profile: MicroArchProfile
-    rng: np.random.Generator
-    totals: dict[str, float] = field(default_factory=dict)
-    window: dict[str, float] = field(default_factory=dict)
-    # Per-instruction rates are a fixed function of the (frozen) profile,
-    # computed once instead of per record_compute call.
-    _rates: tuple[float, ...] = field(init=False, repr=False)
-    # Noise block and the index of its next unused factor.
-    _noise: array = field(default_factory=lambda: array("d"), repr=False)
-    _cursor: int = field(default=0, repr=False)
+    __slots__ = ("profile", "rng", "pending", "_totals", "_window", "_rates", "_noise")
 
-    def __post_init__(self) -> None:
-        for name in INFORMATIVE_NAMES:
-            self.totals.setdefault(name, 0.0)
-            self.window.setdefault(name, 0.0)
-        p = self.profile
+    def __init__(self, profile: MicroArchProfile, rng: np.random.Generator) -> None:
+        self.profile = profile
+        self.rng = rng
+        #: Work units of compute records not yet folded (append-only
+        #: outside this class; at most :data:`PENDING_CAP` long).
+        self.pending = array("d")
+        self._totals = dict.fromkeys(INFORMATIVE_NAMES, 0.0)
+        self._window = dict.fromkeys(INFORMATIVE_NAMES, 0.0)
+        # Per-instruction rates are a fixed function of the (frozen)
+        # profile, in _FOLDED_NAMES order (after committed instructions).
+        p = profile
         self._rates = (
             0.05 + 0.40 * p.ilp,
             0.02 + 0.20 * p.branchiness,
@@ -237,6 +250,22 @@ class PerformanceCounters:
             0.05 + 0.60 * p.mem_bound,
             0.005 + 0.12 * p.frontend_stall,
         )
+        # Drawn noise factors not yet used (fewer than one block).
+        self._noise = array("d")
+
+    @property
+    def totals(self) -> Mapping[str, float]:
+        """Lifetime accumulators (read-only view, pending records folded)."""
+        if self.pending:
+            self.read_window(reset=False)
+        return MappingProxyType(self._totals)
+
+    @property
+    def window(self) -> Mapping[str, float]:
+        """Current window's accumulators (read-only view, pending folded)."""
+        if self.pending:
+            self.read_window(reset=False)
+        return MappingProxyType(self._window)
 
     # -- accumulation -------------------------------------------------------
     def record_compute(self, work: float, cpu_time: float) -> None:
@@ -245,33 +274,19 @@ class PerformanceCounters:
         Counter rates are per-instruction functions of the latent profile
         with ~5% multiplicative noise, so windows are informative but not
         oracle-clean -- the regression model has realistic residuals.
+        This is the validated entry point: it rejects negative inputs,
+        ignores zero work (which draws no noise), and queues the record
+        on :attr:`pending` like the machine's direct append, to be folded
+        at the next read.
         """
         if work < 0 or cpu_time < 0:
             raise SimulationError(f"negative accounting: work={work} t={cpu_time}")
         if work == 0.0:
             return
-        insts = work * INSTRUCTIONS_PER_WORK
-        noise = self._noise
-        start = self._cursor
-        if start > len(noise) - 5:
-            noise = self._noise = array(
-                "d", self.rng.normal(0.0, 0.05, _NOISE_BLOCK).tobytes()
-            )
-            start = 0
-        self._cursor = start + 5
-        totals = self.totals
-        window = self.window
-        totals["commit.committedInsts"] += insts
-        window["commit.committedInsts"] += insts
-        for name, rate, sample in zip(
-            _COMPUTE_NOISY_NAMES, self._rates, noise[start:start + 5]
-        ):
-            # ``max(0.0, f)`` without the builtin call (same value for NaN
-            # and 0.0).
-            f = 1.0 + sample
-            amount = insts * rate * (f if f > 0.0 else 0.0)
-            totals[name] += amount
-            window[name] += amount
+        pending = self.pending
+        pending.append(work)
+        if len(pending) >= PENDING_CAP:
+            self.read_window(reset=False)
 
     def record_wait(self, wait_time: float) -> None:
         """Account blocked time as quiesce (interrupt-wait) cycles."""
@@ -279,19 +294,76 @@ class PerformanceCounters:
             raise SimulationError(f"negative wait time {wait_time}")
         # 2 GHz big-core cycles per ms of quiescence, profile-weighted.
         cycles = wait_time * 2.0e6 * (0.5 + 0.5 * self.profile.quiesce)
-        self.totals["quiesceCycles"] += cycles
-        self.window["quiesceCycles"] += cycles
+        self._totals["quiesceCycles"] += cycles
+        self._window["quiesceCycles"] += cycles
 
     # -- snapshots ------------------------------------------------------------
     def read_window(self, reset: bool = True) -> dict[str, float]:
-        """Return the per-window accumulators, optionally resetting them."""
-        snapshot = dict(self.window)
+        """Fold pending compute records, then return the window.
+
+        The fold applies the records in record order, each with its next
+        five noise factors, adding into the same accumulators in the same
+        order as an eager per-record update.  It is written out here
+        rather than in a helper because the labeler calls this once per
+        task every 10 ms.
+        """
+        pending = self.pending
+        totals = self._totals
+        window = self._window
+        if pending:
+            noise = self._noise
+            used = 5 * len(pending)
+            short = used - len(noise)
+            if short > 0:
+                short += -short % _NOISE_BLOCK
+                noise = noise + array(
+                    "d", self.rng.normal(0.0, 0.05, short).tobytes()
+                )
+            r0, r1, r2, r3, r4 = self._rates
+            ti, t0, t1, t2, t3, t4 = map(totals.__getitem__, _FOLDED_NAMES)
+            wi, w0, w1, w2, w3, w4 = map(window.__getitem__, _FOLDED_NAMES)
+            per_work = INSTRUCTIONS_PER_WORK
+            # One iterator zipped five times hands each record its next
+            # five factors.  ``f if f > 0.0 else 0.0`` is ``max(0.0, f)``
+            # without the builtin call (same value for NaN and 0.0).
+            factors = iter(noise)
+            for work, s0, s1, s2, s3, s4 in zip(
+                pending, factors, factors, factors, factors, factors
+            ):
+                insts = work * per_work
+                ti += insts
+                wi += insts
+                f = 1.0 + s0
+                amount = insts * r0 * (f if f > 0.0 else 0.0)
+                t0 += amount
+                w0 += amount
+                f = 1.0 + s1
+                amount = insts * r1 * (f if f > 0.0 else 0.0)
+                t1 += amount
+                w1 += amount
+                f = 1.0 + s2
+                amount = insts * r2 * (f if f > 0.0 else 0.0)
+                t2 += amount
+                w2 += amount
+                f = 1.0 + s3
+                amount = insts * r3 * (f if f > 0.0 else 0.0)
+                t3 += amount
+                w3 += amount
+                f = 1.0 + s4
+                amount = insts * r4 * (f if f > 0.0 else 0.0)
+                t4 += amount
+                w4 += amount
+            totals.update(zip(_FOLDED_NAMES, (ti, t0, t1, t2, t3, t4)))
+            window.update(zip(_FOLDED_NAMES, (wi, w0, w1, w2, w3, w4)))
+            self._noise = noise[used:]
+            del pending[:]
+        snapshot = dict(window)
         if reset:
-            for name in self.window:
-                self.window[name] = 0.0
+            for name in window:
+                window[name] = 0.0
         return snapshot
 
-    def normalized(self, source: dict[str, float] | None = None) -> dict[str, float]:
+    def normalized(self, source: Mapping[str, float] | None = None) -> dict[str, float]:
         """Counters A-F divided by committed instructions (Table 2 form)."""
         values = source if source is not None else self.totals
         insts = values.get("commit.committedInsts", 0.0)

@@ -56,7 +56,7 @@ from repro.obs.probe import (
 )
 from repro.obs.tracer import TraceEvent
 from repro.sim.core import Core
-from repro.sim.counters import PerformanceCounters
+from repro.sim.counters import PENDING_CAP, PerformanceCounters
 from repro.sim.engine import Engine
 from repro.sim.events import Event, EventKind
 from repro.sim.topology import Topology
@@ -634,9 +634,11 @@ class Machine:
         Hot path: runs at every deschedule/preempt/segment boundary, so
         repeated attribute reads are hoisted into locals, each ``min``
         is written as the comparison it performs (``min(a, b)`` is ``b if
-        b < a else a``, NaN and -0.0 included), and the residency sum
-        makes no ``dict.get`` call.  The arithmetic (and its order) is
-        untouched -- outcomes stay bit-identical.
+        b < a else a``, NaN and -0.0 included), the residency sum
+        makes no ``dict.get`` call, and the task's PMU counters only get
+        the segment's work appended to their pending buffer (a C-level
+        call; they are computed when read).  The arithmetic (and its
+        order) is untouched -- outcomes stay bit-identical.
         """
         task = core.current
         if task is None:
@@ -665,7 +667,10 @@ class Machine:
             task.work_done += work
             counters = task.counters
             if counters is not None and work > 0.0:
-                counters.record_compute(work, productive)
+                pending = counters.pending
+                pending.append(work)
+                if len(pending) >= PENDING_CAP:
+                    counters.read_window(reset=False)
             self.scheduler.charge(task, core, elapsed, now)
             core.busy_time += elapsed
             by_scale = core.busy_by_scale

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,29 @@ class TestLearned:
         assert "fp_regfile_writes" in text
         assert "speedup =" in text
         assert "1.5" in text
+
+
+class TestLearnedClamp:
+    """The estimate's clamp equals ``float(np.clip(raw, 1.0, 2.9))``."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            0.0, -0.0, SPEEDUP_MIN, SPEEDUP_MAX,
+            math.nextafter(SPEEDUP_MIN, -math.inf),
+            math.nextafter(SPEEDUP_MAX, math.inf),
+            math.nextafter(SPEEDUP_MIN, math.inf),
+            math.nextafter(SPEEDUP_MAX, -math.inf),
+            math.inf, -math.inf, math.nan,
+        ],
+    )
+    def test_matches_np_clip_bit_for_bit(self, raw):
+        # Zero weights: the prediction is the intercept plus 0.0.
+        regression = fitted_regression([0.0])
+        regression.coef_ = np.zeros(1)
+        regression.intercept_ = raw
+        model = LearnedSpeedupModel(["fp_regfile_writes"], regression)
+        window = {"commit.committedInsts": 1e9, "fp_regfile_writes": 1e8}
+        predicted = float(regression.predict(model.features_from(window)))
+        expected = float(np.clip(predicted, SPEEDUP_MIN, SPEEDUP_MAX))
+        assert model.estimate(None, window).hex() == expected.hex()

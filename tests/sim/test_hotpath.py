@@ -12,6 +12,7 @@ and the block-drawn counter noise by ``tests/sim/test_counters.py``.
 from __future__ import annotations
 
 import cProfile
+import functools
 import heapq
 import pstats
 
@@ -302,6 +303,59 @@ def calls_per_event() -> float:
 def test_calls_per_event_at_most_90_percent_of_before():
     ratio = calls_per_event()
     assert ratio <= 0.9 * CALLS_PER_EVENT_BEFORE, ratio
+
+
+# ----------------------------------------------------------------------
+# PMU counters computed when read (deterministic host-cost gate)
+# ----------------------------------------------------------------------
+#: cProfile frames in ``repro/sim/counters.py`` per processed event of
+#: :func:`counter_frames`' runs when every compute segment called
+#: ``record_compute`` (1.69 on CPython 3.11).
+COUNTER_FRAMES_PER_EVENT_BEFORE = 1.69
+
+
+@functools.lru_cache(maxsize=1)
+def counter_frames() -> tuple[float, int]:
+    """``(frames per processed event, calls from _account)`` for counters.py.
+
+    WASH and COLAB on 2B2S read every task's counter window each 10 ms,
+    like hostbench's ``dense`` workload.
+    """
+    ctx = ExperimentContext(
+        seed=0, work_scale=0.35,
+        estimator=OracleSpeedupModel(noise_std=0.0, seed=0),
+    )
+    frames = events = from_account = 0
+    for mix in ("Sync-2", "Comm-2", "Comp-2", "Rand-1"):
+        for scheduler in ("wash", "colab"):
+            profiler = cProfile.Profile()
+            profiler.enable()
+            try:
+                result = run_mix_once(ctx, MIXES[mix], "2B2S", scheduler, True)
+            finally:
+                profiler.disable()
+            stats = pstats.Stats(profiler).stats
+            for (path, _, _), (_, calls, _, _, callers) in stats.items():
+                if not path.replace("\\", "/").endswith("repro/sim/counters.py"):
+                    continue
+                frames += calls
+                from_account += sum(
+                    1 for (caller, _, name) in callers
+                    if name == "_account"
+                    and caller.replace("\\", "/").endswith("repro/sim/machine.py")
+                )
+            events += result.events_processed
+    return frames / events, from_account
+
+
+def test_account_makes_no_counter_call():
+    _, from_account = counter_frames()
+    assert from_account == 0
+
+
+def test_counter_frames_per_event_at_most_40_percent_of_before():
+    ratio, _ = counter_frames()
+    assert ratio <= 0.4 * COUNTER_FRAMES_PER_EVENT_BEFORE, ratio
 
 
 # ----------------------------------------------------------------------

@@ -724,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="static checks: per-file rules (DET/OBS/KERN/PERF/ERR) and "
-        "whole-program analyses (ANA)",
+        "the whole-program taint analysis (ANA001)",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src/repro"],

@@ -120,23 +120,35 @@ class Ledger:
             raise ExperimentError(
                 f"cannot create ledger directory {self.path.parent}: {exc}"
             ) from exc
-        self._conn = sqlite3.connect(str(self.path))
-        self._conn.row_factory = sqlite3.Row
-        with self._conn:
-            self._conn.executescript(_SCHEMA)
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if row is None:
-                self._conn.execute(
-                    "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                    (str(LEDGER_SCHEMA_VERSION),),
-                )
-            elif int(row["value"]) != LEDGER_SCHEMA_VERSION:
-                raise ExperimentError(
-                    f"ledger {self.path} has schema version {row['value']}, "
-                    f"this build expects {LEDGER_SCHEMA_VERSION}"
-                )
+        conn = None
+        try:
+            conn = self._conn = sqlite3.connect(str(self.path))
+            conn.row_factory = sqlite3.Row
+            with self._conn:
+                self._conn.executescript(_SCHEMA)
+                row = self._conn.execute(
+                    "SELECT value FROM meta WHERE key = 'schema_version'"
+                ).fetchone()
+                if row is None:
+                    self._conn.execute(
+                        "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
+                        (str(LEDGER_SCHEMA_VERSION),),
+                    )
+                elif int(row["value"]) != LEDGER_SCHEMA_VERSION:
+                    raise ExperimentError(
+                        f"ledger {self.path} has schema version {row['value']}, "
+                        f"this build expects {LEDGER_SCHEMA_VERSION}"
+                    )
+        except sqlite3.Error as exc:
+            if conn is not None:
+                conn.close()
+            raise ExperimentError(
+                f"ledger {self.path} is not a usable SQLite database ({exc}); "
+                "pass --no-ledger to run without it"
+            ) from exc
+        except ExperimentError:
+            conn.close()
+            raise
 
     def close(self) -> None:
         self._conn.close()

@@ -71,33 +71,25 @@ class ResultCache:
         """The cached point, or ``None`` on miss or unreadable entry."""
         path = self._path_for(fingerprint)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            if self._misses is not None:
-                self._misses.inc()
-            return None
-        except (OSError, json.JSONDecodeError):
-            # A torn or foreign file is a miss, not an error: the caller
-            # recomputes and the next store overwrites it atomically.
-            if self._misses is not None:
-                self._misses.inc()
-            return None
-        point = payload.get("point")
-        if not isinstance(point, dict):
+            point = json.loads(path.read_text(encoding="utf-8"))["point"]
+            metrics = MixMetrics(
+                mix_index=point["mix_index"],
+                config=point["config"],
+                scheduler=point["scheduler"],
+                h_antt=point["h_antt"],
+                h_stp=point["h_stp"],
+                makespan=point["makespan"],
+                turnarounds=dict(point["turnarounds"]),
+            )
+        except (OSError, ValueError, LookupError, TypeError):
+            # A missing, torn or foreign file is a miss, not an error: the
+            # caller recomputes and the next store overwrites it atomically.
             if self._misses is not None:
                 self._misses.inc()
             return None
         if self._hits is not None:
             self._hits.inc()
-        return MixMetrics(
-            mix_index=point["mix_index"],
-            config=point["config"],
-            scheduler=point["scheduler"],
-            h_antt=point["h_antt"],
-            h_stp=point["h_stp"],
-            makespan=point["makespan"],
-            turnarounds=dict(point["turnarounds"]),
-        )
+        return metrics
 
     def store(
         self, fingerprint: str, metrics: MixMetrics, material: dict
@@ -127,11 +119,14 @@ class ResultCache:
         # No sort_keys: ``turnarounds`` insertion order is part of the
         # result (reports render programs in mix order), and JSON objects
         # round-trip it.  Fingerprint canonicalisation sorts separately.
-        tmp.write_text(
-            json.dumps(payload, indent=1) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+            os.replace(tmp, path)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            raise ExperimentError(
+                f"cannot write cache entry {path}: {exc}"
+            ) from exc
         if self._stores is not None:
             self._stores.inc()
 

@@ -23,7 +23,10 @@ persistent cache for them.
 Observation is deliberately **not** key material: the context's metrics
 registry and run ledger change nothing about the outcome, so a sweep
 that records them must hit the same cache entries a plain one wrote.
-:data:`TELEMETRY_EXCLUDED_FIELDS` names the excluded state for tests.
+:data:`TELEMETRY_EXCLUDED_FIELDS` and :data:`EXECUTION_EXCLUDED_FIELDS`
+name the context fields left out of the key.  A test changes each
+context field in turn and asserts that the key material changes exactly
+when the field is not on one of those tuples.
 """
 
 from __future__ import annotations
@@ -47,22 +50,13 @@ SCHEMA_VERSION = 1
 #: influence them.
 TELEMETRY_EXCLUDED_FIELDS = ("obs_metrics", "ledger")
 
-#: MachineConfig knobs the experiment runner pins at their defaults for
-#: every sweep point (it only ever varies seed/topology/scheduler).  A
-#: change to a *default* changes source, so the source-tree hash already
-#: invalidates stale entries; a runner change that starts varying one of
-#: these must move it into the key material -- ANA002 will insist.
-PINNED_CONFIG_FIELDS = (
-    "context_switch_cost",
-    "migration_cost",
-    "max_actions_per_advance",
-    "dvfs",
-)
-
 #: MachineConfig switches asserted digest-neutral: runs produce
 #: bit-identical behavioural results with them on or off (the
 #: observer-neutrality fuzz test and the tracer/schedsan/timeseries tests
-#: pin this), so they must not fragment the cache key space.
+#: pin this), so they must not fragment the cache key space.  A sweep
+#: point sets no other MachineConfig field but ``seed``: every other
+#: field keeps its default, which the source-tree hash covers.  The
+#: config-recording test in ``tests/parallel/test_cache.py`` pins this.
 PARITY_NEUTRAL_FIELDS = (
     "obs",
     "sanitize",

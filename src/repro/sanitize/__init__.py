@@ -4,11 +4,10 @@ Two layers, one goal: the repo's determinism and kernel-contract
 guarantees are machine-checked instead of enforced by convention.
 
 * ``repro lint`` -- one static checker.  Per-file AST rules
-  (:mod:`repro.sanitize.rules`: DET, OBS, KERN, PERF, ERR) and
-  whole-program analyses (:mod:`repro.sanitize.analyze`, the ANA family:
-  interprocedural determinism taint into digest-relevant code,
-  fingerprint/digest coverage contracts, and pickle-safety proofs for
-  worker payloads) share one registry (:mod:`repro.sanitize.lint`), one
+  (:mod:`repro.sanitize.rules`: DET, OBS, KERN, PERF, ERR) and the
+  whole-program analysis (:mod:`repro.sanitize.analyze`, ANA001:
+  interprocedural determinism taint into digest-relevant code) share one
+  registry (:mod:`repro.sanitize.lint`), one
   entry point (:func:`run_lint`, which parses every file once), inline
   ``# sanitize: ignore[CODE]`` suppressions -- the one way to accept a
   finding -- and the text/JSON/SARIF reporters

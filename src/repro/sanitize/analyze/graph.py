@@ -163,20 +163,3 @@ class ModuleGraph:
         return sorted(
             info.name for info in self.modules.values() if name in info.imports
         )
-
-    def find_by_suffix(self, suffix: str) -> ModuleInfo | None:
-        """The analysed module whose posix path ends with ``suffix``."""
-        for info in self.modules.values():
-            if info.posix.endswith(suffix):
-                return info
-        return None
-
-    def find_class(self, module_suffix: str, class_name: str) -> tuple[ModuleInfo, ast.ClassDef] | None:
-        """Locate ``class_name``'s ClassDef in the module at ``module_suffix``."""
-        info = self.find_by_suffix(module_suffix)
-        if info is None:
-            return None
-        for node in ast.walk(info.module.tree):
-            if isinstance(node, ast.ClassDef) and node.name == class_name:
-                return info, node
-        return None

@@ -1,4 +1,4 @@
-"""Shared AST helpers for the lint rules and the whole-program analyses.
+"""Shared AST helpers for the lint rules and the whole-program analysis.
 
 Both layers need the same primitives: resolving imported names to dotted
 origins, classifying nondeterminism sources (wall clock, entropy, global
@@ -10,7 +10,6 @@ cannot drift apart on what counts as a source.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 #: Wall-clock reads: host time is ambient state, never simulation input.
 WALLCLOCK = {
@@ -25,7 +24,7 @@ ENTROPY = {"os.urandom", "uuid.uuid1", "uuid.uuid4", "os.getrandom"}
 #: Allowed names under numpy.random: seeded-generator constructors only.
 NUMPY_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "PCG64"}
 #: Environment reads (callable form); ``os.environ`` itself is matched as
-#: an attribute chain by :func:`iter_nondet_sources`.
+#: an attribute chain by :func:`classify_source_node`.
 ENV_CALLS = {"os.getenv", "os.environb.get"}
 
 
@@ -139,22 +138,3 @@ def classify_source_node(
             )
     return None
 
-
-def iter_nondet_sources(
-    root: ast.AST, aliases: dict[str, str]
-) -> Iterator[tuple[ast.AST, str, str]]:
-    """Yield ``(node, display, message)`` for every source under ``root``.
-
-    Deduplicates by source position: ``os.environ.get(...)`` is one
-    source, not a call plus an inner attribute read.
-    """
-    seen: set[tuple[int, int]] = set()
-    for node in ast.walk(root):
-        hit = classify_source_node(node, aliases)
-        if hit is None:
-            continue
-        key = (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
-        if key in seen:
-            continue
-        seen.add(key)
-        yield node, hit[0], hit[1]

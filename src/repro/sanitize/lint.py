@@ -1,9 +1,9 @@
 """The lint layer: findings, parsed files, suppressions and the rule registry.
 
-Every check -- a per-file rule (DET, OBS, KERN, PERF, ERR) or a
-whole-program analysis (ANA) -- registers here through the :func:`rule`
-decorator with a code, a one-line summary and the path scope it
-enforces; ``project=True`` marks a check that sees the whole
+Every check -- a per-file rule (DET, OBS, KERN, PERF, ERR) or the
+whole-program taint analysis (ANA001) -- registers here through the
+:func:`rule` decorator with a code, a one-line summary and the path scope
+it enforces; ``project=True`` marks a check that sees the whole
 :class:`~repro.sanitize.analyze.engine.Project` instead of one file.
 The rule's *rationale* is the first paragraph of its docstring -- that
 is what ``repro lint --list-rules`` prints.  The one entry point,
@@ -52,15 +52,6 @@ DECISION_SCOPE = (
 #: Where sweep results are produced and merged; the deterministic-merge
 #: contract (submission-order collection) is enforced here.
 MERGE_SCOPE = ("repro/experiments/", "repro/parallel/")
-#: Sim-time sampling paths: the timeline sampler, the engine that calls
-#: its hook, and the probe seam in between.  Timeline timestamps must come
-#: from the simulated clock, so wall-clock reads are banned here outright
-#: (OBS004).
-SAMPLING_SCOPE = (
-    "repro/obs/timeseries.py",
-    "repro/sim/engine.py",
-    "repro/obs/probe.py",
-)
 
 _SUPPRESS_RE = re.compile(r"#\s*sanitize:\s*ignore\[([A-Z0-9,\s]+)\]")
 
@@ -271,10 +262,8 @@ def rule(
 
 def registered_rules() -> list[Rule]:
     """All rules, sorted by code (imports the rule modules on first use)."""
-    # Registration side effects: per-file rules, then the ANA analyses.
+    # Registration side effects: per-file rules, then the ANA analysis.
     import repro.sanitize.rules  # noqa: F401
-    import repro.sanitize.analyze.contracts  # noqa: F401
-    import repro.sanitize.analyze.payloads  # noqa: F401
     import repro.sanitize.analyze.taint  # noqa: F401
 
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]

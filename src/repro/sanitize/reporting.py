@@ -10,7 +10,7 @@
       "counts": {"active": <int>, "suppressed": <int>},
       "violations": [
         {
-          "code": "<RULE>",              # e.g. DET001, ANA002
+          "code": "<RULE>",              # e.g. DET001, ANA001
           "path": "<file>",
           "line": <int>, "col": <int>,
           "message": "<one line>",
@@ -22,7 +22,7 @@
 
 ``violations`` lists active findings first, then suppressed ones; both
 groups are sorted by (path, line, col, code).  ``chain`` is present only
-on interprocedural findings (the ANA family) and gives the source->sink
+on interprocedural findings (ANA001) and gives the source->sink
 call path, caller first.
 
 ``--format sarif`` (and ``--sarif PATH``) emit SARIF 2.1.0 instead; see

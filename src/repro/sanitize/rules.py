@@ -13,7 +13,6 @@ import ast
 from typing import Iterator
 
 from repro.sanitize.astutil import (
-    WALLCLOCK,
     classify_source_call,
     dotted_name,
     import_aliases,
@@ -22,7 +21,6 @@ from repro.sanitize.astutil import (
 from repro.sanitize.lint import (
     DECISION_SCOPE,
     MERGE_SCOPE,
-    SAMPLING_SCOPE,
     SIM_KERNEL_SCOPE,
     ParsedModule,
     Violation,
@@ -37,12 +35,14 @@ from repro.sanitize.lint import (
 @rule(
     "DET001",
     "no wall-clock or unseeded-RNG calls in simulation code",
-    DECISION_SCOPE,
+    DECISION_SCOPE + ("repro/obs/timeseries.py", "repro/obs/probe.py"),
 )
 def det001(module: ParsedModule) -> Iterator[Violation]:
     """Outcomes must be a pure function of (workload, topology, scheduler,
     seed); any wall-clock read or global/unseeded RNG breaks run-to-run
-    reproducibility and invalidates scheduler comparisons.
+    reproducibility and invalidates scheduler comparisons.  The scope
+    includes the sim-time timeline sampler and the probe seam the engine
+    drives it through: timeline samples carry simulated time only.
 
     The interprocedural companion is ANA001 (in the same ``repro lint``
     pass), which tracks the same sources through call chains into
@@ -280,52 +280,16 @@ def obs003(module: ParsedModule) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# OBS004 -- sim-time sampling paths never read the wall clock
-# ----------------------------------------------------------------------
-
-
-@rule(
-    "OBS004",
-    "no wall-clock reads in sim-time sampling paths",
-    SAMPLING_SCOPE,
-)
-def obs004(module: ParsedModule) -> Iterator[Violation]:
-    """The metrics timeline is sampled on the *simulated* clock: the
-    sampler fires when the engine's event time crosses a boundary, and
-    every window timestamp is a sim-ms tick multiple.  A wall-clock read
-    anywhere in the sampler, the engine or the probe seam between them
-    (repro.obs.probe) would smuggle host timing
-    into the series, breaking the byte-identical-exports guarantee the
-    counter-track tests pin.
-    """
-    aliases = import_aliases(module.tree)
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted_name(node.func, aliases)
-        if name in WALLCLOCK:
-            yield module.violation(
-                node, "OBS004",
-                f"wall-clock call {name}() in a sim-time sampling path; "
-                "timeline samples must be driven by the engine clock "
-                "(engine.now / event timestamps) only",
-            )
-
-
-# ----------------------------------------------------------------------
 # KERN001 -- runqueue internals are RunQueue's business
 # ----------------------------------------------------------------------
 
-_KERN_SCOPE = tuple(
-    part for part in DECISION_SCOPE
-)
 _RQ_PRIVATE_ATTRS = {"_entries", "_by_tid", "_keys"}
 
 
 @rule(
     "KERN001",
     "no runqueue mutation outside RunQueue methods",
-    _KERN_SCOPE,
+    DECISION_SCOPE,
 )
 def kern001(module: ParsedModule) -> Iterator[Violation]:
     """RunQueue keeps three structures (entries, tid index, key map) plus the

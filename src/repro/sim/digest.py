@@ -12,8 +12,9 @@ Floats are hashed through ``repr`` (the shortest round-tripping form), so
 any bit-level drift in a single accounting value changes the digest.
 
 Deliberately excluded fields are enumerated (with rationales) in
-:data:`DIGEST_EXCLUDED_FIELDS`; the ANA003 analysis insists every
-``RunResult`` field is either hashed here or named there.
+:data:`DIGEST_EXCLUDED_FIELDS`.  A test changes each ``RunResult`` and
+``TaskStats`` field in turn and asserts that the digest changes exactly
+when the field is not named there.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.machine import RunResult
 
 #: RunResult fields :func:`run_digest` deliberately does not hash, with
-#: the contract that keeps each exclusion sound (ANA003 enforces that
-#: every field is either hashed or named here):
+#: the contract that keeps each exclusion sound:
 #:
 #: * ``scheduler_stats`` -- a policy-specific stats object with no stable
 #:   canonical form; every behavioural quantity it derives from (switches,

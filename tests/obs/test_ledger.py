@@ -102,6 +102,33 @@ class TestRoundtrip:
         with pytest.raises(ExperimentError):
             Ledger(path)
 
+    @pytest.mark.parametrize("foreign", ["newer-schema", "not-a-database"])
+    def test_rejected_ledger_closes_its_connection(
+        self, foreign, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "ledger.db"
+        if foreign == "newer-schema":
+            with Ledger(path) as ledger:
+                with ledger._conn:
+                    ledger._conn.execute(
+                        "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                        (str(LEDGER_SCHEMA_VERSION + 1),),
+                    )
+        else:
+            path.write_text("not a database\n")
+        opened = []
+        connect = sqlite3.connect
+
+        def recording_connect(*args):
+            opened.append(connect(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", recording_connect)
+        with pytest.raises(ExperimentError, match=str(path)):
+            Ledger(path)
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened[0].execute("SELECT 1")
+
 
 class TestCompare:
     def test_metric_and_attribution_deltas(self, ledger):

@@ -7,22 +7,33 @@ import json
 
 import pytest
 
-from repro.errors import ModelError
-from repro.experiments.runner import ExperimentContext, MixMetrics
+from repro.errors import ExperimentError, ModelError
+from repro.experiments.runner import (
+    ExperimentContext,
+    MixMetrics,
+    evaluate_mix,
+    run_mix_once,
+)
 from repro.model.speedup import (
     LearnedSpeedupModel,
     OracleSpeedupModel,
     estimator_from_spec,
     estimator_to_spec,
 )
+from repro.obs.context import ObsConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
 from repro.parallel.fingerprint import (
+    EXECUTION_EXCLUDED_FIELDS,
+    PARITY_NEUTRAL_FIELDS,
+    TELEMETRY_EXCLUDED_FIELDS,
     estimator_fingerprint,
     point_fingerprint,
     point_key_material,
     source_tree_hash,
 )
+from repro.sim.machine import MachineConfig
+from repro.workloads.mixes import MIXES
 
 
 def pure_ctx(**overrides) -> ExperimentContext:
@@ -108,41 +119,74 @@ class TestPointFingerprint:
         assert point_key_material(ctx, "Sync-1", "2B2S", "colab") is None
 
 
-class TestExclusionTuples:
-    """Exclusion tuples name real fields; a stale entry hides nothing.
+#: A value unlike the default for every public ExperimentContext field.
+CHANGED_CONTEXT = {
+    "seed": 43,
+    "work_scale": 0.5,
+    "estimator": OracleSpeedupModel(noise_std=0.0, seed=9),
+    "use_learned_model": False,
+    "jobs": 4,
+    "cache_dir": "elsewhere",
+    "result_cache": object(),
+    "obs_metrics": MetricsRegistry(enabled=False),
+    "ledger": object(),
+}
 
-    ANA002/ANA003 only flag fields missing from the tuples, so a name
-    left behind after its field is removed would go unnoticed.
+
+class TestKeyCoverage:
+    """Every experiment input reaches the cache key; exclusions are real.
+
+    Checked by value: each context field is changed from its default in
+    turn, and the key material must change exactly when the field is not
+    named on an exclusion tuple.  A new field fails until it is listed in
+    ``CHANGED_CONTEXT``; a stale or wrong tuple entry fails too.
     """
 
-    def test_fingerprint_tuples_name_config_or_context_fields(self):
-        from repro.parallel import fingerprint
-        from repro.sim.machine import MachineConfig
+    EXCLUDED = set(TELEMETRY_EXCLUDED_FIELDS + EXECUTION_EXCLUDED_FIELDS)
 
-        known = {
+    def test_every_public_field_is_perturbed(self):
+        public = {
             f.name
-            for cls in (MachineConfig, ExperimentContext)
-            for f in dataclasses.fields(cls)
+            for f in dataclasses.fields(ExperimentContext)
+            if not f.name.startswith("_")
         }
-        for tuple_name in (
-            "TELEMETRY_EXCLUDED_FIELDS",
-            "PINNED_CONFIG_FIELDS",
-            "PARITY_NEUTRAL_FIELDS",
-            "EXECUTION_EXCLUDED_FIELDS",
-        ):
-            stale = set(getattr(fingerprint, tuple_name)) - known
-            assert not stale, f"{tuple_name} names no field: {sorted(stale)}"
+        assert set(CHANGED_CONTEXT) == public
+        assert self.EXCLUDED <= public
 
-    def test_digest_exclusions_name_result_fields(self):
-        from repro.sim.digest import DIGEST_EXCLUDED_FIELDS
-        from repro.sim.machine import RunResult, TaskStats
+    @pytest.mark.parametrize("name", sorted(CHANGED_CONTEXT))
+    def test_field_changes_key_unless_excluded(self, name):
+        point = ("Sync-1", "2B2S", "colab")
+        base = point_key_material(ExperimentContext(), *point)
+        changed = point_key_material(
+            ExperimentContext(**{name: CHANGED_CONTEXT[name]}), *point
+        )
+        assert (changed == base) == (name in self.EXCLUDED)
 
-        known = {
-            f.name
-            for cls in (RunResult, TaskStats)
-            for f in dataclasses.fields(cls)
-        }
-        assert set(DIGEST_EXCLUDED_FIELDS) <= known
+    def test_sweep_points_set_no_config_field_beyond_seed(self, monkeypatch):
+        """A point varies only ``seed`` and parity-neutral switches.
+
+        Every other MachineConfig field keeps its default, which the
+        source-tree hash covers.  Recorded over both core orders, the
+        isolated baseline runs, and every observer switch.
+        """
+        recorded = []
+        original = MachineConfig.__init__
+
+        def recording(self, *args, **kwargs):
+            recorded.append((args, kwargs))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MachineConfig, "__init__", recording)
+        ctx = pure_ctx()
+        evaluate_mix(ctx, "Sync-1", "2B2S", "colab", sanitize=True)
+        run_mix_once(
+            ctx, MIXES["Sync-1"], "2B2S", "colab", True,
+            obs=ObsConfig(trace=True), timeseries=True,
+        )
+        assert len(recorded) > 3
+        allowed = {"seed", *PARITY_NEUTRAL_FIELDS}
+        for args, kwargs in recorded:
+            assert args == () and set(kwargs) <= allowed, kwargs
 
 
 class TestSourceTreeHash:
@@ -253,6 +297,56 @@ class TestResultCache:
         path = cache._path_for(fingerprint)
         path.write_text("{ torn write")
         assert cache.load(fingerprint) is None
+
+    @pytest.mark.parametrize(
+        "body",
+        ["[]", '"x"', '{"point": {}}', "MISSING_TURNAROUNDS"],
+        ids=["list", "string", "empty-point", "no-turnarounds"],
+    )
+    def test_foreign_entry_is_a_counted_miss(self, body, tmp_path):
+        registry = MetricsRegistry(enabled=True)
+        cache = ResultCache(tmp_path, metrics=registry)
+        material = point_key_material(pure_ctx(), "Sync-1", "2B2S", "colab")
+        fingerprint = point_fingerprint(material)
+        cache.store(fingerprint, sample_metrics(), material)
+        path = cache._path_for(fingerprint)
+        if body == "MISSING_TURNAROUNDS":
+            payload = json.loads(path.read_text())
+            del payload["point"]["turnarounds"]
+            body = json.dumps(payload)
+        path.write_text(body)
+        assert cache.load(fingerprint) is None
+        assert registry.counter("cache.persistent.misses").value == 1.0
+        assert registry.counter("cache.persistent.hits").value == 0.0
+
+    @pytest.mark.parametrize("failing", ["write", "rename"])
+    def test_failed_store_leaves_no_temp_file(
+        self, failing, tmp_path, monkeypatch
+    ):
+        import errno
+        import os
+        import pathlib
+
+        write_text = pathlib.Path.write_text
+
+        def torn_write(self, data, **kwargs):
+            write_text(self, data[:10], **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failed_rename(*_args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        if failing == "write":
+            monkeypatch.setattr(pathlib.Path, "write_text", torn_write)
+        else:
+            monkeypatch.setattr(os, "replace", failed_rename)
+        cache = ResultCache(tmp_path)
+        material = point_key_material(pure_ctx(), "Sync-1", "2B2S", "colab")
+        fingerprint = point_fingerprint(material)
+        path = cache._path_for(fingerprint)
+        with pytest.raises(ExperimentError, match=f"cache entry {path}"):
+            cache.store(fingerprint, sample_metrics(), material)
+        assert list(path.parent.iterdir()) == []
 
     def test_entry_is_auditable_json(self, tmp_path):
         cache = ResultCache(tmp_path)

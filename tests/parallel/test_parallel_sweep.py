@@ -100,6 +100,42 @@ class TestParallelSerialParity:
         assert gauges["parallel.worker.0.points"] >= 1.0
 
 
+class TestSpawnedPoolParity:
+    """The pool under the ``spawn`` start method equals the serial sweep.
+
+    ``fork`` copies the initargs into each worker without pickling them;
+    ``spawn`` sends the initargs, every submitted point and every result
+    tuple through pickle, so a payload that cannot cross a process
+    boundary fails here.
+    """
+
+    @pytest.fixture(autouse=True)
+    def spawn_pool(self, monkeypatch):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.parallel import executor
+
+        class SpawnedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                spawn = multiprocessing.get_context("spawn")
+                super().__init__(*args, mp_context=spawn, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", SpawnedPool)
+
+    def test_jobs2_spawned_pool_matches_serial(self):
+        assert run_sweep(pure_ctx(), jobs=2) == run_sweep(pure_ctx())
+
+    def test_spawned_pool_ships_a_learned_model(self):
+        from repro.model.training import default_speedup_model
+
+        model = default_speedup_model()
+        points = dict(configs=("2B2S",), schedulers=("wash", "colab"))
+        serial = sweep(pure_ctx(estimator=model), ["Sync-1"], **points)
+        pooled = sweep(pure_ctx(estimator=model), ["Sync-1"], jobs=2, **points)
+        assert pooled == serial
+
+
 def progress_line():
     """An unthrottled progress line writing into a string buffer."""
     from repro.obs.progress import SweepProgress

@@ -57,13 +57,6 @@ class TestModuleGraph:
         assert graph.modules["repro"].posix.endswith("src/repro/__init__.py")
         assert graph.modules["tests"].posix.endswith("tests/__init__.py")
 
-    def test_find_by_suffix(self, tmp_path):
-        write_tree(tmp_path, {"repro/sim/machine.py": "x = 1\n"})
-        graph = ModuleGraph.build([tmp_path])
-        info = graph.find_by_suffix("sim/machine.py")
-        assert info is not None and info.name == "repro.sim.machine"
-        assert graph.find_by_suffix("sim/missing.py") is None
-
     def test_relative_imports_resolve_to_analysed_modules(self, tmp_path):
         write_tree(tmp_path, {
             "repro/__init__.py": "",

@@ -1,9 +1,8 @@
-"""Self-check: the repo's own source passes the ANA analyses (tier-1).
+"""Self-check: the repo's own source passes the ANA001 analysis (tier-1).
 
-Like self-lint, this is the standing hygiene gate: the fingerprint and
-digest coverage contracts, the determinism taint, and the payload
-pickle-safety proof must hold on every commit.  A known finding is
-accepted only by an inline ``# sanitize: ignore[CODE]`` at its site.
+Like self-lint, this is the standing hygiene gate: the determinism taint
+must hold on every commit.  A known finding is accepted only by an
+inline ``# sanitize: ignore[CODE]`` at its site.
 """
 
 from __future__ import annotations
@@ -31,23 +30,6 @@ class TestSelfAnalyze:
         )
         assert report.files_scanned > 50
         assert report.ok, f"new analysis findings:\n{details}"
-
-    def test_coverage_contracts_checked_real_surfaces(self):
-        # The contract analyses must actually have seen the real modules
-        # (a path regression that hides machine.py would silently pass
-        # the clean assertion above).
-        from repro.sanitize.analyze.graph import ModuleGraph
-
-        graph = ModuleGraph.build([SRC])
-        for suffix, cls in (
-            ("sim/machine.py", "MachineConfig"),
-            ("sim/machine.py", "RunResult"),
-            ("experiments/runner.py", "ExperimentContext"),
-        ):
-            assert graph.find_class(suffix, cls) is not None
-        assert graph.find_by_suffix("parallel/fingerprint.py") is not None
-        assert graph.find_by_suffix("sim/digest.py") is not None
-        assert graph.find_by_suffix("parallel/executor.py") is not None
 
 
 class TestSarif:

@@ -60,6 +60,37 @@ class TestDET001:
         )
         assert codes == []
 
+    def test_wall_clock_in_sampler_flagged(self, tmp_path):
+        codes = lint_source(
+            tmp_path,
+            "import time\n"
+            "def _sample(self):\n"
+            "    stamp = time.time()\n"
+            "    return stamp\n",
+            rel="repro/obs/timeseries.py",
+        )
+        assert codes == ["DET001"]
+
+    def test_wall_clock_in_probe_seam_flagged(self, tmp_path):
+        codes = lint_source(
+            tmp_path,
+            "import time\n"
+            "def event(self, event, now):\n"
+            "    self.seen = time.monotonic()\n",
+            rel="repro/obs/probe.py",
+        )
+        assert codes == ["DET001"]
+
+    def test_out_of_scope_obs_module_not_flagged(self, tmp_path):
+        codes = lint_source(
+            tmp_path,
+            "import time\n"
+            "def stamp():\n"
+            "    return time.time()\n",
+            rel="repro/obs/ledger.py",
+        )
+        assert codes == []
+
 
 class TestDET002:
     def test_for_over_set_literal_flagged(self, tmp_path):
@@ -203,81 +234,6 @@ class TestOBS001:
             "def f(tracer, verbose):\n"
             "    if tracer.enabled and verbose:\n"
             "        tracer.emit('pick', tid=1)\n",
-        )
-        assert codes == []
-
-
-class TestOBS004:
-    def test_wall_clock_in_sampler_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "import time\n"
-            "def _sample(self):\n"
-            "    stamp = time.time()\n"
-            "    return stamp\n",
-            rel="repro/obs/timeseries.py",
-        )
-        assert codes == ["OBS004"]
-
-    def test_monotonic_through_alias_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "from time import monotonic as clock\n"
-            "def on_clock_advance(self, t):\n"
-            "    return clock()\n",
-            rel="repro/obs/timeseries.py",
-        )
-        assert codes == ["OBS004"]
-
-    def test_engine_hook_wall_clock_flagged(self, tmp_path):
-        # engine.py sits in both DET001's and OBS004's scope; the
-        # sampling rule must fire there alongside the general one.
-        codes = lint_source(
-            tmp_path,
-            "import time\n"
-            "def step(self):\n"
-            "    self.started = time.perf_counter()\n",
-            rel="repro/sim/engine.py",
-        )
-        assert "OBS004" in codes
-
-    def test_wall_clock_in_probe_seam_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "import time\n"
-            "def event(self, event, now):\n"
-            "    self.seen = time.monotonic()\n",
-            rel="repro/obs/probe.py",
-        )
-        assert codes == ["OBS004"]
-
-    def test_sim_clock_in_probe_seam_allowed(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def event(self, event, now):\n"
-            "    for hook in self._events:\n"
-            "        hook(event, now)\n",
-            rel="repro/obs/probe.py",
-        )
-        assert codes == []
-
-    def test_sim_clock_sampling_allowed(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def on_clock_advance(self, event_time):\n"
-            "    while self.next_due <= event_time:\n"
-            "        self._sample()\n",
-            rel="repro/obs/timeseries.py",
-        )
-        assert codes == []
-
-    def test_out_of_scope_obs_module_not_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "import time\n"
-            "def stamp():\n"
-            "    return time.time()\n",
-            rel="repro/obs/ledger.py",
         )
         assert codes == []
 

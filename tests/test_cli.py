@@ -166,18 +166,14 @@ class TestLintCommand:
 
     @staticmethod
     def mixed_tree(tmp_path):
-        """A per-file DET001 hit and a whole-program ANA003 hit."""
+        """A per-file DET001 hit and a whole-program ANA001 hit."""
         sim = tmp_path / "repro" / "sim"
         sim.mkdir(parents=True)
         (sim / "clock.py").write_text("import time\nnow = time.time()\n")
-        (sim / "machine.py").write_text(
-            "class RunResult:\n"
-            "    makespan: float = 0.0\n"
-            "    surprise: int = 0\n"
-        )
         (sim / "digest.py").write_text(
+            "import os\n"
             "def run_digest(result):\n"
-            "    return repr(result.makespan)\n"
+            "    return os.environ.get('HOME')\n"
         )
         return tmp_path
 
@@ -192,7 +188,7 @@ class TestLintCommand:
                 for line in out.splitlines()
                 if line.startswith(str(tree))
             ]
-            assert out.rstrip().endswith("3 files checked, 2 violations")
+            assert out.rstrip().endswith("2 files checked, 2 violations")
         elif fmt == "json":
             found = [
                 (v["path"], v["line"], v["code"])
@@ -212,7 +208,7 @@ class TestLintCommand:
         sim = tree / "repro" / "sim"
         assert found == [
             (str(sim / "clock.py"), 2, "DET001"),
-            (str(sim / "machine.py"), 3, "ANA003"),
+            (str(sim / "digest.py"), 3, "ANA001"),
         ]
 
     @pytest.mark.parametrize(
@@ -281,9 +277,16 @@ class TestAnalyzeCommand:
         assert document["version"] == "2.1.0"
 
     def test_list_rules_includes_ana_family(self, capsys):
+        from repro.sanitize.lint import registered_rules
+
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("ANA001", "ANA002", "ANA003", "ANA004"):
+        codes = [rule.code for rule in registered_rules()]
+        assert codes == [
+            "ANA001", "DET001", "DET002", "DET003", "ERR001", "KERN001",
+            "OBS001", "OBS003", "PERF001",
+        ]
+        for code in codes:
             assert code in out
 
     def test_repo_source_is_clean_modulo_baseline(self, capsys):
@@ -604,6 +607,25 @@ class TestLedgerCommands:
         assert record["scheduler"] == "colab"
         assert main(["ledger", "compare", "1", "2"]) == 0
         assert "makespan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("foreign", ["text-file", "directory"])
+    def test_foreign_ledger_file_is_one_error_line(
+        self, foreign, tmp_path, capsys
+    ):
+        path = tmp_path / "ledger" / "ledger.db"
+        if foreign == "directory":
+            path.mkdir(parents=True)
+        else:
+            path.parent.mkdir()
+            path.write_text("not a database\n")
+        assert main(["ledger", "list"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"colab-repro: error: ledger {path} ")
+        assert "--no-ledger" in err
+        assert err.count("\n") == 1
+        # A run at the default location degrades to a warning.
+        assert main(self.RUN) == 0
+        assert "run ledger unavailable" in capsys.readouterr().err
 
     def test_no_ledger_flag_disables_recording(self, capsys):
         assert main(["--no-ledger"] + self.RUN[:4] + self.RUN[4:]) == 0

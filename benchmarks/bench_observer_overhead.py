@@ -1,15 +1,17 @@
 """Observer overhead: disabled observers must be effectively free.
 
-Every observer of a run -- tracer, metrics, schedsan, the sim-time
-sampler -- sits behind the one probe seam (``repro.obs.probe``).  A
-disabled observer is simply not attached, so what it can still cost a
-default run (whose only observer is attribution) is its guards:
+Every observer of a run -- tracer (with attribution, which rides on
+it), metrics, schedsan, the sim-time sampler -- sits behind the one
+probe seam (``repro.obs.probe``).  A disabled observer is simply not
+attached, and a default run attaches none (its probe is the null
+``Probe``), so what a facility can still cost a default run is its
+guards:
 
 * one ``is None`` check in the engine per event, for an observer with an
   ``event`` hook (schedsan, the sampler);
 * one ``is None`` check on the probe's hook table at each hook site of a
-  transition kind it watches and attribution does not (``MIN_VRUNTIME``,
-  ``PICK``, ``DRAIN``, ``DESCHEDULE``, ...).
+  transition kind it watches (``ENQUEUE``, ``EXEC``, ``PICK``,
+  ``DRAIN``, ...).
 
 For each facility this bench, on a reference run:
 

@@ -52,10 +52,13 @@ def _open_ledger(args: argparse.Namespace):
 
     try:
         return Ledger(_ledger_path(args))
-    except ExperimentError:
+    except ExperimentError as error:
         if getattr(args, "ledger_dir", None) is not None:
             raise
-        print("warning: run ledger unavailable, not recording", file=sys.stderr)
+        print(
+            f"warning: run ledger unavailable, not recording: {error}",
+            file=sys.stderr,
+        )
         return None
 
 

@@ -122,9 +122,6 @@ class Task:
         "spawn_time",
         "finish_time",
         "counters",
-        "attr_ms",
-        "attr_since",
-        "attr_state",
         "_profile_speedup",
     )
 
@@ -208,12 +205,6 @@ class Task:
         # reads counters (``Scheduler.reads_counters``); None means the
         # policy reads no counters.
         self.counters: "PerformanceCounters | None" = None
-
-        # The attribution timeline slots (attr_ms / attr_since / attr_state)
-        # are deliberately NOT initialised here: every write to them goes
-        # through repro.obs.attribution.AttributionAccounting (the machine
-        # calls begin() when the task first wakes), and lint rule OBS003
-        # rejects writes anywhere else.  Readers use getattr with a default.
 
         #: ``profile.speedup()`` memo, set by :meth:`true_speedup` on first
         #: use.  The profile is frozen, so its speedup is a constant that

@@ -19,17 +19,18 @@ state                   meaning
 ``migrating``           consuming pending context-switch/migration penalty
 ======================  ==================================================
 
-Accounting follows the ``events_processed`` pattern: cheap always-on
-counters, deliberately outside :func:`repro.sim.digest.run_digest` and the
-cache fingerprints.  :class:`AttributionAccounting` is the machine's
-always-attached :class:`~repro.obs.probe.Probe`: it turns the transitions
-the machine, runqueues and futex table report into state windows.
+The account is observational, deliberately outside
+:func:`repro.sim.digest.run_digest` and the cache fingerprints, and rides
+on the trace: :class:`AttributionAccounting` is a
+:class:`~repro.obs.probe.Probe` the machine attaches only when tracing is
+on (``ObsConfig(trace=True)``, as ``repro report`` runs), so untraced runs
+pay nothing for it.  It turns the transitions the machine, runqueues and
+futex table report into state windows.
 
-Every mutation of a task's ``attr_*`` fields goes through that single
-helper (lint rule OBS003 enforces this), so
-the state timeline cannot be corrupted by ad-hoc writes.  State times
-telescope over transition timestamps, so each task's state sum equals its
-turnaround up to float-addition rounding (~1e-9 ms per transition).
+Each task's timeline lives in the accounting object, keyed by tid, and
+only its methods write it.  State times telescope over transition
+timestamps, so each task's state sum equals its turnaround up to
+float-addition rounding (~1e-9 ms per transition).
 
 The second half of the module links DECISION trace events (``colab_pick``
 tiers, ``wash_affinity`` flips, ``idle_balance`` steals) to the placement
@@ -61,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Attribution summary layout version (bump on breaking changes).
 ATTRIBUTION_SCHEMA_VERSION = 1
 
-# State codes: list indices into ``task.attr_ms``.  Kept as plain ints so
+# State codes: indices into a task's timeline list.  Kept as plain ints so
 # the per-event accounting is a fixed-offset list write, not an enum hash.
 RUNNING_BIG = 0
 RUNNING_LITTLE = 1
@@ -86,15 +87,19 @@ STATE_NAMES = (
 #: Code meaning "no open state window" (before first enqueue / after done).
 NO_STATE = -1
 
+#: Timeline slots after the seven state times: the open state's code and
+#: the start of its window.
+OPEN_STATE = N_STATES
+WINDOW_START = N_STATES + 1
+
 
 class AttributionAccounting(Probe):
     """The single owner of every task's attribution timeline.
 
     As a probe it maps the machine's transitions onto state windows;
-    the state methods below are also usable directly.  Nothing else may
-    write ``attr_ms`` / ``attr_since`` / ``attr_state`` (lint rule
-    OBS003).  All hooks are O(1) and allocation-free after :meth:`begin`,
-    because they run inside the simulator's hottest paths.
+    the state methods below are also usable directly.  All hooks are O(1)
+    and allocation-free after :meth:`begin`, because they run inside the
+    simulator's hottest paths.
 
     Args:
         machine: The machine to observe: its engine clock times runqueue
@@ -102,7 +107,7 @@ class AttributionAccounting(Probe):
             needed when attached as a probe.
     """
 
-    __slots__ = ("futex_waits", "_clock", "_runnable", "_sleep")
+    __slots__ = ("timelines", "futex_waits", "_clock", "_runnable", "_sleep")
 
     kinds = frozenset((SPAWN, ENQUEUE, DISPATCH, EXEC, BLOCK, DONE, FUTEX_WAIT))
 
@@ -112,6 +117,10 @@ class AttributionAccounting(Probe):
         from repro.workloads.actions import Sleep
 
         self._sleep = Sleep
+        #: tid -> the task's timeline: the seven state times (ms), then
+        #: the open state (:data:`OPEN_STATE`) and the start of its window
+        #: (:data:`WINDOW_START`).
+        self.timelines: dict[int, list] = {}
         #: tid -> number of futex parks (wait-side hook, kernel/futex.py).
         self.futex_waits: dict[int, int] = {}
         self._clock = machine.engine if machine is not None else None
@@ -147,7 +156,7 @@ class AttributionAccounting(Probe):
         elif kind == SPAWN:
             self.begin(task, now)
         elif kind == DONE:
-            self.on_done(task, now)
+            self.enter(task, NO_STATE, now)
         elif kind == FUTEX_WAIT:
             self.note_futex_wait(task)
 
@@ -155,11 +164,11 @@ class AttributionAccounting(Probe):
         fields["attribution"] = summarize_attribution(machine.tasks, self)
 
     # -- lifecycle -----------------------------------------------------
-    def begin(self, task: "Task", now: float) -> None:
+    def begin(self, task: "Task", now: float) -> list:
         """Open the timeline at spawn; the first enqueue sets the state."""
-        task.attr_ms = [0.0] * N_STATES
-        task.attr_since = now
-        task.attr_state = NO_STATE
+        timeline = [0.0] * N_STATES + [NO_STATE, now]
+        self.timelines[task.tid] = timeline
+        return timeline
 
     def enter(self, task: "Task", state: int, now: float) -> None:
         """Close the open state window (if any) and enter ``state``.
@@ -168,13 +177,15 @@ class AttributionAccounting(Probe):
         test, enqueued straight onto a runqueue) gets its timeline opened
         here -- the machine always begins tasks at their spawn wakeup.
         """
-        prev = getattr(task, "attr_state", None)
-        if prev is None:
-            self.begin(task, now)
-        elif prev >= 0:
-            task.attr_ms[prev] += now - task.attr_since
-        task.attr_state = state
-        task.attr_since = now
+        try:
+            timeline = self.timelines[task.tid]
+        except KeyError:
+            timeline = self.begin(task, now)
+        prev = timeline[OPEN_STATE]
+        if prev >= 0:
+            timeline[prev] += now - timeline[WINDOW_START]
+        timeline[OPEN_STATE] = state
+        timeline[WINDOW_START] = now
 
     def on_exec(
         self, kind: int, task: "Task", core, now: float, penalty_used: float
@@ -183,30 +194,20 @@ class AttributionAccounting(Probe):
 
         EXEC is reported before ``core.run_started`` moves, so the window
         ``now - core.run_started`` is exactly the machine's ``elapsed``
-        (and equals ``now - task.attr_since``: the machine keeps the two
-        in lockstep).  The penalty share is migration/switch overhead, the
-        rest productive running.
+        (and equals ``now`` minus the window start: the machine keeps the
+        two in lockstep).  The penalty share is migration/switch overhead,
+        the rest productive running.
         """
         running_state = RUNNING_BIG if core.is_big else RUNNING_LITTLE
         elapsed = now - core.run_started
-        ms = getattr(task, "attr_ms", None)
-        if ms is None:
-            self.begin(task, now - elapsed)
-            ms = task.attr_ms
-        ms[MIGRATING] += penalty_used
-        ms[running_state] += elapsed - penalty_used
-        task.attr_state = running_state
-        task.attr_since = now
-
-    def on_done(self, task: "Task", now: float) -> None:
-        """Close the final window at task completion."""
-        prev = getattr(task, "attr_state", None)
-        if prev is None:
-            self.begin(task, now)
-        elif prev >= 0:
-            task.attr_ms[prev] += now - task.attr_since
-        task.attr_state = NO_STATE
-        task.attr_since = now
+        try:
+            timeline = self.timelines[task.tid]
+        except KeyError:
+            timeline = self.begin(task, now - elapsed)
+        timeline[MIGRATING] += penalty_used
+        timeline[running_state] += elapsed - penalty_used
+        timeline[OPEN_STATE] = running_state
+        timeline[WINDOW_START] = now
 
     # -- futex wait-side counter (kernel/futex.py hook) ----------------
     def note_futex_wait(self, task: "Task") -> None:
@@ -226,10 +227,12 @@ def summarize_attribution(
     """
     rows = []
     totals = [0.0] * N_STATES
+    timelines = accounting.timelines
     for task in tasks:
-        attr = getattr(task, "attr_ms", None)
-        if attr is None:
+        timeline = timelines.get(task.tid)
+        if timeline is None:
             continue
+        attr = timeline[:N_STATES]
         finish = task.finish_time if task.finish_time is not None else 0.0
         turnaround = finish - task.spawn_time
         for index in range(N_STATES):

@@ -12,12 +12,12 @@ facilities :class:`ObsConfig` switches:
   (:mod:`repro.obs.profiling`).
 
 The machine turns the enabled ones into observers behind its one probe
-(:mod:`repro.obs.probe`) -- the tracer and a
-:class:`~repro.obs.metrics.MachineMetrics` probe next to schedsan, the
-timeline sampler and attribution -- and lets the profiler wrap its hot
-callables.  Disabled facilities are not attached at all, so the
-default-constructed, all-off context costs a run one ``is None`` check
-per engine event and per hook site no attached observer watches;
+(:mod:`repro.obs.probe`) -- the tracer with attribution, and a
+:class:`~repro.obs.metrics.MachineMetrics` probe, next to schedsan and
+the timeline sampler -- and lets the profiler wrap its hot callables.
+Disabled facilities are not attached at all, so the default-constructed,
+all-off context attaches no observer and costs a run one ``is None``
+check per engine event and per hook site;
 ``benchmarks/bench_observer_overhead.py`` bounds what the seam itself
 costs.  Schedulers reach the tracer here for their DECISION records.
 """

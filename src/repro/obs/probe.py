@@ -1,7 +1,8 @@
 """The one observer seam: every observer of a run is a :class:`Probe`.
 
 A machine builds its probe once, from ``MachineConfig.obs``,
-``sanitize`` and ``timeseries`` (attribution is always on).  A lone
+``sanitize`` and ``timeseries`` (attribution rides on the tracer).  A run
+without observers gets a plain :class:`Probe`, the null probe; a lone
 observer is attached as is; two or more are wrapped in a :class:`FanOut`.
 The probe has three hooks:
 
@@ -146,8 +147,11 @@ class FanOut(Probe):
 
 
 def combine(probes) -> Probe:
-    """The observer itself when there is one, else a fan-out over them."""
+    """The null probe when there is no observer, the observer itself when
+    there is one, else a fan-out over them."""
     probes = list(probes)
+    if not probes:
+        return Probe()
     if len(probes) == 1:
         return probes[0]
     return FanOut(probes)

@@ -227,59 +227,6 @@ def obs001(module: ParsedModule) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# OBS003 -- attribution state has a single writer
-# ----------------------------------------------------------------------
-
-_OBS_ATTR_EXCLUDED_FILES = ("obs/attribution.py",)
-_ATTRIBUTION_ATTRS = {"attr_ms", "attr_since", "attr_state"}
-
-
-def _attribution_target(target: ast.expr) -> str | None:
-    """The attribution slot a write targets, or ``None``.
-
-    Catches both rebinding (``task.attr_since = now``) and in-place
-    bucket mutation (``task.attr_ms[state] += x``).
-    """
-    if isinstance(target, ast.Subscript):
-        target = target.value
-    if isinstance(target, ast.Attribute) and target.attr in _ATTRIBUTION_ATTRS:
-        return target.attr
-    return None
-
-
-@rule(
-    "OBS003",
-    "attribution state written only through AttributionAccounting",
-    ("repro/",),
-)
-def obs003(module: ParsedModule) -> Iterator[Violation]:
-    """Per-task time attribution (attr_ms/attr_since/attr_state) telescopes
-    to the task's turnaround only if every state transition closes the
-    previous window first; a write outside the single accounting helper
-    (repro.obs.attribution.AttributionAccounting) silently breaks the
-    sum-to-turnaround invariant the report and ledger rely on.
-    """
-    if any(module.posix.endswith(name) for name in _OBS_ATTR_EXCLUDED_FILES):
-        return
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Assign):
-            targets: list[ast.expr] = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            slot = _attribution_target(target)
-            if slot is not None:
-                yield module.violation(
-                    target, "OBS003",
-                    f"direct write to task.{slot} outside "
-                    "AttributionAccounting; route the transition through "
-                    "the accounting helper to keep windows telescoping",
-                )
-
-
-# ----------------------------------------------------------------------
 # KERN001 -- runqueue internals are RunQueue's business
 # ----------------------------------------------------------------------
 

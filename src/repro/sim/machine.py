@@ -170,10 +170,10 @@ class RunResult:
     events_discarded: int = 0
     events_suppressed: int = 0
     #: Per-task time-state attribution summary
-    #: (:func:`repro.obs.attribution.summarize_attribution`), recorded by
-    #: every run.  Like the event counters above, this is deliberately
-    #: outside :func:`repro.sim.digest.run_digest` and the persistent-cache
-    #: fingerprints.
+    #: (:func:`repro.obs.attribution.summarize_attribution`); empty unless
+    #: the run enabled tracing.  Like the event counters above, this is
+    #: deliberately outside :func:`repro.sim.digest.run_digest` and the
+    #: persistent-cache fingerprints.
     attribution: dict = field(default_factory=dict)
     #: Sim-time metrics timeline (:meth:`repro.obs.timeseries.
     #: TimeseriesSampler.snapshot`); empty when the run disabled sampling.
@@ -217,7 +217,7 @@ class Machine:
         #: The run's one observer (:mod:`repro.obs.probe`), told about
         #: every engine event and state change; built once from the
         #: ``obs`` / ``sanitize`` / ``timeseries`` settings.  Never None:
-        #: attribution is always attached.
+        #: a run without observers gets the null :class:`Probe`.
         self.probe = self._build_probe()
         self.engine.probe = self.probe
         #: The probe's per-kind transition hooks (:meth:`Probe.hooks`).
@@ -269,8 +269,8 @@ class Machine:
             from repro.sanitize.schedsan import SchedSanitizer
 
             observers.append(SchedSanitizer(tracer=self.obs.tracer))
-        observers.append(AttributionAccounting(self))
         if self.obs.tracer.enabled:
+            observers.append(AttributionAccounting(self))
             observers.append(self.obs.tracer)
         if self.obs.metrics.enabled:
             observers.append(MachineMetrics(self.obs.metrics, self))

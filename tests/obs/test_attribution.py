@@ -2,8 +2,9 @@
 
 The load-bearing contract is **sum-to-turnaround**: every task's state
 times telescope to its turnaround (asserted for all four schedulers on a
-real mix).  Attribution is always on; its outputs are pinned by the
-golden observer fixture (``tests/obs/test_golden_observers.py``).
+real mix).  Attribution rides on the trace, so these runs turn tracing
+on; its outputs are pinned by the golden observer fixture
+(``tests/obs/test_golden_observers.py``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.obs.attribution import (
     MIGRATING,
     N_STATES,
     NO_STATE,
+    OPEN_STATE,
     RUNNING_BIG,
     RUNNING_LITTLE,
     STATE_NAMES,
@@ -45,8 +47,8 @@ def fast_ctx() -> ExperimentContext:
     )
 
 
-def mix_run(scheduler: str, obs=None):
-    """One Sync-1/2B2S run built from a fresh context and tid space."""
+def mix_run(scheduler: str, obs=ObsConfig(trace=True)):
+    """One traced Sync-1/2B2S run built from a fresh context and tid space."""
     reset_tid_counter()
     ctx = fast_ctx()
     machine = Machine(
@@ -89,6 +91,12 @@ class TestSumToTurnaround:
         assert result.attribution["totals_ms"]["migrating"] > 0.0
 
 
+def state_ms(accounting: AttributionAccounting, task) -> dict:
+    """The task's ``state_ms`` row of the accounting's summary."""
+    (row,) = summarize_attribution([task], accounting)["tasks"]
+    return row["state_ms"]
+
+
 class TestAccountingHelper:
     def test_windows_telescope_over_transitions(self):
         accounting = AttributionAccounting()
@@ -96,10 +104,11 @@ class TestAccountingHelper:
         accounting.begin(task, 0.0)
         accounting.enter(task, RUNNING_BIG, 1.0)
         accounting.enter(task, RUNNING_LITTLE, 3.0)
-        accounting.on_done(task, 7.0)
-        assert task.attr_ms[RUNNING_BIG] == pytest.approx(2.0)
-        assert task.attr_ms[RUNNING_LITTLE] == pytest.approx(4.0)
-        assert task.attr_state == NO_STATE
+        accounting.enter(task, NO_STATE, 7.0)
+        states = state_ms(accounting, task)
+        assert states["running_big"] == pytest.approx(2.0)
+        assert states["running_little"] == pytest.approx(4.0)
+        assert accounting.timelines[task.tid][OPEN_STATE] == NO_STATE
 
     def test_on_exec_splits_penalty_from_productive_time(self):
         accounting = AttributionAccounting()
@@ -108,8 +117,9 @@ class TestAccountingHelper:
         accounting.enter(task, RUNNING_BIG, 0.0)
         core = Core(core_id=0, spec=BIG_SPEC, run_started=0.0)
         accounting.on_exec(EXEC, task, core, now=5.0, penalty_used=1.5)
-        assert task.attr_ms[MIGRATING] == pytest.approx(1.5)
-        assert task.attr_ms[RUNNING_BIG] == pytest.approx(3.5)
+        states = state_ms(accounting, task)
+        assert states[STATE_NAMES[MIGRATING]] == pytest.approx(1.5)
+        assert states["running_big"] == pytest.approx(3.5)
 
     def test_exec_hook_is_on_exec(self):
         # EXEC skips transition()'s dispatch on kind; the other watched
@@ -123,8 +133,9 @@ class TestAccountingHelper:
         accounting = AttributionAccounting()
         task = make_simple_task()
         accounting.enter(task, RUNNING_BIG, 2.0)
-        assert task.attr_ms == [0.0] * N_STATES
-        assert task.attr_state == RUNNING_BIG
+        timeline = accounting.timelines[task.tid]
+        assert timeline[:N_STATES] == [0.0] * N_STATES
+        assert timeline[OPEN_STATE] == RUNNING_BIG
 
     def test_summary_skips_tasks_without_timeline(self):
         accounting = AttributionAccounting()

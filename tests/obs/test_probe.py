@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.kernel.task import reset_tid_counter
+from repro.obs.context import ObsConfig
 from repro.obs.probe import (
     DRAIN,
     ENQUEUE,
     EXEC,
-    MIN_VRUNTIME,
     NO_HOOKS,
     FanOut,
     Probe,
     combine,
 )
-from tests.conftest import make_machine
+from repro.sim.digest import run_digest
+from tests.conftest import make_machine, make_simple_task
 
 
 class Recorder(Probe):
@@ -34,6 +38,13 @@ class Recorder(Probe):
 class EventOnly(Probe):
     def event(self, event, now):
         pass
+
+
+def test_no_observer_is_the_null_probe():
+    null = combine([])
+    assert type(null) is Probe
+    assert null.event is None
+    assert null.hooks() == NO_HOOKS
 
 
 def test_one_observer_is_attached_as_is():
@@ -86,8 +97,24 @@ def test_hook_table_skips_kinds_no_member_watches():
     assert log == [("a", ENQUEUE), ("b", ENQUEUE)]
 
 
-def test_default_machine_skips_kinds_attribution_ignores():
-    machine = make_machine()
-    hooks = machine.cores[0].rq.hooks
-    assert hooks[ENQUEUE] is not None
-    assert hooks[MIN_VRUNTIME] is None
+def run_two_tasks(**config):
+    machine = make_machine(**config)
+    for i in range(2):
+        machine.add_task(make_simple_task(f"t{i}", work=4.0, app_id=i))
+    return machine, machine.run()
+
+
+def test_untraced_machine_attaches_no_observer():
+    reset_tid_counter()
+    machine, result = run_two_tasks()
+    assert machine.probe.hooks() == NO_HOOKS
+    assert machine.cores[0].rq.hooks == NO_HOOKS
+    assert machine.probe.event is None
+    assert result.attribution == {}
+
+    reset_tid_counter()
+    _, traced = run_two_tasks(obs=ObsConfig(trace=True))
+    assert traced.attribution["tasks"]
+    # The traced digest also hashes the trace's DISPATCH records, which
+    # the untraced run has none of; every outcome around them must match.
+    assert run_digest(result) == run_digest(replace(traced, events=[]))

@@ -102,7 +102,7 @@ def _strip_obs(result) -> dict:
     """Every RunResult field except the observability payloads."""
     fields = {}
     for f in dataclasses.fields(result):
-        if f.name in ("events", "metrics", "trace_metadata"):
+        if f.name in ("events", "metrics", "trace_metadata", "attribution"):
             continue
         fields[f.name] = getattr(result, f.name)
     return fields
@@ -131,6 +131,9 @@ class TestParity:
         assert _strip_obs(bare) == _strip_obs(observed)
         assert observed.events  # the observed run did trace
         assert bare.events == []
+        # Attribution rides on the trace.
+        assert observed.attribution["tasks"]
+        assert bare.attribution == {}
 
     def test_observed_runs_bypass_the_cache(self):
         from repro.experiments.runner import ExperimentContext, run_mix_once

@@ -377,67 +377,3 @@ class TestPERF001:
             "    return sorted(task.chunks)\n",
         )
         assert codes == []
-
-
-class TestOBS003:
-    def test_attr_state_write_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def f(task, now):\n    task.attr_state = 3\n",
-            rel="repro/sim/machine.py",
-        )
-        assert codes == ["OBS003"]
-
-    def test_attr_since_write_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def f(task, now):\n    task.attr_since = now\n",
-            rel="repro/kernel/runqueue.py",
-        )
-        assert "OBS003" in codes
-
-    def test_bucket_augassign_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def f(task, state, dt):\n    task.attr_ms[state] += dt\n",
-            rel="repro/schedulers/colab.py",
-        )
-        assert "OBS003" in codes
-
-    def test_annotated_write_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def f(task):\n    task.attr_ms: list = []\n",
-            rel="repro/obs/context.py",
-        )
-        assert codes == ["OBS003"]
-
-    def test_accounting_helper_module_exempt(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def begin(task, now):\n"
-            "    task.attr_ms = [0.0] * 7\n"
-            "    task.attr_since = now\n"
-            "    task.attr_state = -1\n",
-            rel="repro/obs/attribution.py",
-        )
-        assert codes == []
-
-    def test_reads_and_unrelated_attrs_allowed(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def f(task):\n"
-            "    x = task.attr_ms[0] + task.attr_since\n"
-            "    task.vruntime = 1.0\n",
-            rel="repro/sim/machine.py",
-        )
-        assert codes == []
-
-    def test_suppression_comment_respected(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def f(task):\n"
-            "    task.attr_state = 0  # sanitize: ignore[OBS003]\n",
-            rel="repro/sim/machine.py",
-        )
-        assert codes == []

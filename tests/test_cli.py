@@ -284,7 +284,7 @@ class TestAnalyzeCommand:
         codes = [rule.code for rule in registered_rules()]
         assert codes == [
             "ANA001", "DET001", "DET002", "DET003", "ERR001", "KERN001",
-            "OBS001", "OBS003", "PERF001",
+            "OBS001", "PERF001",
         ]
         for code in codes:
             assert code in out
@@ -626,6 +626,19 @@ class TestLedgerCommands:
         # A run at the default location degrades to a warning.
         assert main(self.RUN) == 0
         assert "run ledger unavailable" in capsys.readouterr().err
+
+    def test_unavailable_default_ledger_warning_names_the_path(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "ledger" / "ledger.db"
+        path.parent.mkdir()
+        path.write_text("not a database\n")
+        assert main(self.RUN) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"warning: run ledger unavailable, not recording: ledger {path} "
+        )
+        assert "--no-ledger" in err
 
     def test_no_ledger_flag_disables_recording(self, capsys):
         assert main(["--no-ledger"] + self.RUN[:4] + self.RUN[4:]) == 0

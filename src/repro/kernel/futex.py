@@ -30,6 +30,8 @@ from repro.errors import KernelError
 from repro.kernel.task import Task, TaskState
 from repro.obs.probe import FUTEX_WAIT, FUTEX_WAKE, NO_HOOKS
 
+_SLEEPING = TaskState.SLEEPING
+
 _futex_ids = itertools.count(1)
 
 
@@ -124,7 +126,7 @@ class FutexTable:
             hook = self.hooks[FUTEX_WAKE]
             if hook is not None:
                 hook(FUTEX_WAKE, task, waiter, now, waker)
-            if task.state is not TaskState.SLEEPING:
+            if task.state is not _SLEEPING:
                 raise KernelError(
                     f"futex {futex_id} woke {task.name} in state {task.state.value}"
                 )

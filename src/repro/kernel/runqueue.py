@@ -24,8 +24,10 @@ from operator import itemgetter
 from typing import Callable, Iterator, KeysView
 
 from repro.errors import KernelError
-from repro.kernel.task import Task
+from repro.kernel.task import Task, TaskState
 from repro.obs.probe import DEQUEUE, ENQUEUE, MIN_VRUNTIME, NO_HOOKS
+
+_READY = TaskState.READY
 
 
 class RunQueue:
@@ -88,7 +90,7 @@ class RunQueue:
             KernelError: if the task is already queued here or elsewhere,
                 or is not in the READY state.
         """
-        if not task.is_runnable:
+        if task.state is not _READY:
             raise KernelError(
                 f"cannot enqueue {task.name}: state is {task.state.value}"
             )

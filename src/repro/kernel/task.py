@@ -63,6 +63,13 @@ class CoreLabel(enum.Enum):
     ANY = "any"
 
 
+# Module-level aliases: the state tests below run at every transition.
+_NEW = TaskState.NEW
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_SLEEPING = TaskState.SLEEPING
+_DONE = TaskState.DONE
+
 _tid_counter = itertools.count(1)
 
 
@@ -214,6 +221,9 @@ class Task:
     # ------------------------------------------------------------------
     # State machine
     # ------------------------------------------------------------------
+    # Each transition tests the state inline and calls :meth:`_require`
+    # only to raise: transitions run at every dispatch, preemption and
+    # wakeup.
     def _require(self, *states: TaskState) -> None:
         if self.state not in states:
             allowed = "/".join(s.value for s in states)
@@ -224,28 +234,33 @@ class Task:
 
     def mark_ready(self) -> None:
         """NEW, RUNNING (preempted) or SLEEPING (woken) -> READY."""
-        self._require(TaskState.NEW, TaskState.RUNNING, TaskState.SLEEPING)
-        self.state = TaskState.READY
+        state = self.state
+        if state is not _RUNNING and state is not _SLEEPING and state is not _NEW:
+            self._require(_NEW, _RUNNING, _SLEEPING)
+        self.state = _READY
         self.running_on = None
 
     def mark_running(self, core_id: int, core_kind: str) -> None:
         """READY -> RUNNING on ``core_id``."""
-        self._require(TaskState.READY)
-        self.state = TaskState.RUNNING
+        if self.state is not _READY:
+            self._require(_READY)
+        self.state = _RUNNING
         self.rq_core_id = None
         self.running_on = core_id
         self.last_core_kind = core_kind
 
     def mark_sleeping(self) -> None:
         """RUNNING -> SLEEPING (blocked on a futex)."""
-        self._require(TaskState.RUNNING)
-        self.state = TaskState.SLEEPING
+        if self.state is not _RUNNING:
+            self._require(_RUNNING)
+        self.state = _SLEEPING
         self.running_on = None
 
     def mark_done(self, now: float) -> None:
         """RUNNING -> DONE (action stream exhausted)."""
-        self._require(TaskState.RUNNING)
-        self.state = TaskState.DONE
+        if self.state is not _RUNNING:
+            self._require(_RUNNING)
+        self.state = _DONE
         self.running_on = None
         self.finish_time = now
 
@@ -254,15 +269,15 @@ class Task:
     # ------------------------------------------------------------------
     @property
     def is_runnable(self) -> bool:
-        return self.state is TaskState.READY
+        return self.state is _READY
 
     @property
     def is_running(self) -> bool:
-        return self.state is TaskState.RUNNING
+        return self.state is _RUNNING
 
     @property
     def is_done(self) -> bool:
-        return self.state is TaskState.DONE
+        return self.state is _DONE
 
     def allows_core(self, core_id: int) -> bool:
         """True if the affinity mask (if any) permits ``core_id``."""

@@ -273,9 +273,10 @@ def kern001(module: ParsedModule) -> Iterator[Violation]:
 # ----------------------------------------------------------------------
 
 #: Functions that run once per simulator event (or per dispatch): the
-#: single-run hot loop.  ``step`` is Engine.step; the underscored names
-#: are Machine internals.
-_PERF_HOT_FUNCTIONS = {"_dispatch", "_account", "_advance", "step"}
+#: single-run hot loop.  The underscored names are Machine internals;
+#: ``Engine.run``, the event loop, is named with its class because
+#: ``Machine.run`` runs once per simulation.
+_PERF_HOT_FUNCTIONS = {"_dispatch", "_account", "_advance", "Engine.run"}
 
 
 @rule(
@@ -284,17 +285,28 @@ _PERF_HOT_FUNCTIONS = {"_dispatch", "_account", "_advance", "step"}
     SIM_KERNEL_SCOPE,
 )
 def perf001(module: ParsedModule) -> Iterator[Violation]:
-    """Machine._dispatch/_account/_advance and Engine.step execute once per
-    simulator event; a list/dict/set comprehension, generator
+    """Machine._dispatch/_account/_advance and Engine.run's loop execute
+    once per simulator event; a list/dict/set comprehension, generator
     expression, or sorted() call there allocates (or sorts) on every
     event and regresses single-run speed for all sweeps at once.  Hoist
     the work out of the loop or keep an incrementally maintained
     structure.
     """
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    qualified = {
+        item: f"{node.name}.{item.name}"
+        for node in ast.walk(module.tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, functions)
+    }
     for node in ast.walk(module.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not isinstance(node, functions):
             continue
-        if node.name not in _PERF_HOT_FUNCTIONS:
+        if (
+            node.name not in _PERF_HOT_FUNCTIONS
+            and qualified.get(node) not in _PERF_HOT_FUNCTIONS
+        ):
             continue
         for inner in ast.walk(node):
             if isinstance(

@@ -55,6 +55,8 @@ from repro.obs.probe import (
 _READY, _RUNNING, _SLEEPING, _DONE = (
     TaskState.READY, TaskState.RUNNING, TaskState.SLEEPING, TaskState.DONE,
 )
+#: ``queued_on`` entry of a task no runqueue holds (shared, never mutated).
+_NO_HOMES: tuple[int, ...] = ()
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.runqueue import RunQueue
@@ -279,18 +281,19 @@ class SchedSanitizer(Probe):
             running_on_core[current.tid] = core.core_id
 
         for task in machine.tasks:
-            if not math.isfinite(task.vruntime) or task.vruntime < 0.0:
+            # One test for NaN, +-inf and negatives; -0.0 passes.
+            if not 0.0 <= task.vruntime < math.inf:
                 self._fail(
                     "vruntime",
                     f"{task.name} has vruntime {task.vruntime}",
                 )
-            homes = queued_on.get(task.tid, [])
+            homes = queued_on.get(task.tid, _NO_HOMES)
             if task.state is _READY:
                 if len(homes) != 1:
                     self._fail(
                         "task_state",
                         f"READY task {task.name} is on "
-                        f"{len(homes)} runqueues {homes}, expected exactly 1",
+                        f"{len(homes)} runqueues {list(homes)}, expected exactly 1",
                     )
                 if task.rq_core_id != homes[0]:
                     self._fail(

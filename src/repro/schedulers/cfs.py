@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.errors import SchedulerError
 from repro.obs.tracer import EventKind
 from repro.schedulers.base import Scheduler
 
@@ -78,35 +79,39 @@ class CFSScheduler(Scheduler):
         crux of CFS's AMP-blindness: a thread that history placed on a
         little cluster keeps waking there even when big cores sit idle.
         """
-        allowed = self.allowed_cores(task)
-        machine = self._require_machine()
+        allowed = self.allowed_cores(task)  # raises if unattached
         prev = None
         if task.last_core_id is not None:
-            candidate = machine.cores[task.last_core_id]
+            candidate = self.machine.cores[task.last_core_id]
             if candidate in allowed:
                 prev = candidate
-        if prev is None:
-            # First placement: round-robin-ish by least loaded queue.
-            return min(
-                allowed,
-                key=lambda c: (len(c.rq) + (0 if c.current is None else 1), c.core_id),
-            )
-        if prev.current is None and not prev.rq:
-            return prev
-        # select_idle_sibling: idle core in the previous core's cluster.
+        if prev is not None:
+            if prev.current is None and not prev.rq:
+                return prev
+            # select_idle_sibling: idle core in the previous core's cluster.
+            for core in allowed:
+                if (
+                    core.kind is prev.kind
+                    and core.current is None
+                    and not core.rq
+                ):
+                    return core
+        # The least loaded allowed core, lowest id first on ties (the list
+        # is in core-id order): the first placement, and the slow path's
+        # target.
+        least = None
+        least_load = 0
         for core in allowed:
-            if (
-                core.kind is prev.kind
-                and core.current is None
-                and not core.rq
-            ):
-                return core
+            load = len(core.rq) + (0 if core.current is None else 1)
+            if least is None or load < least_load:
+                least = core
+                least_load = load
+        if prev is None:
+            if least is None:
+                raise SchedulerError(f"{task.name} allows no core")
+            return least
         # Slow path: stay on prev unless clearly imbalanced.
-        def load(core: "Core") -> int:
-            return len(core.rq) + (0 if core.current is None else 1)
-
-        least = min(allowed, key=lambda c: (load(c), c.core_id))
-        if load(prev) > load(least) + 1:
+        if len(prev.rq) + (0 if prev.current is None else 1) > least_load + 1:
             return least
         return prev
 
@@ -122,13 +127,17 @@ class CFSScheduler(Scheduler):
         is_new: bool = False,
         is_wakeup: bool = False,
     ) -> None:
+        # Each ``max(vruntime, floor)`` is written as the comparison it
+        # performs: the floor wins only if it is greater.
         rq = core.rq
         if is_new:
-            task.vruntime = max(task.vruntime, rq.min_vruntime)
+            floor = rq.min_vruntime
+            if floor > task.vruntime:
+                task.vruntime = floor
         elif is_wakeup:
-            task.vruntime = max(
-                task.vruntime, rq.min_vruntime - self.sched_latency / 2
-            )
+            floor = rq.min_vruntime - self.sched_latency / 2
+            if floor > task.vruntime:
+                task.vruntime = floor
         rq.enqueue(task)
         running = core.current.vruntime if core.current is not None else None
         rq.update_min_vruntime(running)
@@ -192,9 +201,14 @@ class CFSScheduler(Scheduler):
     # Accounting and slices
     # ------------------------------------------------------------------
     def charge(self, task: "Task", core: "Core", delta: float, now: float) -> None:
-        """AMP-blind accounting: wall time is virtual time on any core."""
-        task.vruntime += delta * self._charge_scale(task, core)
+        """AMP-blind accounting: wall time is virtual time on any core.
+
+        Adds ``delta`` itself, bit-equal to ``delta * 1.0``; a policy that
+        scales the charge overrides this method.
+        """
+        task.vruntime += delta
 
     def slice_for(self, task: "Task", core: "Core") -> float:
-        nr_running = len(core.rq) + 1
-        return max(self.min_granularity, self.sched_latency / nr_running)
+        share = self.sched_latency / (len(core.rq) + 1)
+        # == max(self.min_granularity, share)
+        return share if share > self.min_granularity else self.min_granularity

@@ -69,9 +69,13 @@ LITTLE_SPEC = CoreSpec(
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class Core:
-    """One simulated core with its runqueue and run state."""
+    """One simulated core with its runqueue and run state.
+
+    Cores compare by identity: policies test membership in core lists on
+    every wakeup, and two cores are never interchangeable.
+    """
 
     core_id: int
     spec: CoreSpec
@@ -86,6 +90,9 @@ class Core:
     sched_version: int = 0
     #: DVFS frequency scale in (0, 1]; 1.0 = nominal frequency.
     freq_scale: float = 1.0
+    #: ``rate_for(current)`` of the armed segment, stored when it is armed
+    #: (see :meth:`repro.sim.machine.Machine._schedule_segment_done`).
+    rate: float = 0.0
     #: Absolute time at which the slice-expiry timer for the current
     #: dispatch will fire; lets the machine prove a segment-done event
     #: scheduled after it can never be observed (stale-event suppression).
@@ -94,9 +101,10 @@ class Core:
     #: expiry while a segment-done timer is armed in its place, else None
     #: (see :meth:`repro.sim.machine.Machine._schedule_segment_done`).
     expiry_seq: int | None = None
-    #: Scratch pool of popped timer events, reused by the next push (see
-    #: :meth:`repro.sim.machine.Machine._reclaim_timer`).  It never holds
-    #: more events than the core once had queued at the same time.
+    #: Scratch pool of popped timer events, reused by the next push; the
+    #: engine returns each popped timer to its core's pool (see
+    #: :meth:`repro.sim.engine.Engine.run`).  It never holds more events
+    #: than the core once had queued at the same time.
     event_pool: list = field(default_factory=list)
 
     # --- statistics -------------------------------------------------------

@@ -63,17 +63,9 @@ class Engine:
         self._stopped = False
         #: The run's observer (:class:`repro.obs.probe.Probe`), installed by
         #: the machine.  Only its ``event`` hook concerns the engine:
-        #: :meth:`step` calls it before each handler unless it is ``None``.
+        #: :meth:`run` calls it before each handler unless it is ``None``.
         self.probe = None
-        #: Optional pop-time callback for version-guarded events
-        #: (``version >= 0``), installed by the machine: it takes the
-        #: popped event back for reuse and returns True if the event is
-        #: stale.  A stale event is dropped before the probe, clock, or
-        #: handler see it, so it must only answer True for events whose
-        #: handler is provably a no-op (version-stale timers), and
-        #: outcomes stay bit-identical.
-        self.reclaim = None
-        #: Events dropped as stale by :attr:`reclaim`.
+        #: Stale version-guarded events dropped by :meth:`run`.
         self.discarded = 0
 
     # ------------------------------------------------------------------
@@ -151,56 +143,23 @@ class Engine:
         """Request the loop to exit after the current event."""
         self._stopped = True
 
-    def step(self) -> Event | None:
-        """Process exactly one event; return it, or ``None`` if idle.
+    def run(self, until: float | None = None) -> None:
+        """Process events in order until the queue drains or :meth:`stop`.
 
-        A timer the machine reclaimed may already be queued again, re-armed
-        by its own handler, by the time it is returned.
-
-        The engine's own past-event guard runs before the probe sees the
-        event: a corrupted heap is the engine's bug to report
+        The engine's own past-event guard runs before anything else sees
+        a popped event: a corrupted heap is the engine's bug to report
         (:class:`~repro.errors.SimulationError`), and an observer's state
         must not be advanced by an event the engine refuses to process.
 
-        A version-guarded event (``version >= 0``) goes to the
-        machine-installed :attr:`reclaim` callback next, its one machine
-        call at the pop.  Stale events are dropped without advancing the
-        clock, the processed counter, or reaching the probe -- their
-        handler would have been a no-op, so every observable outcome is
-        unchanged.
-        """
-        heap = self._heap
-        if not heap:
-            return None
-        event_time, _kind, _seq, event = heappop(heap)
-        if event_time < self.now:
-            raise SimulationError(
-                f"heap produced past event at t={event_time} < now={self.now}"
-            )
-        if event.version >= 0:
-            reclaim = self.reclaim
-            if reclaim is not None and reclaim(event):
-                self.discarded += 1
-                return event
-        probe = self.probe
-        on_event = probe.event if probe is not None else None
-        if on_event is not None:
-            on_event(event, self.now)
-        self.now = event_time
-        self._processed += 1
-        if self._processed > self._max_events:
-            raise SimulationError(
-                f"exceeded max_events={self._max_events}; "
-                "likely a livelocked workload or scheduler"
-            )
-        handler = self._handlers[event.kind]
-        if handler is None:
-            raise SimulationError(f"no handler registered for {event.kind.name}")
-        handler(event)
-        return event
-
-    def run(self, until: float | None = None) -> None:
-        """Drain the event queue.
+        A version-guarded event (``version >= 0``) carries its owner as
+        ``payload``: an object with an ``event_pool`` list and a
+        ``sched_version`` (a :class:`~repro.sim.core.Core`).  The engine
+        returns the popped event to the owner's pool, stale or live -- a
+        live event's handler reads its fields before anything can reuse
+        it -- and drops it if ``version != owner.sched_version``.  A stale
+        event's handler would be a no-op, so it is dropped before the
+        probe, the clock or the processed counter see it, and every
+        observable outcome is unchanged.
 
         Args:
             until: If given, stop once simulated time would exceed this
@@ -208,8 +167,34 @@ class Engine:
         """
         self._stopped = False
         heap = self._heap
-        step = self.step
+        handlers = self._handlers
+        max_events = self._max_events
+        probe = self.probe
+        on_event = probe.event if probe is not None else None
         while heap and not self._stopped:
             if until is not None and heap[0][0] > until:
                 break
-            step()
+            event_time, kind, _seq, event = heappop(heap)
+            if event_time < self.now:
+                raise SimulationError(
+                    f"heap produced past event at t={event_time} < now={self.now}"
+                )
+            if event.version >= 0:
+                owner = event.payload
+                owner.event_pool.append(event)
+                if event.version != owner.sched_version:
+                    self.discarded += 1
+                    continue
+            if on_event is not None:
+                on_event(event, self.now)
+            self.now = event_time
+            self._processed += 1
+            if self._processed > max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events}; "
+                    "likely a livelocked workload or scheduler"
+                )
+            handler = handlers[kind]
+            if handler is None:
+                raise SimulationError(f"no handler registered for {kind.name}")
+            handler(event)

@@ -55,7 +55,10 @@ class Event:
         core_id: Target core for core-directed events, else ``-1``.
         version: Core scheduling version this event was issued against;
             ``-1`` means the event is not version guarded.
-        payload: Kind-specific extra data (e.g. the task to wake).
+        payload: Kind-specific extra data (e.g. the task to wake).  A
+            version-guarded event carries its core here, which the engine
+            returns the popped event to (see :meth:`Engine.run
+            <repro.sim.engine.Engine.run>`).
     """
 
     time: float

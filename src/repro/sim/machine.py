@@ -83,6 +83,12 @@ from repro.workloads.actions import (
 #: Residual work below this is considered retired (float guard).
 _EPS = 1e-9
 
+# Task-state aliases for the per-event tests: a global read is cheaper
+# than reading an Enum member through its class.
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_SLEEPING = TaskState.SLEEPING
+
 
 @dataclass
 class MachineConfig:
@@ -246,7 +252,6 @@ class Machine:
         #: SEGMENT_DONE pushes skipped because a live slice expiry proves
         #: they could never fire valid.
         self.events_suppressed = 0
-        self.engine.reclaim = self._reclaim_timer
         #: An observer watches drains, so every handler must drain.
         self._drain_observed = self._hooks[DRAIN] is not None
 
@@ -361,9 +366,8 @@ class Machine:
     # Event handlers
     # ------------------------------------------------------------------
     def _on_segment_done(self, event: Event) -> None:
-        core = self.cores[event.core_id]
-        if event.version != core.sched_version:
-            return
+        # The engine drops stale timers, so this one is the core's live one.
+        core = event.payload
         now = self.engine.now
         task = core.current
         if task is None:
@@ -384,9 +388,7 @@ class Machine:
             self._drain(now)
 
     def _on_slice_expiry(self, event: Event) -> None:
-        core = self.cores[event.core_id]
-        if event.version != core.sched_version:
-            return
+        core = event.payload
         now = self.engine.now
         task = core.current
         if task is None:
@@ -405,7 +407,7 @@ class Machine:
     def _on_timed_wakeup(self, event: Event) -> None:
         now = self.engine.now
         task: Task = event.payload
-        if task.state is not TaskState.SLEEPING:
+        if task.state is not _SLEEPING:
             raise SimulationError(
                 f"timed wakeup for {task.name} in state {task.state.value}"
             )
@@ -509,7 +511,7 @@ class Machine:
             raise SchedulerError(
                 f"picked task {task.name} still queued on core {task.rq_core_id}"
             )
-        if not task.is_runnable:
+        if task.state is not _READY:
             raise SchedulerError(
                 f"picked task {task.name} in state {task.state.value}"
             )
@@ -576,57 +578,43 @@ class Machine:
         reservation instead of leaving a stale expiry in the heap.  A
         completion *at* the deadline still fires first (SEGMENT_DONE
         outranks SLICE_EXPIRY at equal timestamps) and is pushed.
+
+        The segment's rate is computed here once and kept in
+        ``core.rate`` for :meth:`_account`: it changes only with the
+        segment or ``core.freq_scale``, and both changes re-arm.  The
+        timer reuses an event from ``core.event_pool``, which the engine
+        refills with the core's popped timers; it is allocated fresh only
+        when the pool is empty.
         """
         segment = task.current_segment
         if segment is None:
             raise SimulationError(f"no segment to schedule for {task.name}")
-        rate = core.rate_for(task)
+        rate = core.rate = core.rate_for(task)
         finish = now + task.pending_penalty + segment.remaining / rate
         if finish > core.slice_deadline:
             self.events_suppressed += 1
+            finish = core.slice_deadline
+            kind = EventKind.SLICE_EXPIRY
             seq = core.expiry_seq
             core.expiry_seq = None
-            self._push_timer(core.slice_deadline, EventKind.SLICE_EXPIRY, core, seq)
-            return
-        self._push_timer(finish, EventKind.SEGMENT_DONE, core)
-        if core.expiry_seq is None:
-            core.expiry_seq = self.engine.reserve()
-
-    def _push_timer(
-        self, time: float, kind: EventKind, core: Core, seq: int | None = None
-    ) -> None:
-        """Push a timer for ``core``'s current version, reusing a pooled event.
-
-        :meth:`_reclaim_timer` feeds the pool with the core's popped timers;
-        a timer is allocated fresh only when the pool is empty.  A ``seq``
-        from :meth:`Engine.reserve` queues the timer under that number.
-        """
+        else:
+            kind = EventKind.SEGMENT_DONE
+            seq = None
         pool = core.event_pool
         if pool:
             event = pool.pop()
-            event.time = time
+            event.time = finish
             event.kind = kind
             event.version = core.sched_version
         else:
             event = Event(
-                time=time, kind=kind, core_id=core.core_id,
-                version=core.sched_version,
+                time=finish, kind=kind, core_id=core.core_id,
+                version=core.sched_version, payload=core,
             )
-        self.engine.push(event, seq)
-
-    def _reclaim_timer(self, event: Event) -> bool:
-        """Engine pop hook for a version-guarded timer: pool it; is it stale?
-
-        The popped event goes back to its core's pool whether it is stale
-        or live: a live timer's handler reads its fields before anything
-        can reuse it.  Stale timers (SEGMENT_DONE / SLICE_EXPIRY of an
-        older version) have a no-op handler, so the engine drops them
-        before the clock, sanitizer, or handler sees them and no
-        observable outcome changes.
-        """
-        core = self.cores[event.core_id]
-        core.event_pool.append(event)
-        return event.version != core.sched_version
+        engine = self.engine
+        engine.push(event, seq)
+        if kind is EventKind.SEGMENT_DONE and core.expiry_seq is None:
+            core.expiry_seq = engine.reserve()
 
     def _account(self, core: Core, now: float) -> None:
         """Charge execution since ``core.run_started`` to the running task.
@@ -635,9 +623,11 @@ class Machine:
         repeated attribute reads are hoisted into locals, each ``min``
         is written as the comparison it performs (``min(a, b)`` is ``b if
         b < a else a``, NaN and -0.0 included), the residency sum
-        makes no ``dict.get`` call, and the task's PMU counters only get
-        the segment's work appended to their pending buffer (a C-level
-        call; they are computed when read).  The arithmetic (and its
+        makes no ``dict.get`` call, the work rate is the one
+        :meth:`_schedule_segment_done` stored when it armed the segment,
+        and the task's PMU counters only get the segment's work appended
+        to their pending buffer (a C-level call; they are computed when
+        read).  The arithmetic (and its
         order) is untouched -- outcomes stay bit-identical.
         """
         task = core.current
@@ -655,7 +645,7 @@ class Machine:
             work = 0.0
             if segment is not None and productive > 0.0:
                 remaining = segment.remaining
-                work = productive * core.rate_for(task)
+                work = productive * core.rate
                 if remaining < work:
                     work = remaining
                 remaining -= work
@@ -821,7 +811,8 @@ class Machine:
                 raise SimulationError(
                     f"unknown action {action!r} from {task.name}"
                 ) from None
-            if handler(self, task, action, now) == "blocked":
+            woken = handler(self, task, action, now)
+            if woken == "blocked":
                 task.blocked_action = action
                 task.mark_sleeping()
                 core.current = None
@@ -831,9 +822,11 @@ class Machine:
                     hook(BLOCK, task, core, now, action)
                 self._dispatch_pending.add(core.core_id)
                 return "blocked"
+            for other in woken:
+                self._wake_task(other, now)
             # Zero-time action completed; the wakeups it caused may have
             # preempted this very task.
-            if task.state is not TaskState.RUNNING:
+            if task.state is not _RUNNING:
                 return "preempted"
         raise SimulationError(
             f"task {task.name} processed {self.config.max_actions_per_advance} "
@@ -841,80 +834,62 @@ class Machine:
         )
 
     # One handler per zero-time action type, each returning "blocked" or
-    # "continue"; :attr:`_ACTIONS` maps the exact type to its handler.
-    def _act_lock_acquire(self, task, action: LockAcquire, now) -> str:
-        outcome = action.mutex.acquire(task, now)
-        return "blocked" if outcome == "blocked" else "continue"
+    # the tasks its action woke, which :meth:`_advance` then wakes in
+    # order; :attr:`_ACTIONS` maps the exact type to its handler.
+    def _act_lock_acquire(self, task, action: LockAcquire, now):
+        return action.mutex.acquire(task, now) or ()
 
-    def _act_lock_release(self, task, action: LockRelease, now) -> str:
-        self._wake_all(action.mutex.release(task, now), now)
-        return "continue"
+    def _act_lock_release(self, task, action: LockRelease, now):
+        return action.mutex.release(task, now)
 
-    def _act_sem_acquire(self, task, action: SemAcquire, now) -> str:
-        outcome = action.semaphore.acquire(task, now)
-        return "blocked" if outcome == "blocked" else "continue"
+    def _act_sem_acquire(self, task, action: SemAcquire, now):
+        return action.semaphore.acquire(task, now) or ()
 
-    def _act_sem_release(self, task, action: SemRelease, now) -> str:
-        self._wake_all(action.semaphore.release(task, now), now)
-        return "continue"
+    def _act_sem_release(self, task, action: SemRelease, now):
+        return action.semaphore.release(task, now)
 
-    def _act_read_acquire(self, task, action: ReadAcquire, now) -> str:
-        outcome = action.rwlock.acquire_read(task, now)
-        return "blocked" if outcome == "blocked" else "continue"
+    def _act_read_acquire(self, task, action: ReadAcquire, now):
+        return action.rwlock.acquire_read(task, now) or ()
 
-    def _act_read_release(self, task, action: ReadRelease, now) -> str:
-        self._wake_all(action.rwlock.release_read(task, now), now)
-        return "continue"
+    def _act_read_release(self, task, action: ReadRelease, now):
+        return action.rwlock.release_read(task, now)
 
-    def _act_write_acquire(self, task, action: WriteAcquire, now) -> str:
-        outcome = action.rwlock.acquire_write(task, now)
-        return "blocked" if outcome == "blocked" else "continue"
+    def _act_write_acquire(self, task, action: WriteAcquire, now):
+        return action.rwlock.acquire_write(task, now) or ()
 
-    def _act_write_release(self, task, action: WriteRelease, now) -> str:
-        self._wake_all(action.rwlock.release_write(task, now), now)
-        return "continue"
+    def _act_write_release(self, task, action: WriteRelease, now):
+        return action.rwlock.release_write(task, now)
 
-    def _act_barrier_wait(self, task, action: BarrierWait, now) -> str:
-        outcome = action.barrier.arrive(task, now)
-        if outcome == "blocked":
-            return "blocked"
-        self._wake_all(outcome, now)
-        return "continue"
+    def _act_barrier_wait(self, task, action: BarrierWait, now):
+        return action.barrier.arrive(task, now)
 
     def _act_cond_wait(self, task, action: CondWait, now) -> str:
         action.cond.wait(task, now)
         return "blocked"
 
-    def _act_cond_signal(self, task, action: CondSignal, now) -> str:
-        self._wake_all(action.cond.signal(task, now), now)
-        return "continue"
+    def _act_cond_signal(self, task, action: CondSignal, now):
+        return action.cond.signal(task, now)
 
-    def _act_cond_broadcast(self, task, action: CondBroadcast, now) -> str:
-        self._wake_all(action.cond.broadcast(task, now), now)
-        return "continue"
+    def _act_cond_broadcast(self, task, action: CondBroadcast, now):
+        return action.cond.broadcast(task, now)
 
-    def _act_pipe_put(self, task, action: PipePut, now) -> str:
-        outcome = action.pipe.put(task, action.item, now)
-        if outcome == "blocked":
-            return "blocked"
-        self._wake_all(outcome, now)
-        return "continue"
+    def _act_pipe_put(self, task, action: PipePut, now):
+        return action.pipe.put(task, action.item, now)
 
-    def _act_pipe_get(self, task, action: PipeGet, now) -> str:
+    def _act_pipe_get(self, task, action: PipeGet, now):
         outcome = action.pipe.get(task, now)
         if outcome == "blocked":
             return "blocked"
         item, woken = outcome
         task.pending_result = item
-        self._wake_all(woken, now)
-        return "continue"
+        return woken
 
-    def _act_spawn(self, task, action: Spawn, now) -> str:
+    def _act_spawn(self, task, action: Spawn, now):
         spawned = action.task
         spawned.spawn_time = now
         self._admit(spawned, task.name)
         self._wake_task(spawned, now, is_new=True)
-        return "continue"
+        return ()
 
     def _act_sleep(self, task, action: Sleep, now) -> str:
         task.wait_started_at = now
@@ -943,10 +918,6 @@ class Machine:
         Spawn: _act_spawn,
         Sleep: _act_sleep,
     }
-
-    def _wake_all(self, tasks: list[Task], now: float) -> None:
-        for woken in tasks:
-            self._wake_task(woken, now)
 
     def _finish_task(self, task: Task, core: Core, now: float) -> None:
         task.mark_done(now)

@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.task import Task
 
 
-@dataclass
+@dataclass(init=False)
 class Compute:
     """Execute ``work`` big-core-milliseconds of computation.
 
@@ -53,12 +53,16 @@ class Compute:
     speedup: float | None = None
     remaining: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.work < 0:
-            raise WorkloadError(f"negative work {self.work}")
-        if self.speedup is not None and self.speedup < 1.0:
-            raise WorkloadError(f"speedup {self.speedup} < 1.0")
-        self.remaining = self.work
+    # One __init__ rather than the generated one plus __post_init__:
+    # workloads build a Compute for every segment they run.
+    def __init__(self, work: float, speedup: float | None = None) -> None:
+        if work < 0:
+            raise WorkloadError(f"negative work {work}")
+        if speedup is not None and speedup < 1.0:
+            raise WorkloadError(f"speedup {speedup} < 1.0")
+        self.work = work
+        self.speedup = speedup
+        self.remaining = work
 
 
 @dataclass

@@ -343,13 +343,24 @@ class TestPERF001:
         )
         assert codes == ["PERF001"]
 
-    def test_generator_expression_in_step_flagged(self, tmp_path):
+    def test_generator_expression_in_engine_run_flagged(self, tmp_path):
         codes = lint_source(
             tmp_path,
-            "def step(self):\n"
-            "    return sum(e.time for e in self._heap)\n",
+            "class Engine:\n"
+            "    def run(self):\n"
+            "        return sum(e.time for e in self._heap)\n",
         )
         assert codes == ["PERF001"]
+
+    def test_run_of_another_class_allowed(self, tmp_path):
+        # Machine.run runs once per simulation, not once per event.
+        codes = lint_source(
+            tmp_path,
+            "class Machine:\n"
+            "    def run(self):\n"
+            "        return [t.name for t in self.tasks]\n",
+        )
+        assert codes == []
 
     def test_cold_function_allowed(self, tmp_path):
         # Same constructs outside the per-event hot set are fine.

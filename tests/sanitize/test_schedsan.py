@@ -255,10 +255,14 @@ class TestMachineSweeps:
 
     def test_corrupt_vruntime_detected(self):
         machine, _ = run_sync_workload("linux", sanitize=True)
-        machine.tasks[0].vruntime = float("nan")
-        with pytest.raises(SanitizerError) as err:
-            sanitizer_of(machine).check_machine(machine)
-        assert err.value.check == "vruntime"
+        sanitizer = sanitizer_of(machine)
+        for value in ("nan", "inf", "-inf", "-1.0"):
+            machine.tasks[0].vruntime = float(value)
+            with pytest.raises(SanitizerError) as err:
+                sanitizer.check_machine(machine)
+            assert err.value.check == "vruntime", value
+        machine.tasks[0].vruntime = -0.0
+        sanitizer.check_machine(machine)
 
     def test_unfinished_task_detected_at_end_of_run(self):
         machine, _ = run_sync_workload("linux", sanitize=True)

@@ -110,13 +110,16 @@ class TestControls:
         assert seen == [1.0]
         assert engine.pending() == 1
 
-    def test_step_returns_event_or_none(self):
-        engine, _ = collecting_engine()
-        assert engine.step() is None
+    def test_run_until_processes_events_at_the_bound(self):
+        engine, seen = collecting_engine()
+        engine.run()  # an empty queue is a no-op
+        assert engine.now == 0.0 and engine.processed == 0
         engine.push(Event(time=1.0, kind=EventKind.CALLBACK))
-        event = engine.step()
-        assert event is not None
-        assert event.time == 1.0
+        engine.push(Event(time=2.0, kind=EventKind.CALLBACK))
+        engine.run(until=1.0)
+        assert seen == [(1.0, EventKind.CALLBACK)]
+        assert engine.now == 1.0
+        assert engine.pending() == 1
 
     def test_unregistered_kind_raises(self):
         engine = Engine()
@@ -160,20 +163,20 @@ class TestSanitizerOrdering:
 
         engine = self._engine_with_sanitizer()
         engine.push(Event(time=5.0, kind=EventKind.CALLBACK))
-        engine.step()
+        engine.run()
         assert engine.now == 5.0
         # Bypass push() to plant a past event, as a heap corruption would.
         stale = Event(time=1.0, kind=EventKind.CALLBACK, seq=99)
         heapq.heappush(engine._heap, (stale.time, stale.kind, stale.seq, stale))
         with pytest.raises(SimulationError, match="past event"):
-            engine.step()
+            engine.run()
 
     def test_sanitizer_state_untouched_by_rejected_event(self):
         import heapq
 
         engine = self._engine_with_sanitizer()
         engine.push(Event(time=5.0, kind=EventKind.CALLBACK))
-        engine.step()
+        engine.run()
         checks_before = engine.probe.checks_run
         last_before = engine.probe._last_event_time
         heapq.heappush(
@@ -181,7 +184,7 @@ class TestSanitizerOrdering:
             (1.0, EventKind.CALLBACK, 99, Event(time=1.0, kind=EventKind.CALLBACK, seq=99)),
         )
         with pytest.raises(SimulationError):
-            engine.step()
+            engine.run()
         assert engine.probe.checks_run == checks_before
         assert engine.probe._last_event_time == last_before
 
@@ -202,6 +205,14 @@ class _EventRecorder:
 
     def event(self, event, now):
         self.seen.append((event.time, event.seq, now))
+
+
+class _Owner:
+    """The owner of version-guarded events: a version and an event pool."""
+
+    def __init__(self, sched_version: int = 0):
+        self.sched_version = sched_version
+        self.event_pool = []
 
 
 class TestProbe:
@@ -237,22 +248,26 @@ class TestProbe:
     def test_discarded_events_skip_the_hook(self):
         engine, seen = collecting_engine()
         recorder = engine.probe = _EventRecorder()
-        recycled = []
-
-        def reclaim(ev):
-            recycled.append(ev)
-            return ev.version == 1
-
-        engine.reclaim = reclaim
-        for i in range(4):
+        owner = _Owner(sched_version=0)
+        events = [
             engine.push(
-                Event(time=float(i), kind=EventKind.CALLBACK, version=i % 2)
+                Event(
+                    time=float(i), kind=EventKind.CALLBACK, version=i % 2,
+                    payload=owner,
+                )
             )
+            for i in range(4)
+        ]
         engine.run()
+        # Version-1 events are stale: the probe, the handler, the clock and
+        # the processed counter never see them.
         assert [t for t, _seq, _now in recorder.seen] == [0.0, 2.0]
+        assert seen == [(0.0, EventKind.CALLBACK), (2.0, EventKind.CALLBACK)]
+        assert engine.now == 2.0
         assert engine.discarded == 2
         assert engine.processed == 2
-        assert len(recycled) == 4  # discarded events are still recycled
+        # Every popped event, stale or live, went back to its owner's pool.
+        assert owner.event_pool == events
 
     @pytest.mark.parametrize("with_probe", [False, True])
     def test_guards_hold_with_and_without_probe(self, with_probe):

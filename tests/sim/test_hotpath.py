@@ -1,8 +1,8 @@
 """Unit coverage for the simulator's single-run speed machinery.
 
 Stale-event suppression, the one armed timer per core and its reserved
-slice-expiry sequence number, the engine's pop-time reclaim hook, the
-per-core event pool and the memoized speedup predictions may only change
+slice-expiry sequence number, the engine's return of each popped timer to
+its core's event pool, and the memoized speedup predictions may only change
 wall-clock cost, never an outcome.  These tests pin each mechanism
 against literal values or an uncached computation; whole runs are pinned
 by the stored digests (``hostbench/expected/``, ``tests/sim/test_digest.py``)
@@ -23,6 +23,7 @@ from repro.experiments.runner import ExperimentContext, run_mix_once
 from repro.kernel.task import Task
 from repro.model.speedup import OracleSpeedupModel, PredictionCache
 from repro.schedulers import make_scheduler
+from repro.sim.core import BIG_SPEC, Core
 from repro.sim.dvfs import DVFSPolicy, FrequencyGovernor
 from repro.sim.engine import Engine
 from repro.sim.events import Event, EventKind
@@ -40,7 +41,7 @@ from tests.conftest import (
 
 
 # ----------------------------------------------------------------------
-# Engine: heap layout and the pop-time reclaim hook
+# Engine: heap layout and the pop-time return of timers to their owner
 # ----------------------------------------------------------------------
 class TestReferenceHeap:
     def test_hot_heap_stores_ordering_tuples(self):
@@ -50,19 +51,25 @@ class TestReferenceHeap:
 
 
 class TestFastDiscard:
-    """Stale timers are dropped at the pop, through ``Engine.reclaim``."""
+    """The engine returns each popped timer to its core's pool and drops
+    it there if the core's version moved on since it was armed."""
 
     def make_engine(self) -> Engine:
         engine = Engine()
         engine.register(EventKind.SLICE_EXPIRY, lambda ev: None)
         return engine
 
+    def timer(self, time: float, core: Core, version: int = 0) -> Event:
+        return Event(
+            time=time, kind=EventKind.SLICE_EXPIRY, core_id=core.core_id,
+            version=version, payload=core,
+        )
+
     def test_discarded_event_skips_clock_and_processed(self):
-        engine = self.make_engine()
-        engine.reclaim = lambda ev: True
-        engine.push(Event(time=5.0, kind=EventKind.SLICE_EXPIRY, version=0))
-        returned = engine.step()
-        assert returned is not None
+        engine, core = self.make_engine(), Core(0, BIG_SPEC, sched_version=1)
+        event = engine.push(self.timer(5.0, core))
+        engine.run()
+        assert core.event_pool == [event]  # the stale timer is pooled
         assert engine.discarded == 1
         assert engine.processed == 0
         assert engine.now == 0.0  # clock did not advance
@@ -70,43 +77,39 @@ class TestFastDiscard:
     def test_discarded_event_skips_sanitizer(self):
         from repro.sanitize.schedsan import SchedSanitizer
 
-        engine = self.make_engine()
+        engine, core = self.make_engine(), Core(0, BIG_SPEC, sched_version=1)
         engine.probe = SchedSanitizer()
-        engine.reclaim = lambda ev: True
-        engine.push(Event(time=1.0, kind=EventKind.SLICE_EXPIRY, version=0))
-        engine.step()
+        engine.push(self.timer(1.0, core))
+        engine.run()
         assert engine.probe.checks_run == 0
 
     def test_non_matching_event_processed_normally(self):
-        engine = self.make_engine()
-        engine.reclaim = lambda ev: False
-        engine.push(Event(time=1.0, kind=EventKind.SLICE_EXPIRY, version=0))
-        engine.step()
+        engine, core = self.make_engine(), Core(0, BIG_SPEC)
+        event = engine.push(self.timer(1.0, core))
+        engine.run()
         assert engine.discarded == 0
         assert engine.processed == 1
         assert engine.now == 1.0
+        assert core.event_pool == [event]  # live timers are pooled too
 
     def test_unguarded_event_never_reaches_reclaim(self):
-        engine = self.make_engine()
-        reclaimed = []
-        engine.reclaim = lambda ev: reclaimed.append(ev) or True
-        engine.push(Event(time=1.0, kind=EventKind.SLICE_EXPIRY))  # version -1
-        engine.step()
-        assert reclaimed == []
+        engine, core = self.make_engine(), Core(0, BIG_SPEC, sched_version=1)
+        # version -1: not guarded, so its payload is not an owner.
+        engine.push(Event(time=1.0, kind=EventKind.SLICE_EXPIRY, payload=core))
+        engine.run()
+        assert core.event_pool == []
         assert engine.processed == 1
 
     def test_past_event_guard_fires_before_discard(self):
-        engine = self.make_engine()
-        engine.reclaim = lambda ev: True
-        engine.push(Event(time=1.0, kind=EventKind.SLICE_EXPIRY, version=0))
-        engine.step()  # returns the discarded event, but now stays 0.0
+        engine, core = self.make_engine(), Core(0, BIG_SPEC, sched_version=1)
         engine.now = 5.0  # simulate later clock
-        engine.push(Event(time=6.0, kind=EventKind.SLICE_EXPIRY, version=0))
-        engine._heap.clear()
-        stale = Event(time=2.0, kind=EventKind.SLICE_EXPIRY, seq=99, version=0)
+        stale = self.timer(2.0, core)
+        stale.seq = 99
         heapq.heappush(engine._heap, (stale.time, stale.kind, stale.seq, stale))
-        with pytest.raises(SimulationError):
-            engine.step()
+        with pytest.raises(SimulationError, match="past event"):
+            engine.run()
+        assert core.event_pool == []
+        assert engine.discarded == 0
 
 
 def sleeper(rounds: int = 12):
@@ -148,6 +151,7 @@ class TestSuppressionAndPool:
             for event in core.event_pool:
                 assert event.version >= 0
                 assert event.core_id == core.core_id
+                assert event.payload is core
 
     def test_metrics_expose_engine_counters(self):
         from repro.obs.context import ObsConfig
@@ -277,6 +281,10 @@ CALLS_PER_EVENT_BEFORE = 41.4
 #: The same count while every run attached attribution (33.6 on CPython
 #: 3.11); untraced runs now attach no observer.
 CALLS_PER_EVENT_WITH_ATTRIBUTION = 33.6
+#: The same count while the engine stepped one event per call, the
+#: machine reclaimed and pushed timers through helpers of their own and
+#: ``_account`` recomputed the segment rate (30.6 on CPython 3.11).
+CALLS_PER_EVENT_TWO_RATES = 30.6
 
 
 @functools.lru_cache(maxsize=1)
@@ -312,6 +320,11 @@ def test_calls_per_event_at_most_90_percent_of_before():
 def test_untraced_calls_per_event_at_most_95_percent_with_attribution():
     ratio = calls_per_event()
     assert ratio <= 0.95 * CALLS_PER_EVENT_WITH_ATTRIBUTION, ratio
+
+
+def test_calls_per_event_at_most_80_percent_with_two_rates():
+    ratio = calls_per_event()
+    assert ratio <= 0.8 * CALLS_PER_EVENT_TWO_RATES, ratio
 
 
 # ----------------------------------------------------------------------

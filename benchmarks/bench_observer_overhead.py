@@ -2,8 +2,8 @@
 
 Every observer of a run -- tracer (with attribution, which rides on
 it), metrics, schedsan, the sim-time sampler -- sits behind the one
-probe seam (``repro.obs.probe``).  A disabled observer is simply not
-attached, and a default run attaches none (its probe is the null
+probe seam (``repro.obs.probe``).  A facility that is off is not built,
+and a default run attaches no observer (its probe is the null
 ``Probe``), so what a facility can still cost a default run is its
 guards:
 
@@ -11,15 +11,16 @@ guards:
   ``event`` hook (schedsan, the sampler);
 * one ``is None`` check on the probe's hook table at each hook site of a
   transition kind it watches (``ENQUEUE``, ``EXEC``, ``PICK``,
-  ``DRAIN``, ...).
+  ``DRAIN``, the schedulers' ``DECISION``, ...).
 
 For each facility this bench, on a reference run:
 
 * times the run with the facility off and on, on fresh machines each
-  round (wall-clock medians over several rounds);
+  round (wall-clock medians over :data:`ROUNDS` rounds);
 * counts those guards in a plain run, times that many skipped guards
-  against a default run's probe (charged 4x), and asserts the bound
-  stays under 5% of the plain run's wall time;
+  against a default run's probe (charged 4x; a median over as many
+  rounds), and asserts the bound stays under 5% of the plain run's
+  wall time;
 * asserts the read-only contract: the outcome (makespan, per-app
   turnaround) is identical with each facility on and off, and so is
   ``run_digest`` for schedsan and sampling, for all four schedulers.
@@ -48,7 +49,10 @@ from repro.workloads.programs import ProgramEnv
 #: Reference point: a synchronisation-heavy mix exercises every hook site
 #: (runqueue mutations, futex traffic, picks, migrations, decision tiers).
 MIX, CONFIG, SCHEDULER = "Sync-2", "2B2S", "colab"
-ROUNDS = 5
+#: Each timing is a median over this many rounds: the runs take tens of
+#: milliseconds, so fewer rounds let one slow moment on a shared host
+#: move a median by more than ``check_regression.py``'s tolerance.
+ROUNDS = 15
 #: Acceptance bound: disabled-observer overhead vs the plain run.
 MAX_DISABLED_OVERHEAD = 0.05
 #: Digest parity is asserted for every policy the paper compares.
@@ -109,7 +113,7 @@ def transition_counts(ctx) -> tuple[Counter, int]:
     # Widen every hook site's table (the machine's own, each runqueue's
     # and the futex table's) so the counter sees all kinds.
     hooks = combine([machine.probe, counter]).hooks()
-    machine._hooks = machine.futexes.hooks = hooks
+    machine.hooks = machine.futexes.hooks = hooks
     for core in machine.cores:
         core.rq.hooks = hooks
     result = machine.run()
@@ -182,7 +186,10 @@ def measure(ctx) -> dict:
         sites, event_guards = facility_guards(ctx, switches, counts, events)
         guards = sites + event_guards
         guard_checks = guards * 4
-        guard_s = guard_cost_seconds(ctx, sites * 4, event_guards * 4)
+        guard_s = statistics.median(
+            guard_cost_seconds(ctx, sites * 4, event_guards * 4)
+            for _ in range(ROUNDS)
+        )
         on_s = statistics.median(on_times[name])
         parity = {
             scheduler: run_digest(timed_run(ctx, scheduler, **switches)[1])

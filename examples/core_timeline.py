@@ -21,7 +21,7 @@ from repro import (
     make_scheduler,
     make_topology,
 )
-from repro.analysis.traces import occupancy_rows
+from repro.obs.tracer import occupancy_rows
 from repro.workloads.benchmarks import instantiate_benchmark
 
 #: One render column per this many simulated milliseconds.

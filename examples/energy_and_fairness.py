@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis.fairness import fairness_index
 from repro.experiments.runner import ExperimentContext, evaluate_mix, run_mix_once
+from repro.metrics.turnaround import fairness_index
 from repro.sim.energy import energy_of
 from repro.sim.topology import standard_topologies
 from repro.workloads.mixes import MIXES

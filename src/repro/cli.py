@@ -139,9 +139,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
     """Run one (mix, config, scheduler) point; optionally export JSON."""
     import json
 
-    from repro.analysis.export import campaign_to_dict
-    from repro.analysis.fairness import fairness_index
     from repro.experiments.runner import sweep
+    from repro.metrics.turnaround import fairness_index
     from repro.workloads.mixes import MIXES
 
     schedulers = tuple(_names(args.schedulers, "schedulers"))
@@ -161,8 +160,21 @@ def _cmd_run(args: argparse.Namespace) -> None:
             f"H_STP={metrics.h_stp:.3f} fairness={fairness:.3f}  {apps}"
         )
     if args.json:
+        records = [
+            {
+                "mix": point.mix_index,
+                "config": point.config,
+                "scheduler": point.scheduler,
+                "h_antt": point.h_antt,
+                "h_stp": point.h_stp,
+                "makespan_ms": point.makespan,
+                "turnarounds_ms": dict(point.turnarounds),
+            }
+            for point in points
+        ]
+        payload = {"points": records, "count": len(records)}
         with open(args.json, "w") as handle:
-            json.dump(campaign_to_dict(points), handle, indent=2)
+            json.dump(payload, handle, indent=2)
         print(f"\nwrote {args.json}")
     if args.profile:
         from repro.experiments.runner import run_mix_once
@@ -171,7 +183,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         for scheduler in schedulers:
             result = run_mix_once(
                 ctx, MIXES[args.mix], args.config, scheduler, big_first=True,
-                obs=ObsConfig(metrics=True, profile=True),
+                obs=ObsConfig(profile=True),
                 sanitize=args.sanitize,
             )
             profile = result.metrics.get("profile", {})
@@ -726,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.set_defaults(func=_cmd_diff)
     lint = sub.add_parser(
         "lint",
-        help="static checks: per-file rules (DET/OBS/KERN/PERF/ERR) and "
+        help="static checks: per-file rules (DET/KERN/PERF/ERR) and "
         "the whole-program taint analysis (ANA001)",
     )
     lint.add_argument(

@@ -34,7 +34,7 @@ from repro.model.speedup import (
     PredictionCache,
     SpeedupEstimator,
 )
-from repro.obs.tracer import EventKind
+from repro.obs.probe import DECISION
 from repro.schedulers.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -147,17 +147,15 @@ class COLABScheduler(Scheduler):
             # Mirror decision counters into the common stats block.
             self.stats.local_picks = decision["local"]
             self.stats.steals = decision["cluster"] + decision["global"]
-            tracer = machine.obs.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    now, EventKind.DECISION,
-                    core_id=core.core_id, tid=task.tid, name=task.name,
-                    op="colab_pick", tier=self.selector.last_decision,
-                    blocking=task.blocking_level,
-                    speedup=task.predicted_speedup,
-                    label=task.core_label.name,
-                    vruntime=task.vruntime,
-                )
+            hook = machine.hooks[DECISION]
+            if hook is not None:
+                hook(DECISION, task, core.core_id, now, {
+                    "op": "colab_pick", "tier": self.selector.last_decision,
+                    "blocking": task.blocking_level,
+                    "speedup": task.predicted_speedup,
+                    "label": task.core_label.name,
+                    "vruntime": task.vruntime,
+                })
         return task
 
     def sanitize_invariants(self, machine) -> list[str]:

@@ -54,7 +54,7 @@ class SanitizerError(ReproError):
 
     Raised only on sanitizer-enabled runs (``MachineConfig(sanitize=True)``).
     Carries the name of the failed check and, when the run was traced, the
-    most recent obs-tracer events so the failure report shows what the
+    most recent trace events so the failure report shows what the
     scheduler was doing right before the invariant broke.
 
     Attributes:

@@ -151,7 +151,7 @@ class ExperimentContext:
     cache_dir: str | pathlib.Path | None = None
     result_cache: object | None = None
     obs_metrics: MetricsRegistry = field(
-        default_factory=lambda: MetricsRegistry(enabled=True), repr=False
+        default_factory=MetricsRegistry, repr=False
     )
     #: Optional append-only run ledger (:class:`repro.obs.ledger.Ledger`).
     #: When set, :func:`sweep` records every point (ledger semantics in
@@ -308,13 +308,12 @@ def run_mix_once(
     for instance in mix.instantiate(env):
         machine.add_program(instance)
     result = machine.run()
+    # Fresh computation only -- cache hits above return early, so these
+    # counters measure actual simulation work, not cache traffic.
     registry = ctx.obs_metrics
-    if registry.enabled:
-        # Fresh computation only -- cache hits above return early, so these
-        # counters measure actual simulation work, not cache traffic.
-        registry.counter("sim.events_processed").inc(result.events_processed)
-        registry.counter("sim.events_discarded").inc(result.events_discarded)
-        registry.counter("sim.events_suppressed").inc(result.events_suppressed)
+    registry.counter("sim.events_processed").inc(result.events_processed)
+    registry.counter("sim.events_discarded").inc(result.events_discarded)
+    registry.counter("sim.events_suppressed").inc(result.events_suppressed)
     if cacheable:
         ctx._run_cache.put(key, result)
     return result

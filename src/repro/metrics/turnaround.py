@@ -15,6 +15,13 @@ on a system with only big cores** (T_i^SB):
 Lower is better for H_ANTT/H_NTT; higher is better for H_STP.  Figures
 5-9 additionally normalise each scheduler's metric to the Linux CFS value
 for the same configuration and workload (:func:`normalize_to`).
+
+H_ANTT averages slowdowns; it cannot distinguish "every app 1.5x slower"
+from "one app 3x slower, the rest untouched".  The paper's fairness claim
+("decisions should not penalize any application disproportionately") is
+about the latter, so :func:`fairness_index` measures the slowdown
+*distribution*: Jain's index (:func:`jains_index`) over per-app progress
+rates, 1.0 = perfectly even, 1/n = maximally skewed.
 """
 
 from __future__ import annotations
@@ -37,6 +44,18 @@ def h_ntt(turnaround: float, baseline: float) -> float:
     return turnaround / baseline
 
 
+def _check_apps(
+    turnarounds: Mapping[str, float], baselines: Mapping[str, float]
+) -> None:
+    """Both maps must name the same, non-empty set of applications."""
+    if set(turnarounds) != set(baselines):
+        raise ExperimentError(
+            f"app sets differ: {sorted(turnarounds)} vs {sorted(baselines)}"
+        )
+    if not turnarounds:
+        raise ExperimentError("empty workload")
+
+
 def h_antt(turnarounds: Mapping[str, float], baselines: Mapping[str, float]) -> float:
     """Average H_NTT over the applications of one mix (lower is better).
 
@@ -47,12 +66,7 @@ def h_antt(turnarounds: Mapping[str, float], baselines: Mapping[str, float]) -> 
     Raises:
         ExperimentError: if the key sets differ or any value is invalid.
     """
-    if set(turnarounds) != set(baselines):
-        raise ExperimentError(
-            f"app sets differ: {sorted(turnarounds)} vs {sorted(baselines)}"
-        )
-    if not turnarounds:
-        raise ExperimentError("empty workload")
+    _check_apps(turnarounds, baselines)
     return sum(
         h_ntt(turnarounds[app], baselines[app]) for app in turnarounds
     ) / len(turnarounds)
@@ -60,13 +74,37 @@ def h_antt(turnarounds: Mapping[str, float], baselines: Mapping[str, float]) -> 
 
 def h_stp(turnarounds: Mapping[str, float], baselines: Mapping[str, float]) -> float:
     """System throughput relative to isolated big-only runs (higher is better)."""
-    if set(turnarounds) != set(baselines):
-        raise ExperimentError(
-            f"app sets differ: {sorted(turnarounds)} vs {sorted(baselines)}"
-        )
-    if not turnarounds:
-        raise ExperimentError("empty workload")
+    _check_apps(turnarounds, baselines)
     return sum(baselines[app] / turnarounds[app] for app in turnarounds)
+
+
+def jains_index(values: list[float]) -> float:
+    """Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1].
+
+    Applied to per-application *progress rates* (1/slowdown) so that 1.0
+    means every application suffered equally from co-scheduling.
+    """
+    if not values:
+        raise ExperimentError("empty values")
+    if any(v <= 0 for v in values):
+        raise ExperimentError("values must be positive")
+    total = sum(values)
+    squares = sum(v * v for v in values)
+    return (total * total) / (len(values) * squares)
+
+
+def fairness_index(
+    turnarounds: Mapping[str, float], baselines: Mapping[str, float]
+) -> float:
+    """Jain's index over per-app progress rates (1 = perfectly fair).
+
+    Raises:
+        ExperimentError: if the key sets differ or any value is invalid.
+    """
+    _check_apps(turnarounds, baselines)
+    return jains_index(
+        [1.0 / h_ntt(turnarounds[app], baselines[app]) for app in turnarounds]
+    )
 
 
 def geomean(values: Iterable[float]) -> float:

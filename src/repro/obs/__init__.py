@@ -29,7 +29,7 @@ from repro.obs.attribution import (
     summarize_attribution,
     task_state_slices,
 )
-from repro.obs.context import Observability, ObsConfig
+from repro.obs.context import ObsConfig
 from repro.obs.diff import (
     TraceDiff,
     diff_trace_files,
@@ -74,6 +74,7 @@ from repro.obs.tracer import (
     TraceEvent,
     Tracer,
     dispatch_slices,
+    occupancy_rows,
 )
 
 __all__ = [
@@ -87,7 +88,6 @@ __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "Ledger",
     "MetricsRegistry",
-    "Observability",
     "ObsConfig",
     "Profiler",
     "SCHEMA_VERSION",
@@ -108,6 +108,7 @@ __all__ = [
     "first_divergence",
     "get_logger",
     "link_decisions",
+    "occupancy_rows",
     "record_point",
     "render_attribution",
     "render_decision_quality",

@@ -74,9 +74,9 @@ def to_chrome_trace(
 
     Args:
         events: Trace in emission order (as recorded by the tracer).
-        metadata: Run-level context from ``Tracer.metadata``; recognised
-            keys: ``cores`` (core_id -> kind string), ``scheduler``,
-            ``topology``.
+        metadata: Run-level context (``RunResult.trace_metadata``);
+            recognised keys: ``cores`` (core_id -> kind string),
+            ``scheduler``, ``topology``.
         end_time: Timestamp closing still-running slices (the makespan).
             Defaults to the last event's timestamp.
         task_tracks: Also emit one annotation track per task (a second

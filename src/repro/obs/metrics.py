@@ -1,8 +1,8 @@
 """Metrics registry: counters, gauges, histograms, time-weighted values.
 
-A machine built with metrics on attaches a :class:`MachineMetrics` probe
-to its observer seam (:mod:`repro.obs.probe`): it feeds one
-:class:`MetricsRegistry` from the runqueue and futex transitions and, at
+A machine built with ``ObsConfig(metrics=True)`` builds a
+:class:`MachineMetrics` probe and attaches it to its observer seam
+(:mod:`repro.obs.probe`): it feeds its own :class:`MetricsRegistry` from the runqueue and futex transitions and, at
 the end of the run, fills it from the machine's state and the
 scheduler's :meth:`~repro.schedulers.base.Scheduler.observe` reading.
 The registry is snapshotted into ``RunResult.metrics`` so every run
@@ -18,9 +18,8 @@ carries its own metrics catalogue:
   (runqueue depth), reporting the time-weighted mean rather than the
   per-update mean.
 
-A disabled registry hands out shared no-op instruments so call sites can
-hold references unconditionally; a run without metrics attaches no
-probe, so its hot paths do no metrics work at all.
+A run without metrics builds no :class:`MachineMetrics` and no registry,
+so its hot paths do no metrics work at all.
 """
 
 from __future__ import annotations
@@ -158,30 +157,6 @@ class TimeWeighted:
         return {"mean": self.mean(), "max": self._max, "last": self._last_value}
 
 
-class _NullInstrument:
-    """Shared no-op stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def update(self, now: float, value: float) -> None:
-        pass
-
-    def finish(self, now: float) -> None:
-        pass
-
-
-_NULL = _NullInstrument()
-
-
 class MetricsRegistry:
     """Namespace of named instruments for one run.
 
@@ -191,8 +166,7 @@ class MetricsRegistry:
     EXPERIMENTS.md.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -202,24 +176,18 @@ class MetricsRegistry:
     # Instrument factories
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter()
         return instrument
 
     def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
         instrument = self._gauges.get(name)
         if instrument is None:
             instrument = self._gauges[name] = Gauge()
         return instrument
 
     def histogram(self, name: str) -> Histogram:
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
         instrument = self._histograms.get(name)
         if instrument is None:
             instrument = self._histograms[name] = Histogram()
@@ -228,8 +196,6 @@ class MetricsRegistry:
     def time_weighted(
         self, name: str, start_time: float = 0.0, start_value: float = 0.0
     ) -> TimeWeighted:
-        if not self.enabled:
-            return _NULL  # type: ignore[return-value]
         instrument = self._time_weighted.get(name)
         if instrument is None:
             instrument = self._time_weighted[name] = TimeWeighted(
@@ -255,7 +221,7 @@ class MetricsRegistry:
 
 
 class MachineMetrics(Probe):
-    """Publishes one machine's run into ``registry`` (a metrics probe).
+    """Publishes one machine's run into its own registry (a metrics probe).
 
     During the run it integrates each runqueue's depth over simulated
     time and records every futex wait period; :meth:`finish` adds the
@@ -266,8 +232,8 @@ class MachineMetrics(Probe):
 
     kinds = frozenset((ENQUEUE, DEQUEUE, FUTEX_WAKE))
 
-    def __init__(self, registry: MetricsRegistry, machine) -> None:
-        self.registry = registry
+    def __init__(self, machine) -> None:
+        self.registry = registry = MetricsRegistry()
         self._clock = machine.engine
         self._depth = [
             registry.time_weighted(f"rq.{core.core_id}.depth")

@@ -14,8 +14,10 @@ The probe has three hooks:
   futex table.  Those hook sites do not call it directly: they index the
   probe's :meth:`Probe.hooks` table by kind and call the entry when it is
   not ``None``, so a kind no observer watches costs one ``is None``
-  check.  The call sites pass live objects, never pre-built payloads;
-  the table below says what ``where`` and ``detail`` are.
+  check.  The call sites pass live objects, never pre-built payloads,
+  except a scheduler's DECISION: its factor dict is built only after the
+  site finds the hook set.  The table below says what ``where`` and
+  ``detail`` are.
 * :meth:`Probe.finish` -- at the end of the run, where observers read
   the machine's state and :meth:`repro.schedulers.base.Scheduler.observe`
   (the same reading the timeline takes at each sample tick) and put
@@ -40,6 +42,7 @@ FUTEX_WAKE      the FutexWaiter     the waking task (or ``None``)
 DVFS            the core            the new frequency scale
 LABEL           the scheduler       ``None``
 DRAIN           the machine         ``None``
+DECISION        a core id or None   the decision's factors (``op``, ...)
 ==============  ==================  ==========================================
 
 Runqueues have no clock, so their transitions (ENQUEUE, DEQUEUE,
@@ -72,7 +75,8 @@ FUTEX_WAKE = 11
 DVFS = 12
 LABEL = 13
 DRAIN = 14
-N_KINDS = 15
+DECISION = 15
+N_KINDS = 16
 ALL_KINDS = frozenset(range(N_KINDS))
 #: The hook table of a run without transition observers.
 NO_HOOKS = (None,) * N_KINDS

@@ -11,14 +11,14 @@ before optimising the engine loop or the schedulers we need attribution.
 * ``model.estimate`` -- runtime speedup-model predictions.
 
 Profiling works by wrapping, not by branching: with
-``ObsConfig(profile=True)`` the machine calls :meth:`Profiler.instrument`
-once at construction, which replaces those callables on the run's engine,
+``ObsConfig(profile=True)`` the machine builds a :class:`Profiler` and
+calls :meth:`Profiler.instrument` once at construction, which replaces those callables on the run's engine,
 scheduler and estimator with timed wrappers.  It is the one facility that
 does not sit behind the observer seam (:mod:`repro.obs.probe`), because
 it times calls rather than observing state changes.  A run without
-profiling has no profiler call sites at all, so unlike the observers
-(whose disabled cost ``benchmarks/bench_observer_overhead.py`` bounds)
-it costs a plain run nothing.
+profiling builds no profiler and has no profiler call sites at all, so
+unlike the observers (whose guards ``benchmarks/bench_observer_overhead.py``
+bounds) it costs a plain run nothing.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from typing import Callable
 class Profiler:
     """Accumulates wall-clock seconds per named section."""
 
-    __slots__ = ("enabled", "_totals", "_counts")
+    __slots__ = ("_totals", "_counts")
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._totals: dict[str, float] = {}
         self._counts: dict[str, int] = {}
 

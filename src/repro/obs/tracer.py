@@ -8,25 +8,27 @@ labeling passes, and scheduler decisions annotated with the factor scores
 that drove them.  The DISPATCH records are the run's one dispatch record:
 :func:`repro.sim.digest.run_digest` hashes them.
 
-Zero-overhead-when-disabled contract
-------------------------------------
-The machine, runqueue and futex records come through the one observer
-seam (:mod:`repro.obs.probe`): an enabled tracer is attached to the
-machine's probe and :meth:`Tracer.transition` turns each reported state
-change into its record, while a disabled tracer is simply not attached,
-so untraced runs build no event object, argument dict, or string.  The
-schedulers' DECISION records keep an explicit guard::
+An untraced run has no tracer
+-----------------------------
+Every record comes through the one observer seam
+(:mod:`repro.obs.probe`).  A traced machine builds a :class:`Tracer` and
+attaches it to its probe; :meth:`Tracer.transition` turns each reported
+state change into its record, and the DECISION kind is routed straight to
+:meth:`Tracer.decision`.  An untraced machine builds no tracer, so its
+hook sites find ``None`` in the hook table and build no event object,
+argument dict, or string -- the schedulers' decision sites included::
 
-    if tracer.enabled:
-        tracer.emit(now, EventKind.DECISION, op=..., tid=...)
+    hook = machine.hooks[DECISION]
+    if hook is not None:
+        hook(DECISION, task, core_id, now, {"op": ..., ...})
 
-:mod:`benchmarks.bench_observer_overhead` bounds what the disabled seam
-costs a run.
+:mod:`benchmarks.bench_observer_overhead` bounds what those guards cost
+a run.
 
 Events are consumed by the exporters (:mod:`repro.obs.exporters`) -- JSONL
 for programmatic analysis, Chrome ``trace_event`` JSON for interactive
-inspection in Perfetto / ``chrome://tracing`` -- and by the trace
-post-processing in :mod:`repro.analysis.traces`.
+inspection in Perfetto / ``chrome://tracing`` -- and by
+:func:`dispatch_slices` and :func:`occupancy_rows` below.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.errors import ExperimentError
 from repro.obs.probe import (
     BLOCK,
+    DECISION,
     DESCHEDULE,
     DISPATCH,
     DONE,
@@ -117,27 +121,19 @@ class Tracer(Probe):
     """Collects :class:`TraceEvent` records for one run.
 
     As a :class:`~repro.obs.probe.Probe` it records the machine's
-    dispatches, deschedules, migrations, futex traffic, DVFS changes and
-    labeling passes.
-
-    Args:
-        enabled: When False every :meth:`emit` is skipped; call sites are
-            expected to check :attr:`enabled` *before* building arguments
-            so a disabled tracer is effectively free.
+    dispatches, deschedules, migrations, futex traffic, DVFS changes,
+    labeling passes and the schedulers' decisions.
     """
 
-    __slots__ = ("enabled", "events", "metadata")
+    __slots__ = ("events",)
 
     kinds = frozenset(
-        (DISPATCH, DESCHEDULE, BLOCK, DONE, FUTEX_WAIT, FUTEX_WAKE, DVFS, LABEL)
+        (DISPATCH, DESCHEDULE, BLOCK, DONE, FUTEX_WAIT, FUTEX_WAKE, DVFS, LABEL,
+         DECISION)
     )
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-        #: Run-level context (topology / scheduler / core kinds) attached
-        #: by the machine; exporters use it to label tracks.
-        self.metadata: dict = {}
 
     def emit(
         self,
@@ -148,9 +144,7 @@ class Tracer(Probe):
         name: str | None = None,
         **args: object,
     ) -> None:
-        """Record one event (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Record one event."""
         self.events.append(
             TraceEvent(
                 time=time,
@@ -159,6 +153,25 @@ class Tracer(Probe):
                 tid=tid,
                 name=name,
                 args=args or None,
+            )
+        )
+
+    def hooks(self) -> tuple:
+        """The transition table, with DECISION routed to :meth:`decision`."""
+        table = list(super().hooks())
+        table[DECISION] = self.decision
+        return tuple(table)
+
+    def decision(self, kind: int, task, core_id, now: float, factors: dict) -> None:
+        """Record one scheduler decision and the factors that drove it."""
+        self.events.append(
+            TraceEvent(
+                time=now,
+                kind=EventKind.DECISION,
+                core_id=core_id,
+                tid=task.tid if task is not None else None,
+                name=task.name if task is not None else None,
+                args=factors,
             )
         )
 
@@ -208,6 +221,17 @@ class Tracer(Probe):
                 pass_index=where.stats.label_passes,
             )
 
+    def finish(self, machine, makespan: float, fields: dict) -> None:
+        """Hand over the trace and the run-level context (topology,
+        scheduler, seed, core kinds) the exporters label tracks with."""
+        fields["events"] = self.events
+        fields["trace_metadata"] = {
+            "topology": machine.topology.name,
+            "scheduler": machine.scheduler.name,
+            "seed": machine.config.seed,
+            "cores": {c.core_id: c.kind_name for c in machine.cores},
+        }
+
     def __len__(self) -> int:
         return len(self.events)
 
@@ -248,3 +272,51 @@ def dispatch_slices(
         slices.append((start, max(start, end_time), core_id, tid, name))
     slices.sort()
     return slices
+
+
+def occupancy_rows(
+    result,
+    tid_to_app: dict[int, int],
+    n_cores: int,
+    buckets: int = 64,
+) -> dict[int, list[int | None]]:
+    """Bucketised per-core occupancy of a traced run (an ASCII Gantt view).
+
+    Args:
+        result: A :class:`~repro.sim.machine.RunResult` with a non-empty
+            trace.
+        tid_to_app: Mapping from task id to application id.
+        n_cores: Number of cores in the run's topology.
+        buckets: Number of time buckets to quantise the makespan into.
+
+    Returns:
+        ``core_id -> list of app ids (or None for idle)`` per bucket.
+        A slice ends at its task's deschedule, so idle gaps stay None.
+
+    Raises:
+        ExperimentError: if the run carries no trace, has a zero-length
+            makespan (nothing to bucketise), or ``buckets < 1``.
+    """
+    if not result.events:
+        raise ExperimentError(
+            "run has no trace; enable tracing via "
+            "MachineConfig(obs=ObsConfig(trace=True))"
+        )
+    if buckets < 1:
+        raise ExperimentError(f"buckets must be >= 1, got {buckets}")
+    horizon = result.makespan
+    if horizon <= 0:
+        raise ExperimentError(
+            f"zero-duration run (makespan={horizon}); occupancy is undefined"
+        )
+    bucket_len = horizon / buckets
+    rows: dict[int, list[int | None]] = {
+        core: [None] * buckets for core in range(n_cores)
+    }
+    for start, end, core_id, tid, _name in dispatch_slices(result.events, horizon):
+        first = min(buckets - 1, int(start / bucket_len))
+        last = min(buckets - 1, int(end / bucket_len))
+        app = tid_to_app.get(tid)
+        for bucket in range(first, last + 1):
+            rows[core_id][bucket] = app
+    return rows

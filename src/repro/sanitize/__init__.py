@@ -4,7 +4,7 @@ Two layers, one goal: the repo's determinism and kernel-contract
 guarantees are machine-checked instead of enforced by convention.
 
 * ``repro lint`` -- one static checker.  Per-file AST rules
-  (:mod:`repro.sanitize.rules`: DET, OBS, KERN, PERF, ERR) and the
+  (:mod:`repro.sanitize.rules`: DET, KERN, PERF, ERR) and the
   whole-program analysis (:mod:`repro.sanitize.analyze`, ANA001:
   interprocedural determinism taint into digest-relevant code) share one
   registry (:mod:`repro.sanitize.lint`), one

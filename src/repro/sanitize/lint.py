@@ -1,6 +1,6 @@
 """The lint layer: findings, parsed files, suppressions and the rule registry.
 
-Every check -- a per-file rule (DET, OBS, KERN, PERF, ERR) or the
+Every check -- a per-file rule (DET, KERN, PERF, ERR) or the
 whole-program taint analysis (ANA001) -- registers here through the
 :func:`rule` decorator with a code, a one-line summary and the path scope
 it enforces; ``project=True`` marks a check that sees the whole
@@ -20,7 +20,7 @@ Suppression syntax: ``# sanitize: ignore[CODE]`` (or ``ignore[A, B]``) on
 ::
 
     value = time.time()  # sanitize: ignore[DET001]
-    # sanitize: ignore[DET002, OBS001]
+    # sanitize: ignore[DET002, KERN001]
     for core in cores: ...
 
 An inline suppression is the one way to accept a finding.  Suppressed

@@ -38,7 +38,6 @@ from repro.sanitize.lint import LintReport, Rule, Violation, registered_rules
 #: Rule-family titles for the grouped catalogue.
 FAMILIES = {
     "DET": "determinism",
-    "OBS": "observability",
     "KERN": "kernel structure",
     "PERF": "hot-path performance",
     "ERR": "error handling",

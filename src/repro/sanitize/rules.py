@@ -169,64 +169,6 @@ def det003(module: ParsedModule) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# OBS001 -- tracer.emit must be guarded
-# ----------------------------------------------------------------------
-
-
-def _looks_like_tracer(base: ast.AST) -> bool:
-    if isinstance(base, ast.Name):
-        return "tracer" in base.id.lower()
-    if isinstance(base, ast.Attribute):
-        return "tracer" in base.attr.lower()
-    return False
-
-
-def _node_fingerprint(node: ast.AST) -> str:
-    return ast.dump(node, annotate_fields=False)
-
-
-@rule(
-    "OBS001",
-    "every tracer.emit(...) call guarded by `if <tracer>.enabled`",
-    DECISION_SCOPE,
-)
-def obs001(module: ParsedModule) -> Iterator[Violation]:
-    """The observability contract is zero overhead when disabled: event
-    arguments must not even be constructed unless the tracer is on, so
-    each emit site sits under an `if tracer.enabled:` branch.
-    """
-    for node in ast.walk(module.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit"
-            and _looks_like_tracer(node.func.value)
-        ):
-            continue
-        base = _node_fingerprint(node.func.value)
-        guarded = False
-        for parent in module.parents(node):
-            if not isinstance(parent, ast.If):
-                continue
-            for test_node in ast.walk(parent.test):
-                if (
-                    isinstance(test_node, ast.Attribute)
-                    and test_node.attr == "enabled"
-                    and _node_fingerprint(test_node.value) == base
-                ):
-                    guarded = True
-                    break
-            if guarded:
-                break
-        if not guarded:
-            yield module.violation(
-                node, "OBS001",
-                "tracer.emit() call not guarded by `if <tracer>.enabled:`; "
-                "disabled runs would still pay for event construction",
-            )
-
-
-# ----------------------------------------------------------------------
 # KERN001 -- runqueue internals are RunQueue's business
 # ----------------------------------------------------------------------
 

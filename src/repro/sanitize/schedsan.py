@@ -70,15 +70,15 @@ class SchedSanitizer(Probe):
     """The invariant checker one sanitized machine owns.
 
     Args:
-        tracer: Optional :class:`repro.obs.Tracer`; when enabled, its most
-            recent events are attached to every failure as diagnostic
-            context.
+        events: The run's trace (``RunResult.events`` as it grows), or
+            ``None`` when the run is not traced; its most recent records
+            are attached to every failure as diagnostic context.
         context_tail: How many trailing trace events a failure report
             carries.
     """
 
-    def __init__(self, tracer=None, context_tail: int = 25) -> None:
-        self._tracer = tracer
+    def __init__(self, events=None, context_tail: int = 25) -> None:
+        self._events = events
         self._context_tail = context_tail
         #: Highest min_vruntime ever observed per core id (monotone floor).
         self._vruntime_floor: dict[int, float] = {}
@@ -118,8 +118,8 @@ class SchedSanitizer(Probe):
     # ------------------------------------------------------------------
     def _fail(self, check: str, message: str) -> None:
         events = []
-        if self._tracer is not None and self._tracer.enabled:
-            events = self._tracer.events[-self._context_tail:]
+        if self._events is not None:
+            events = self._events[-self._context_tail:]
         raise SanitizerError(message, check=check, events=events)
 
     # ------------------------------------------------------------------

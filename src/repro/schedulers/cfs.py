@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import SchedulerError
-from repro.obs.tracer import EventKind
+from repro.obs.probe import DECISION
 from repro.schedulers.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -164,15 +164,14 @@ class CFSScheduler(Scheduler):
                 if candidate.allows_core(core.core_id):
                     donor.rq.dequeue(candidate)
                     self.stats.steals += 1
-                    tracer = machine.obs.tracer
-                    if tracer.enabled:
-                        tracer.emit(
-                            machine.engine.now, EventKind.DECISION,
-                            core_id=core.core_id, tid=candidate.tid,
-                            name=candidate.name, op="idle_balance",
-                            from_core=donor.core_id,
-                            donor_depth=len(donor.rq) + 1,
-                        )
+                    hook = machine.hooks[DECISION]
+                    if hook is not None:
+                        hook(DECISION, candidate, core.core_id,
+                             machine.engine.now, {
+                                 "op": "idle_balance",
+                                 "from_core": donor.core_id,
+                                 "donor_depth": len(donor.rq) + 1,
+                             })
                     return candidate
         return None
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.model.speedup import OracleSpeedupModel, SpeedupEstimator
 from repro.obs.log import get_logger
-from repro.obs.tracer import EventKind
+from repro.obs.probe import DECISION
 from repro.schedulers.cfs import CFSScheduler
 from repro.schedulers.labeling import refresh_estimates
 
@@ -136,22 +136,20 @@ class WASHScheduler(CFSScheduler):
         machine = self._require_machine()
         big_ids = frozenset(c.core_id for c in machine.big_cores)
         scores = self._mixed_scores(tasks)
-        tracer = machine.obs.tracer
+        hook = machine.hooks[DECISION]
         for task, score in zip(tasks, scores):
             new_affinity = big_ids if score > self.pin_threshold else None
             if task.affinity != new_affinity:
                 task.affinity = new_affinity
                 self.stats.affinity_updates += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        now, EventKind.DECISION, tid=task.tid,
-                        name=task.name, core_id=task.last_core_id,
-                        op="wash_affinity",
-                        pinned_big=new_affinity is not None,
-                        score=float(score),
-                        speedup=task.predicted_speedup,
-                        blocking=task.blocking_level,
-                    )
+                if hook is not None:
+                    hook(DECISION, task, task.last_core_id, now, {
+                        "op": "wash_affinity",
+                        "pinned_big": new_affinity is not None,
+                        "score": float(score),
+                        "speedup": task.predicted_speedup,
+                        "blocking": task.blocking_level,
+                    })
                 if logger.isEnabledFor(logging.DEBUG):
                     logger.debug(
                         "t=%.3f %s %s (score=%.3f)", now, task.name,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.obs.tracer import EventKind
+from repro.obs.probe import DECISION
 from repro.sim.core import CoreKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -122,14 +122,13 @@ class DVFSPolicy:
                 self._last_busy[core.core_id] = total
             utilization = min(1.0, busy / (window * len(cluster)))
             scale = self.governor_for(cluster[0].kind).choose_scale(utilization)
-            tracer = machine.obs.tracer
-            if tracer.enabled and abs(scale - cluster[0].freq_scale) >= 1e-12:
-                tracer.emit(
-                    now, EventKind.DECISION, core_id=cluster[0].core_id,
-                    op="dvfs_governor", cluster=cluster[0].kind_name,
-                    utilization=utilization, scale=scale,
-                    prev_scale=cluster[0].freq_scale,
-                )
+            hook = machine.hooks[DECISION]
+            if hook is not None and abs(scale - cluster[0].freq_scale) >= 1e-12:
+                hook(DECISION, None, cluster[0].core_id, now, {
+                    "op": "dvfs_governor", "cluster": cluster[0].kind_name,
+                    "utilization": utilization, "scale": scale,
+                    "prev_scale": cluster[0].freq_scale,
+                })
             for core in cluster:
                 machine.set_core_frequency(core, scale, now)
 

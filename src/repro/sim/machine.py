@@ -39,7 +39,7 @@ from repro.kernel.futex import FutexTable
 from repro.kernel.runqueue import RunQueue
 from repro.kernel.task import Task, TaskState
 from repro.obs.attribution import AttributionAccounting
-from repro.obs.context import Observability, ObsConfig
+from repro.obs.context import ObsConfig
 from repro.obs.metrics import MachineMetrics
 from repro.obs.probe import (
     BLOCK,
@@ -54,7 +54,8 @@ from repro.obs.probe import (
     SPAWN,
     combine,
 )
-from repro.obs.tracer import TraceEvent
+from repro.obs.profiling import Profiler
+from repro.obs.tracer import TraceEvent, Tracer
 from repro.sim.core import Core
 from repro.sim.counters import PENDING_CAP, PerformanceCounters
 from repro.sim.engine import Engine
@@ -213,35 +214,32 @@ class Machine:
     ) -> None:
         self.topology = topology
         self.config = config or MachineConfig()
-        self.obs = Observability(self.config.obs)
+        obs = self.config.obs or ObsConfig()
         self.engine = Engine()
         self.cores: list[Core] = topology.build_cores()
         for core in self.cores:
             core.rq = RunQueue(core.core_id)
         self.big_cores = [c for c in self.cores if c.is_big]
         self.little_cores = [c for c in self.cores if not c.is_big]
+        #: The facilities ``obs`` turns on; each is ``None`` when it is off.
+        self.tracer = Tracer() if obs.trace else None
+        self.metrics = MachineMetrics(self) if obs.metrics else None
+        self.profiler = Profiler() if obs.profile else None
         #: The run's one observer (:mod:`repro.obs.probe`), told about
         #: every engine event and state change; built once from the
         #: ``obs`` / ``sanitize`` / ``timeseries`` settings.  Never None:
         #: a run without observers gets the null :class:`Probe`.
         self.probe = self._build_probe()
         self.engine.probe = self.probe
-        #: The probe's per-kind transition hooks (:meth:`Probe.hooks`).
-        self._hooks = self.probe.hooks()
+        #: The probe's per-kind transition hooks (:meth:`Probe.hooks`);
+        #: the schedulers read their DECISION hook here.
+        self.hooks = self.probe.hooks()
         for core in self.cores:
-            core.rq.hooks = self._hooks
+            core.rq.hooks = self.hooks
         self.futexes = FutexTable(self.probe)
         self.rng = np.random.default_rng(self.config.seed)
         self.scheduler = scheduler
         scheduler.attach(self)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.metadata = {
-                "topology": topology.name,
-                "scheduler": scheduler.name,
-                "seed": self.config.seed,
-                "cores": {c.core_id: c.kind_name for c in self.cores},
-            }
 
         self.tasks: list[Task] = []
         self.app_names: dict[int, str] = {}
@@ -253,15 +251,15 @@ class Machine:
         #: they could never fire valid.
         self.events_suppressed = 0
         #: An observer watches drains, so every handler must drain.
-        self._drain_observed = self._hooks[DRAIN] is not None
+        self._drain_observed = self.hooks[DRAIN] is not None
 
         self.engine.register(EventKind.SEGMENT_DONE, self._on_segment_done)
         self.engine.register(EventKind.SLICE_EXPIRY, self._on_slice_expiry)
         self.engine.register(EventKind.WAKEUP, self._on_timed_wakeup)
         self.engine.register(EventKind.LABEL, self._on_label)
         self.engine.register(EventKind.CALLBACK, self._on_dvfs)
-        if self.obs.profiler.enabled:
-            self.obs.profiler.instrument(self)
+        if self.profiler is not None:
+            self.profiler.instrument(self)
 
     def _build_probe(self):
         """Combine the enabled observers into the run's one probe.
@@ -273,12 +271,14 @@ class Machine:
         if self.config.sanitize:
             from repro.sanitize.schedsan import SchedSanitizer
 
-            observers.append(SchedSanitizer(tracer=self.obs.tracer))
-        if self.obs.tracer.enabled:
+            observers.append(SchedSanitizer(
+                self.tracer.events if self.tracer is not None else None
+            ))
+        if self.tracer is not None:
             observers.append(AttributionAccounting(self))
-            observers.append(self.obs.tracer)
-        if self.obs.metrics.enabled:
-            observers.append(MachineMetrics(self.obs.metrics, self))
+            observers.append(self.tracer)
+        if self.metrics is not None:
+            observers.append(self.metrics)
         if self.config.timeseries:
             from repro.obs.timeseries import TimeseriesConfig, TimeseriesSampler
 
@@ -397,7 +397,7 @@ class Machine:
         task.mark_ready()
         core.current = None
         core.bump_version()
-        hook = self._hooks[DESCHEDULE]
+        hook = self.hooks[DESCHEDULE]
         if hook is not None:
             hook(DESCHEDULE, task, core, now, "slice_expiry")
         self.scheduler.enqueue(core, task, now, is_new=False)
@@ -453,7 +453,7 @@ class Machine:
         task = core.current
         if task is not None:
             self._account(core, now)
-        hook = self._hooks[DVFS]
+        hook = self.hooks[DVFS]
         if hook is not None:
             hook(DVFS, None, core, now, scale)
         core.freq_scale = scale
@@ -466,7 +466,7 @@ class Machine:
         now = self.engine.now
         self.scheduler.on_label_tick(now)
         self.scheduler.stats.label_passes += 1
-        hook = self._hooks[LABEL]
+        hook = self.hooks[LABEL]
         if hook is not None:
             hook(LABEL, None, self.scheduler, now, None)
         period = self.scheduler.label_period()
@@ -486,7 +486,7 @@ class Machine:
             core = self.cores[core_id]
             if core.current is None:
                 self._dispatch(core, now)
-        hook = self._hooks[DRAIN]
+        hook = self.hooks[DRAIN]
         if hook is not None:
             hook(DRAIN, None, self, now, None)
 
@@ -494,7 +494,7 @@ class Machine:
         task = self.scheduler.pick_next(core, now)
         if task is None:
             return
-        hook = self._hooks[PICK]
+        hook = self.hooks[PICK]
         if hook is not None:
             hook(PICK, task, core, now, None)
         self.scheduler.stats.picks += 1
@@ -534,7 +534,7 @@ class Machine:
         core.current = task
         core.run_started = now
         core.bump_version()
-        hook = self._hooks[DISPATCH]
+        hook = self.hooks[DISPATCH]
         if hook is not None:
             hook(DISPATCH, task, core, now, prev_core_id)
 
@@ -669,7 +669,7 @@ class Machine:
                 by_scale[scale] += elapsed
             else:
                 by_scale[scale] = elapsed  # == 0.0 + elapsed, as elapsed > 0
-            hook = self._hooks[EXEC]
+            hook = self.hooks[EXEC]
             if hook is not None:
                 hook(EXEC, task, core, now, penalty_used)
         core.run_started = now
@@ -688,7 +688,7 @@ class Machine:
             if isinstance(action, PipeGet):
                 task.pending_result = action.pipe.collect_delivery(task)
         if is_new:
-            hook = self._hooks[SPAWN]
+            hook = self.hooks[SPAWN]
             if hook is not None:
                 hook(SPAWN, task, None, now, None)
         task.mark_ready()
@@ -722,7 +722,7 @@ class Machine:
         core.current = None
         core.bump_version()
         core.preemptions += 1
-        hook = self._hooks[DESCHEDULE]
+        hook = self.hooks[DESCHEDULE]
         if hook is not None:
             hook(DESCHEDULE, task, core, now, "wakeup_preemption")
         self.scheduler.enqueue(core, task, now, is_new=False)
@@ -745,7 +745,7 @@ class Machine:
         core.bump_version()
         core.preemptions += 1
         self.scheduler.stats.running_preemptions += 1
-        hook = self._hooks[DESCHEDULE]
+        hook = self.hooks[DESCHEDULE]
         if hook is not None:
             hook(DESCHEDULE, task, core, now, "forced_preemption")
         self._dispatch_pending.add(core.core_id)
@@ -817,7 +817,7 @@ class Machine:
                 task.mark_sleeping()
                 core.current = None
                 core.bump_version()
-                hook = self._hooks[BLOCK]
+                hook = self.hooks[BLOCK]
                 if hook is not None:
                     hook(BLOCK, task, core, now, action)
                 self._dispatch_pending.add(core.core_id)
@@ -923,7 +923,7 @@ class Machine:
         task.mark_done(now)
         core.current = None
         core.bump_version()
-        hook = self._hooks[DONE]
+        hook = self.hooks[DONE]
         if hook is not None:
             hook(DONE, task, core, now, None)
         self._done_count += 1
@@ -961,9 +961,8 @@ class Machine:
         fields: dict = {}
         self.probe.finish(self, makespan, fields)
         metrics = fields.pop("metrics", {})
-        if self.obs.profiler.enabled:
-            metrics["profile"] = self.obs.profiler.snapshot()
-        tracer = self.obs.tracer
+        if self.profiler is not None:
+            metrics["profile"] = self.profiler.snapshot()
         return RunResult(
             topology_name=self.topology.name,
             scheduler_name=self.scheduler.name,
@@ -978,9 +977,7 @@ class Machine:
             core_busy_by_scale={
                 c.core_id: dict(c.busy_by_scale) for c in self.cores
             },
-            events=tracer.events,
             metrics=metrics,
-            trace_metadata=dict(tracer.metadata),
             events_processed=self.engine.processed,
             events_discarded=self.engine.discarded,
             events_suppressed=self.events_suppressed,

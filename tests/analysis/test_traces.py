@@ -1,16 +1,12 @@
-"""Trace analysis and export tests."""
+"""Per-core occupancy timelines (:func:`repro.obs.tracer.occupancy_rows`)."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.analysis.export import campaign_to_dict, result_to_dict
-from repro.analysis.traces import core_utilization, migration_summary, occupancy_rows
 from repro.errors import ExperimentError
 from repro.obs.context import ObsConfig
-from repro.obs.tracer import EventKind, TraceEvent
+from repro.obs.tracer import EventKind, TraceEvent, occupancy_rows
 from tests.conftest import make_machine, make_simple_task
 
 FREE = dict(context_switch_cost=0.0, migration_cost=0.0)
@@ -73,103 +69,8 @@ class TestOccupancy:
             occupancy_rows(result, {1: 0}, n_cores=1)
 
 
-class TestUtilization:
-    def test_fractions_in_unit_interval(self):
-        _machine, result = traced_run()
-        utilization = core_utilization(result)
-        assert set(utilization) == {0, 1}
-        for value in utilization.values():
-            assert 0.0 <= value <= 1.0 + 1e-9
-
-    def test_single_core_fully_busy(self):
-        machine = make_machine(1, 0, **FREE)
-        machine.add_task(make_simple_task(work=4.0))
-        result = machine.run()
-        assert core_utilization(result)[0] == pytest.approx(1.0)
-
-
-class TestMigrationSummary:
-    def test_counts_by_app(self):
-        _machine, result = traced_run(n_big=2, n_little=2, n_tasks=6)
-        summary = migration_summary(result)
-        assert summary.total == sum(summary.per_app.values())
-        assert summary.most_migrated_count >= 0
-
-
-class TestExport:
-    def test_result_roundtrips_through_json(self):
-        _machine, result = traced_run()
-        payload = result_to_dict(result)
-        text = json.dumps(payload)
-        decoded = json.loads(text)
-        assert decoded["scheduler"] == "linux"
-        assert decoded["makespan_ms"] == pytest.approx(result.makespan)
-        assert len(decoded["tasks"]) == 3
-        assert set(decoded["apps"]) == {"app0", "app1", "app2"}
-
-    def test_campaign_export(self):
-        from repro.experiments.runner import ExperimentContext, evaluate_mix
-        from repro.model.speedup import OracleSpeedupModel
-
-        ctx = ExperimentContext(
-            seed=2, work_scale=0.04, estimator=OracleSpeedupModel()
-        )
-        points = [
-            evaluate_mix(ctx, "Sync-1", "2B2S", scheduler)
-            for scheduler in ("linux", "colab")
-        ]
-        payload = campaign_to_dict(points)
-        json.dumps(payload)  # must be serialisable
-        assert payload["count"] == 2
-        assert payload["points"][0]["mix"] == "Sync-1"
-        assert payload["points"][1]["scheduler"] == "colab"
-
-
 class TestEdgeCases:
-    """Empty, zero-duration, and single-task runs (satellite coverage)."""
-
-    @staticmethod
-    def empty_result(makespan=0.0):
-        """A structurally valid zero-duration result (machines refuse to
-        run without tasks, so the edge case is built directly)."""
-        from repro.sim.machine import RunResult
-
-        return RunResult(
-            topology_name="2B2S", scheduler_name="linux", makespan=makespan,
-            app_turnaround={}, app_names={}, tasks=[], scheduler_stats=None,
-            total_context_switches=0, total_migrations=0, core_busy_time={},
-        )
-
-    def test_core_utilization_zero_duration_run_rejected(self):
-        with pytest.raises(ExperimentError):
-            core_utilization(self.empty_result(makespan=0.0))
-
-    def test_migration_summary_empty_run(self):
-        summary = migration_summary(self.empty_result())
-        assert summary.total == 0
-        assert summary.per_app == {}
-        assert summary.most_migrated_task == ""
-        assert summary.most_migrated_count == 0
-
-    def test_single_task_run_utilization_bounded(self):
-        machine = make_machine(1, 1, **FREE)
-        machine.add_task(make_simple_task("solo", work=5.0))
-        result = machine.run()
-        utilization = core_utilization(result)
-        assert set(utilization) == {0, 1}
-        for value in utilization.values():
-            assert 0.0 <= value <= 1.0 + 1e-9
-        # One task, one core: the other core never runs anything.
-        assert min(utilization.values()) == 0.0
-
-    def test_single_task_migration_summary(self):
-        machine = make_machine(1, 1, **FREE)
-        machine.add_task(make_simple_task("solo", work=5.0), app_name="app")
-        result = machine.run()
-        summary = migration_summary(result)
-        assert summary.per_app == {"app": summary.most_migrated_count}
-        assert summary.most_migrated_task == "solo"
-        assert summary.total == summary.most_migrated_count
+    """Single-task runs."""
 
     def test_occupancy_rows_single_task(self):
         machine = make_machine(1, 0, obs=ObsConfig(trace=True), **FREE)

@@ -96,14 +96,14 @@ class TestTimeWeighted:
 
 class TestRegistry:
     def test_instruments_cached_by_name(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         assert registry.counter("x") is registry.counter("x")
         assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
         assert registry.time_weighted("t") is registry.time_weighted("t")
 
     def test_snapshot_groups_families(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("c").inc(3)
         registry.gauge("g").set(1.5)
         registry.histogram("h").observe(2.0)
@@ -115,18 +115,3 @@ class TestRegistry:
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["count"] == 1
         assert snap["time_weighted"]["t"]["mean"] == pytest.approx(1.0)
-
-    def test_disabled_registry_hands_out_noops(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("c").inc()
-        registry.gauge("g").set(9.0)
-        registry.histogram("h").observe(1.0)
-        registry.time_weighted("t").update(1.0, 1.0)
-        registry.time_weighted("t").finish(2.0)
-        snap = registry.snapshot()
-        assert snap == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-            "time_weighted": {},
-        }

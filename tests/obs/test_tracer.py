@@ -7,22 +7,107 @@ import dataclasses
 import pytest
 
 from repro.model.speedup import OracleSpeedupModel
-from repro.obs.context import ObsConfig, Observability
-from repro.obs.tracer import EventKind, Tracer, dispatch_slices
+from repro.obs.context import ObsConfig
+from repro.obs.probe import DECISION, Probe, combine
+from repro.obs.tracer import EventKind, TraceEvent, Tracer, dispatch_slices
 from tests.conftest import make_machine, make_simple_task
 
 FREE = dict(context_switch_cost=0.0, migration_cost=0.0)
 
 
+def decision_machines(obs):
+    """Fresh machines covering every DECISION site: linux, wash, colab and
+    gts on Sync-2 and Rand-1 at 2B2S, plus colab under a stepping DVFS
+    governor."""
+    from repro.experiments.runner import ExperimentContext
+    from repro.kernel.task import reset_tid_counter
+    from repro.sim.dvfs import DVFSPolicy
+    from repro.sim.machine import Machine, MachineConfig
+    from repro.workloads.mixes import MIXES
+    from repro.workloads.programs import ProgramEnv
+    from tests.sim.test_digest import SteppingGovernor
+
+    ctx = ExperimentContext(
+        seed=0, work_scale=0.1, estimator=OracleSpeedupModel()
+    )
+    points = [
+        (mix, scheduler, None)
+        for mix in ("Sync-2", "Rand-1")
+        for scheduler in ("linux", "wash", "colab", "gts")
+    ]
+    points.append(("Sync-2", "colab", "stepping"))
+    for mix, scheduler, dvfs in points:
+        reset_tid_counter()
+        policy = None
+        if dvfs is not None:
+            policy = DVFSPolicy(
+                big_governor=SteppingGovernor(),
+                little_governor=SteppingGovernor(),
+                period_ms=1.5,
+            )
+        machine = Machine(
+            ctx.topology("2B2S", big_first=True),
+            ctx.make_scheduler(scheduler),
+            MachineConfig(seed=ctx.seed, obs=obs, dvfs=policy),
+        )
+        env = ProgramEnv.for_machine(machine, work_scale=ctx.work_scale)
+        for instance in MIXES[mix].instantiate(env):
+            machine.add_program(instance)
+        yield f"{scheduler}/{mix}/{dvfs}", machine
+
+
+class DecisionWatcher(Probe):
+    """Records every DECISION the machine's hook table delivers."""
+
+    kinds = frozenset((DECISION,))
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    def transition(self, kind, task, where, now, detail):
+        name = task.name if task is not None else None
+        tid = task.tid if task is not None else None
+        self.seen.append((now, where, tid, name, detail))
+
+
+class TestDecisionProbe:
+    def test_probe_sees_exactly_the_traced_decisions(self):
+        """Every DECISION record reaches the tracer through the hook table:
+        a probe watching only DECISION, attached beside the tracer, sees
+        the same records in the same order."""
+        ops = set()
+        for name, machine in decision_machines(ObsConfig(trace=True)):
+            watcher = DecisionWatcher()
+            machine.hooks = combine([machine.probe, watcher]).hooks()
+            result = machine.run()
+            traced = [
+                (e.time, e.core_id, e.tid, e.name, e.args)
+                for e in result.events
+                if e.kind is EventKind.DECISION
+            ]
+            assert watcher.seen == traced, name
+            ops.update(args["op"] for *_, args in traced)
+        assert ops == {
+            "colab_pick", "idle_balance", "wash_affinity", "dvfs_governor",
+        }
+
+
 class TestTracer:
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit(1.0, EventKind.DISPATCH, core_id=0, tid=1)
-        assert len(tracer) == 0
-        assert tracer.events == []
+    def test_disabled_tracer_records_nothing(self, monkeypatch):
+        """An untraced run has no DECISION hook and builds no TraceEvent,
+        under every policy and under a DVFS governor."""
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an untraced run built a TraceEvent")
+
+        monkeypatch.setattr(TraceEvent, "__init__", refuse)
+        for name, machine in decision_machines(obs=None):
+            assert machine.tracer is None, name
+            assert machine.hooks[DECISION] is None, name
+            assert machine.run().events == [], name
 
     def test_enabled_tracer_records_typed_events(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.emit(1.0, EventKind.DISPATCH, core_id=0, tid=1, name="t")
         tracer.emit(2.0, EventKind.DESCHEDULE, core_id=0, tid=1, reason="done")
         assert len(tracer) == 2
@@ -30,12 +115,12 @@ class TestTracer:
         assert tracer.of_kind(EventKind.DESCHEDULE)[0].args == {"reason": "done"}
 
     def test_argless_emit_has_none_args(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.emit(0.0, EventKind.LABEL)
         assert tracer.events[0].args is None
 
     def test_dispatch_slices_pairing(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         tracer.emit(0.0, EventKind.DISPATCH, core_id=0, tid=1, name="a")
         tracer.emit(3.0, EventKind.DESCHEDULE, core_id=0, tid=1)
         tracer.emit(3.0, EventKind.DISPATCH, core_id=0, tid=2, name="b")
@@ -78,7 +163,7 @@ class TestMachineTracing:
         result = machine.run()
         assert result.events == []
         assert result.metrics == {}
-        assert machine.obs.tracer.enabled is False
+        assert machine.tracer is None
 
     def test_metrics_snapshot_contents(self):
         _machine, result = self.run_traced(metrics=True)
@@ -154,8 +239,15 @@ class TestParity:
 
 class TestObservability:
     def test_disabled_context(self):
-        obs = Observability()
-        assert not obs.tracer.enabled
-        assert not obs.metrics.enabled
-        assert not obs.profiler.enabled
+        """A facility that is off is not built."""
+        machine = make_machine(1, 1, obs=ObsConfig())
+        assert machine.tracer is None
+        assert machine.metrics is None
+        assert machine.profiler is None
+        on = make_machine(
+            1, 1, obs=ObsConfig(trace=True, metrics=True, profile=True)
+        )
+        assert on.tracer is not None
+        assert on.metrics is not None
+        assert on.profiler is not None
 

@@ -128,7 +128,7 @@ CHANGED_CONTEXT = {
     "jobs": 4,
     "cache_dir": "elsewhere",
     "result_cache": object(),
-    "obs_metrics": MetricsRegistry(enabled=False),
+    "obs_metrics": MetricsRegistry(),
     "ledger": object(),
 }
 
@@ -304,7 +304,7 @@ class TestResultCache:
         ids=["list", "string", "empty-point", "no-turnarounds"],
     )
     def test_foreign_entry_is_a_counted_miss(self, body, tmp_path):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         cache = ResultCache(tmp_path, metrics=registry)
         material = point_key_material(pure_ctx(), "Sync-1", "2B2S", "colab")
         fingerprint = point_fingerprint(material)
@@ -365,7 +365,7 @@ class TestResultCache:
         assert len(cache) == 1
 
     def test_metrics_counters_published(self, tmp_path):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         cache = ResultCache(tmp_path, metrics=registry)
         material = point_key_material(pure_ctx(), "Sync-1", "2B2S", "colab")
         fingerprint = point_fingerprint(material)

@@ -294,7 +294,7 @@ class TestPersistentCacheParity:
 
 class TestBoundedCache:
     def make(self, maxsize=3):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         return (
             BoundedCache(
                 maxsize,

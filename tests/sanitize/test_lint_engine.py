@@ -79,7 +79,7 @@ class TestSuppressions:
         write_sim_file(
             tmp_path, "s.py",
             "import time\n"
-            "now = time.time()  # sanitize: ignore[OBS001]\n",
+            "now = time.time()  # sanitize: ignore[KERN001]\n",
         )
         report = run_lint([tmp_path])
         assert [v.code for v in report.violations] == ["DET001"]
@@ -249,7 +249,6 @@ class TestReporters:
         catalogue = rule_catalogue()
         for heading in (
             "DET -- determinism",
-            "OBS -- observability",
             "KERN -- kernel structure",
             "PERF -- hot-path performance",
             "ERR -- error handling",

@@ -201,43 +201,6 @@ class TestDET003:
         assert codes == []
 
 
-class TestOBS001:
-    def test_unguarded_emit_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def f(tracer):\n"
-            "    tracer.emit('pick', tid=1)\n",
-        )
-        assert codes == ["OBS001"]
-
-    def test_guard_on_different_tracer_flagged(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def f(self, other_tracer):\n"
-            "    if self._tracer.enabled:\n"
-            "        other_tracer.emit('pick', tid=1)\n",
-        )
-        assert codes == ["OBS001"]
-
-    def test_guarded_emit_allowed(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def f(self):\n"
-            "    if self._tracer.enabled:\n"
-            "        self._tracer.emit('pick', tid=1)\n",
-        )
-        assert codes == []
-
-    def test_guarded_emit_in_compound_test_allowed(self, tmp_path):
-        codes = lint_source(
-            tmp_path,
-            "def f(tracer, verbose):\n"
-            "    if tracer.enabled and verbose:\n"
-            "        tracer.emit('pick', tid=1)\n",
-        )
-        assert codes == []
-
-
 class TestKERN001:
     def test_private_tree_access_flagged(self, tmp_path):
         codes = lint_source(

@@ -154,9 +154,10 @@ class TestLintCommand:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in (
-            "DET001", "DET002", "OBS001", "KERN001", "ERR001",
+            "DET001", "DET002", "KERN001", "ERR001",
         ):
             assert code in out
+        assert "OBS001" not in out
 
     def test_repo_source_is_clean(self, capsys):
         import pathlib
@@ -284,7 +285,7 @@ class TestAnalyzeCommand:
         codes = [rule.code for rule in registered_rules()]
         assert codes == [
             "ANA001", "DET001", "DET002", "DET003", "ERR001", "KERN001",
-            "OBS001", "PERF001",
+            "PERF001",
         ]
         for code in codes:
             assert code in out
@@ -318,6 +319,37 @@ class TestRunCommand:
         assert payload["count"] == 2
         schedulers = {p["scheduler"] for p in payload["points"]}
         assert schedulers == {"linux", "colab"}
+
+    def test_profile_prints_a_host_time_table_per_scheduler(
+        self, monkeypatch, capsys
+    ):
+        import repro.sim.machine as machine_module
+
+        def no_metrics(machine):
+            raise AssertionError("a profiled run built a metrics probe")
+
+        # --profile asks for the profiler alone.
+        monkeypatch.setattr(machine_module, "MachineMetrics", no_metrics)
+        code = main(
+            [
+                "--scale", "0.05", "--oracle", "--no-cache", "--no-ledger",
+                "run", "--mix", "Sync-1", "--config", "2B2S",
+                "--schedulers", "linux,colab", "--profile",
+                "--profile-top", "3",
+            ]
+        )
+        assert code == 0
+        stdout = capsys.readouterr().out
+        tables = stdout.split("\n\n")[1:]
+        assert [t.split(" ", 1)[0] for t in tables] == ["linux", "colab"]
+        for table in tables:
+            header, *rows = table.strip().splitlines()
+            assert "host-time profile (event loop" in header
+            # The top buckets by total time; a short run may have fewer.
+            assert 1 <= len(rows) <= 3
+            assert all(r.lstrip().startswith("engine.handle.") for r in rows)
+            totals = [float(r.split()[1]) for r in rows]
+            assert totals == sorted(totals, reverse=True)
 
 
 class TestErrorExit:

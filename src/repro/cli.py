@@ -7,11 +7,11 @@ Examples::
     colab-repro summary --oracle     # 312-run summary with oracle model
     colab-repro tables               # Tables 1-4
     colab-repro train                # Table 2 pipeline only
-    colab-repro trace --mix Sync-2   # Perfetto trace + metrics of one run
-    colab-repro trace --timeseries   # + sim-time counter tracks
-    colab-repro -vv trace ...        # same, with DEBUG decision logs
+    colab-repro run --mix Sync-1,Sync-2 --config 2B2S,4B4S  # cross product
+    colab-repro --jobs 4 run ...     # the same on a process pool
     colab-repro report --mix Sync-2  # per-task time attribution of one run
-    colab-repro sweep --jobs 4       # cross product, live progress line
+    colab-repro report --out t.json  # + Perfetto trace of that run
+    colab-repro report --timeseries --out t.json  # + sim-time counter tracks
     colab-repro ledger list          # recorded runs and sweep points
     colab-repro diff a.jsonl b.jsonl # explain a run_digest mismatch
     colab-repro lint src/repro       # static checks, one sorted report
@@ -136,28 +136,34 @@ def _cmd_summary(args: argparse.Namespace) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    """Run one (mix, config, scheduler) point; optionally export JSON."""
+    """Evaluate a mixes x configs x schedulers cross product."""
     import json
 
     from repro.experiments.runner import sweep
     from repro.metrics.turnaround import fairness_index
+    from repro.obs.progress import SweepProgress
     from repro.workloads.mixes import MIXES
 
+    mixes = _names(args.mix, "mixes")
+    configs = tuple(_names(args.config, "configs"))
     schedulers = tuple(_names(args.schedulers, "schedulers"))
     ctx = _context(args)
+    total = len(mixes) * len(configs) * len(schedulers)
     points = sweep(
-        ctx, [args.mix], configs=(args.config,), schedulers=schedulers,
+        ctx, mixes, configs=configs, schedulers=schedulers,
         sanitize=args.sanitize,
+        progress=SweepProgress(total, enabled=sys.stderr.isatty()),
     )
     for metrics in points:
-        baselines = ctx.baselines_for(MIXES[args.mix], args.config)
+        baselines = ctx.baselines_for(MIXES[metrics.mix_index], metrics.config)
         fairness = fairness_index(metrics.turnarounds, baselines)
         apps = "  ".join(
             f"{app}={value:.0f}ms" for app, value in metrics.turnarounds.items()
         )
         print(
-            f"{metrics.scheduler:<8} H_ANTT={metrics.h_antt:.3f} "
-            f"H_STP={metrics.h_stp:.3f} fairness={fairness:.3f}  {apps}"
+            f"{metrics.mix_index}/{metrics.config}/{metrics.scheduler:<8} "
+            f"H_ANTT={metrics.h_antt:.3f} H_STP={metrics.h_stp:.3f} "
+            f"fairness={fairness:.3f}  {apps}"
         )
     if args.json:
         records = [
@@ -176,109 +182,69 @@ def _cmd_run(args: argparse.Namespace) -> None:
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"\nwrote {args.json}")
-    if args.profile:
-        from repro.experiments.runner import run_mix_once
-        from repro.obs.context import ObsConfig
-
-        for scheduler in schedulers:
-            result = run_mix_once(
-                ctx, MIXES[args.mix], args.config, scheduler, big_first=True,
-                obs=ObsConfig(profile=True),
-                sanitize=args.sanitize,
-            )
-            profile = result.metrics.get("profile", {})
-            buckets = sorted(
-                (
-                    (name, stats)
-                    for name, stats in profile.items()
-                    if name.startswith("engine.handle.")
-                ),
-                key=lambda item: item[1]["total_s"],
-                reverse=True,
-            )[: args.profile_top]
-            loop = profile.get("engine.run", {}).get("total_s", 0.0)
-            print(
-                f"\n{scheduler} host-time profile "
-                f"(event loop {loop * 1e3:.1f} ms):"
-            )
-            for name, stats in buckets:
-                print(
-                    f"  {name:<36} {stats['total_s'] * 1e3:8.2f} ms  "
-                    f"n={stats['count']:<6d} mean={stats['mean_us']:.1f} us"
-                )
 
 
-def _cmd_trace(args: argparse.Namespace) -> None:
-    """Trace one run; write a Perfetto-loadable Chrome trace + metrics."""
+def _write_traces(args: argparse.Namespace, result) -> None:
+    """Write the files ``report`` was asked for; notes go to stderr."""
     import json
 
-    from repro.errors import ExperimentError
-    from repro.experiments.runner import run_mix_once
-    from repro.obs.context import ObsConfig
     from repro.obs.exporters import to_chrome_trace, write_jsonl
-    from repro.workloads.mixes import MIXES
 
-    ctx = _context(args)
-    mix = MIXES.get(args.mix)
-    if mix is None:
-        raise ExperimentError(f"unknown mix {args.mix!r}")
-    obs = ObsConfig(trace=True, metrics=True, profile=args.profile)
-    result = run_mix_once(
-        ctx, mix, args.config, args.scheduler, big_first=True, obs=obs,
-        sanitize=args.sanitize, timeseries=args.timeseries,
-    )
-
-    document = to_chrome_trace(
-        result.events, metadata=result.trace_metadata, end_time=result.makespan,
-        task_tracks=args.task_tracks,
-        timeseries=result.timeseries if args.timeseries else None,
-    )
-    with open(args.out, "w") as handle:
-        json.dump(document, handle)
-    print(
-        f"wrote {args.out}: {len(result.events)} events, "
-        f"{len(document['traceEvents'])} trace_event records "
-        f"(open at https://ui.perfetto.dev)"
-    )
-    if args.timeseries:
-        series = (result.timeseries or {}).get("series", {})
-        print(
-            f"timeline: {len(series)} counter tracks over "
-            f"{result.timeseries.get('samples', 0)} samples "
-            f"(window {result.timeseries.get('window_ms', 0.0):.1f} sim-ms)"
+    if args.out:
+        document = to_chrome_trace(
+            result.events, metadata=result.trace_metadata,
+            end_time=result.makespan, task_tracks=args.task_tracks,
+            timeseries=result.timeseries if args.timeseries else None,
         )
+        with open(args.out, "w") as handle:
+            json.dump(document, handle)
+        print(
+            f"wrote {args.out}: {len(result.events)} events, "
+            f"{len(document['traceEvents'])} trace_event records "
+            f"(open at https://ui.perfetto.dev)",
+            file=sys.stderr,
+        )
+        if args.timeseries:
+            print(
+                f"timeline: {len(result.timeseries['series'])} counter "
+                f"tracks over {result.timeseries['samples']} samples "
+                f"(window {result.timeseries['window_ms']:.1f} sim-ms)",
+                file=sys.stderr,
+            )
     if args.jsonl:
         with open(args.jsonl, "w") as handle:
             lines = write_jsonl(result.events, handle)
-        print(f"wrote {args.jsonl}: {lines} JSONL records")
+        print(f"wrote {args.jsonl}: {lines} JSONL records", file=sys.stderr)
     if args.metrics:
         with open(args.metrics, "w") as handle:
             json.dump(result.metrics, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.metrics}")
+        print(f"wrote {args.metrics}", file=sys.stderr)
 
-    gauges = result.metrics.get("gauges", {})
-    counters = result.metrics.get("counters", {})
-    print(
-        f"\n{args.scheduler} on {args.config}, mix {args.mix}: "
-        f"makespan={result.makespan:.1f}ms "
-        f"migrations={counters.get('sched.migrations', 0)} "
-        f"switches={result.total_context_switches}"
-    )
-    print(
-        f"mean core utilization={gauges.get('core.mean_utilization', 0.0):.3f} "
-        f"mean rq depth={gauges.get('rq.mean_depth', 0.0):.3f} "
-        f"futex wait={gauges.get('futex.total_wait_ms', 0.0):.1f}ms"
-    )
-    print(
-        f"hot path: suppressed={counters.get('engine.events.suppressed', 0):.0f} "
-        f"stale discarded={counters.get('engine.events.discarded', 0):.0f} "
-        f"pred-cache hits={counters.get('model.pred_cache.hits', 0):.0f}"
-        f"/misses={counters.get('model.pred_cache.misses', 0):.0f}"
-    )
+
+def _render_profile(result) -> str:
+    """The run's eight costliest ``engine.handle.*`` host-time buckets."""
+    profile = result.metrics["profile"]
+    buckets = sorted(
+        (
+            (name, stats)
+            for name, stats in profile.items()
+            if name.startswith("engine.handle.")
+        ),
+        key=lambda item: item[1]["total_s"],
+        reverse=True,
+    )[:8]
+    loop = profile["engine.run"]["total_s"]
+    lines = [f"host-time profile (event loop {loop * 1e3:.1f} ms):"]
+    for name, stats in buckets:
+        lines.append(
+            f"  {name:<36} {stats['total_s'] * 1e3:8.2f} ms  "
+            f"n={stats['count']:<6d} mean={stats['mean_us']:.1f} us"
+        )
+    return "\n".join(lines)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    """Per-task time attribution + decision-quality report of one run."""
+    """Trace one run: attribution, decision quality and trace exports."""
     import json
 
     from repro.errors import ExperimentError
@@ -298,8 +264,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ExperimentError(f"unknown mix {args.mix!r}")
     result = run_mix_once(
         ctx, mix, args.config, args.scheduler, big_first=True,
-        obs=ObsConfig(trace=True), sanitize=args.sanitize,
+        obs=ObsConfig(trace=True, metrics=True, profile=args.profile),
+        sanitize=args.sanitize, timeseries=args.timeseries,
     )
+    _write_traces(args, result)
     linked = link_decisions(
         result.events, metadata=result.trace_metadata, end_time=result.makespan
     )
@@ -337,14 +305,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
             )
         )
         return 0
+    gauges = result.metrics["gauges"]
     print(
         f"{args.scheduler} on {args.config}, mix {args.mix}: "
         f"makespan={result.makespan:.1f}ms, {len(linked)} decisions linked"
+    )
+    print(
+        f"migrations={result.metrics['counters']['sched.migrations']:.0f} "
+        f"switches={result.total_context_switches} "
+        f"mean core utilization={gauges.get('core.mean_utilization', 0.0):.3f} "
+        f"mean rq depth={gauges.get('rq.mean_depth', 0.0):.3f} "
+        f"futex wait={gauges['futex.total_wait_ms']:.1f}ms"
     )
     print()
     print(render_attribution(result.attribution, top=args.top))
     print()
     print(render_decision_quality(quality))
+    if args.profile:
+        print()
+        print(_render_profile(result))
     return 0
 
 
@@ -409,28 +388,6 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
         else:
             print(render_trend(result))
         return 1 if result["regressed"] else 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> None:
-    """Sweep a cross product of points behind a live progress line."""
-    from repro.experiments.runner import sweep
-    from repro.obs.progress import SweepProgress
-
-    mixes = _names(args.mixes, "mixes")
-    configs = tuple(_names(args.configs, "configs"))
-    schedulers = tuple(_names(args.schedulers, "schedulers"))
-    ctx = _context(args)
-    total = len(mixes) * len(configs) * len(schedulers)
-    points = sweep(
-        ctx, mixes, configs=configs, schedulers=schedulers, jobs=args.jobs,
-        sanitize=args.sanitize,
-        progress=SweepProgress(total, enabled=not args.no_progress),
-    )
-    for metrics in points:
-        print(
-            f"{metrics.mix_index}/{metrics.config}/{metrics.scheduler:<8} "
-            f"H_ANTT={metrics.h_antt:.3f} H_STP={metrics.h_stp:.3f}"
-        )
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -540,13 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="render figures as ASCII bar charts instead of tables",
     )
-    parser.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="-v: INFO, -vv: DEBUG (scheduler decision logs)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("train", help="run the Table 2 training pipeline").set_defaults(
         func=_cmd_train
@@ -570,9 +520,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("summary", help="312-experiment summary").set_defaults(
         func=_cmd_summary
     )
-    run = sub.add_parser("run", help="one (mix, config) evaluation point")
-    run.add_argument("--mix", default="Sync-2", help="Table 4 mix index")
-    run.add_argument("--config", default="2B2S", help="2B2S/2B4S/4B2S/4B4S")
+    run = sub.add_parser(
+        "run",
+        help="evaluate a mixes x configs x schedulers cross product "
+        "(a live progress line on a terminal's stderr)",
+    )
+    run.add_argument(
+        "--mix", default="Sync-2", help="comma-separated Table 4 mix indices"
+    )
+    run.add_argument(
+        "--config", default="2B2S",
+        help="comma-separated hardware configs: 2B2S/2B4S/4B2S/4B4S",
+    )
     run.add_argument(
         "--schedulers",
         default="linux,wash,colab",
@@ -585,64 +544,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run under the scheduler sanitizer (schedsan); outcomes are "
         "bit-identical but invariant violations fail loudly",
     )
-    run.add_argument(
-        "--profile",
-        action="store_true",
-        help="also run each scheduler once under the host-time profiler "
-        "and print the hottest engine.handle.* buckets",
-    )
-    run.add_argument(
-        "--profile-top",
-        type=int,
-        default=8,
-        metavar="N",
-        help="number of profiler buckets to print with --profile",
-    )
     run.set_defaults(func=_cmd_run)
-    trace = sub.add_parser(
-        "trace", help="trace one run (Perfetto/Chrome trace + metrics)"
-    )
-    trace.add_argument("--mix", default="Sync-2", help="Table 4 mix index")
-    trace.add_argument("--config", default="2B2S", help="2B2S/2B4S/4B2S/4B4S")
-    trace.add_argument(
-        "--scheduler", default="colab", help="linux/wash/colab/gts"
-    )
-    trace.add_argument(
-        "--out", default="trace.json", help="Chrome trace output path"
-    )
-    trace.add_argument(
-        "--jsonl", default=None, help="also write raw events as JSONL"
-    )
-    trace.add_argument(
-        "--metrics", default=None, help="also write the metrics snapshot JSON"
-    )
-    trace.add_argument(
-        "--profile",
-        action="store_true",
-        help="also profile host wall-clock hot paths",
-    )
-    trace.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run under the scheduler sanitizer (schedsan)",
-    )
-    trace.add_argument(
-        "--task-tracks",
-        action="store_true",
-        help="also emit one attribution-state annotation track per task "
-        "(a second 'tasks' process in the Perfetto view)",
-    )
-    trace.add_argument(
-        "--timeseries",
-        action="store_true",
-        help="also sample the sim-time metrics timeline and emit one "
-        "Perfetto counter track per series (a 'timeline' process)",
-    )
-    trace.set_defaults(func=_cmd_trace)
     report = sub.add_parser(
         "report",
-        help="per-task time attribution + decision-quality report of one "
-        "fresh traced run (recorded rows: ledger show RUN_ID)",
+        help="trace one fresh run: per-task time attribution, "
+        "decision quality and trace exports (recorded rows: ledger show "
+        "RUN_ID)",
     )
     report.add_argument("--mix", default="Sync-2", help="Table 4 mix index")
     report.add_argument("--config", default="2B2S", help="2B2S/2B4S/4B2S/4B4S")
@@ -659,6 +566,34 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--sanitize", action="store_true",
         help="run under the scheduler sanitizer (schedsan)",
+    )
+    report.add_argument(
+        "--out", default=None,
+        help="write a Perfetto/Chrome trace to this path",
+    )
+    report.add_argument(
+        "--jsonl", default=None, help="write raw events as JSONL"
+    )
+    report.add_argument(
+        "--metrics", default=None, help="write the metrics snapshot JSON"
+    )
+    report.add_argument(
+        "--task-tracks",
+        action="store_true",
+        help="with --out: one attribution-state annotation track per task "
+        "(a second 'tasks' process in the Perfetto view)",
+    )
+    report.add_argument(
+        "--timeseries",
+        action="store_true",
+        help="sample the sim-time metrics timeline; with --out, one "
+        "Perfetto counter track per series (a 'timeline' process)",
+    )
+    report.add_argument(
+        "--profile",
+        action="store_true",
+        help="profile host wall-clock hot paths; the text report ends "
+        "with the costliest engine.handle.* buckets",
     )
     report.set_defaults(func=_cmd_report)
     ledger_cmd = sub.add_parser(
@@ -700,36 +635,11 @@ def build_parser() -> argparse.ArgumentParser:
     ledger_trend.add_argument("--kind", default=None)
     ledger_trend.add_argument("--json", action="store_true")
     ledger_trend.set_defaults(func=_cmd_ledger)
-    sweep_cmd = sub.add_parser(
-        "sweep",
-        help="evaluate a mixes x configs x schedulers cross product "
-        "behind a live progress line",
-    )
-    sweep_cmd.add_argument(
-        "--mixes", default="Sync-1,Sync-2",
-        help="comma-separated Table 4 mix indices",
-    )
-    sweep_cmd.add_argument(
-        "--configs", default="2B2S", help="comma-separated hardware configs"
-    )
-    sweep_cmd.add_argument(
-        "--schedulers", default="linux,wash,colab",
-        help="comma-separated: linux/wash/colab/gts",
-    )
-    sweep_cmd.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress the live progress line",
-    )
-    sweep_cmd.add_argument(
-        "--sanitize", action="store_true",
-        help="run every point under the scheduler sanitizer (schedsan)",
-    )
-    sweep_cmd.set_defaults(func=_cmd_sweep)
     diff = sub.add_parser(
         "diff",
         help="first divergence between two JSONL traces (exit 1 if any)",
     )
-    diff.add_argument("trace_a", help="first JSONL trace (written by trace --jsonl)")
+    diff.add_argument("trace_a", help="first JSONL trace (written by report --jsonl)")
     diff.add_argument("trace_b", help="second JSONL trace")
     diff.add_argument(
         "--context", type=int, default=3,
@@ -764,10 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     from repro.errors import ExperimentError
-    from repro.obs.log import configure
 
     args = build_parser().parse_args(argv)
-    configure(verbosity=args.verbose)
     try:
         result = args.func(args)
         sys.stdout.flush()

@@ -26,17 +26,12 @@ issuing core is big or little).
 
 from __future__ import annotations
 
-import logging
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.kernel.task import CoreLabel
 from repro.model.speedup import SpeedupEstimator
-from repro.obs.log import get_logger
 from repro.schedulers.labeling import refresh_estimates
-
-logger = get_logger("core.labeler")
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.task import Task
@@ -75,12 +70,6 @@ class MultiFactorLabeler:
         for task in live:
             task.core_label = self.classify(task)
         self.passes += 1
-        if live and logger.isEnabledFor(logging.DEBUG):
-            mix = Counter(t.core_label.name for t in live)
-            logger.debug(
-                "pass %d: %d live tasks, labels %s", self.passes, len(live),
-                dict(sorted(mix.items())),
-            )
 
     def classify(self, task: "Task") -> CoreLabel:
         """Pure labeling rule for one task (exposed for unit tests)."""

@@ -42,13 +42,9 @@ ping-pong between the clusters.
 
 from __future__ import annotations
 
-import logging
 from typing import TYPE_CHECKING, Callable
 
 from repro.kernel.task import CoreLabel
-from repro.obs.log import get_logger
-
-logger = get_logger("core.selector")
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.task import Task
@@ -152,7 +148,7 @@ class BiasedGlobalSelector:
         local = core.rq.best(self._rq_key(core, core.rq))
         if local is not None:
             core.rq.dequeue(local)
-            self._record("local", core, local, now)
+            self._record("local")
             return local
 
         # 2. Same-type cluster runqueues (the core's MC sched domain).
@@ -161,7 +157,7 @@ class BiasedGlobalSelector:
         if candidate is not None:
             candidate_core, task = candidate
             candidate_core.rq.dequeue(task)
-            self._record("cluster", core, task, now)
+            self._record("cluster")
             return task
 
         # 3. The package-level domain: any ready thread anywhere.
@@ -170,14 +166,14 @@ class BiasedGlobalSelector:
         if candidate is not None:
             candidate_core, task = candidate
             candidate_core.rq.dequeue(task)
-            self._record("global", core, task, now)
+            self._record("global")
             return task
 
         # 4. A big core may accelerate a thread running on a little core.
         if core.is_big:
             victim_core = self._little_preemption_victim(machine, now)
             if victim_core is not None:
-                self._record("preempt_little", core, victim_core.current, now)
+                self._record("preempt_little")
                 victim = machine.preempt_running(victim_core, now)
                 self._last_preempted[victim.tid] = now
                 return victim
@@ -186,16 +182,10 @@ class BiasedGlobalSelector:
         self.last_decision = "idle"
         return None
 
-    def _record(self, tier: str, core: "Core", task: "Task", now: float) -> None:
+    def _record(self, tier: str) -> None:
         """Count the decision tier and remember it for the telemetry."""
         self.decisions[tier] += 1
         self.last_decision = tier
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "t=%.3f core %d picked %s via %s (blocking=%.3f label=%s)",
-                now, core.core_id, task.name, tier,
-                self.criticality(task), task.core_label.name,
-            )
 
     # ------------------------------------------------------------------
     def _best_from(self, cores, for_core: "Core") -> "tuple[Core, Task] | None":

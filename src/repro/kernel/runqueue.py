@@ -12,9 +12,9 @@ All three reproduced schedulers share this structure:
 * CFS picks the leftmost (minimum-vruntime) task;
 * WASH delegates picking to CFS, so it also uses the leftmost task;
 * COLAB's thread selector ignores vruntime order when picking and instead
-  scans for the maximum-blocking task (:meth:`max_blocking`), which is an
-  O(n) scan -- acceptable because runqueues hold at most a few dozen tasks
-  and it keeps the policy logic transparent.
+  scans for the task minimising its own selection key (:meth:`best`),
+  which is an O(n) scan -- acceptable because runqueues hold at most a few
+  dozen tasks and it keeps the policy logic transparent.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ class RunQueue:
         #: ``(vruntime, tid, task)`` entries in ascending key order; the
         #: first entry is the leftmost (next CFS pick).
         self._entries: list[tuple[float, int, Task]] = []
-        self._by_tid: dict[int, Task] = {}
-        #: ``(vruntime, tid)`` key each task was inserted under; dequeue
-        #: searches for this key, so it still finds a task whose vruntime
-        #: changed while queued.
+        #: ``(vruntime, tid)`` key each queued task was inserted under, by
+        #: tid, so its keys are exactly the queued tids.  Dequeue searches
+        #: for this key, so it still finds a task whose vruntime changed
+        #: while queued.
         self._keys: dict[int, tuple[float, int]] = {}
         #: Monotonic watermark of the smallest vruntime ever at the head of
         #: this queue; used by CFS to place newly woken tasks fairly.
@@ -60,13 +60,13 @@ class RunQueue:
     # Size / iteration
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._by_tid)
+        return len(self._keys)
 
     def __bool__(self) -> bool:
-        return bool(self._by_tid)
+        return bool(self._keys)
 
     def __contains__(self, task: Task) -> bool:
-        return task.tid in self._by_tid
+        return task.tid in self._keys
 
     def tasks(self) -> Iterator[Task]:
         """Iterate queued tasks in ascending vruntime order, without a copy.
@@ -77,8 +77,8 @@ class RunQueue:
         return map(itemgetter(2), self._entries)
 
     def tids(self) -> KeysView[int]:
-        """Live read-only view of the queued tids (the tid index)."""
-        return self._by_tid.keys()
+        """Live read-only view of the queued tids."""
+        return self._keys.keys()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -101,7 +101,6 @@ class RunQueue:
         key = (task.vruntime, task.tid)
         insort(self._entries, (*key, task))
         self._keys[task.tid] = key
-        self._by_tid[task.tid] = task
         task.rq_core_id = self.core_id
         hook = self.hooks[ENQUEUE]
         if hook is not None:
@@ -109,13 +108,12 @@ class RunQueue:
 
     def dequeue(self, task: Task) -> None:
         """Remove a specific task (migration, or it was picked to run)."""
-        if task.tid not in self._by_tid:
+        key = self._keys.pop(task.tid, None)
+        if key is None:
             raise KernelError(
                 f"task {task.name} not on runqueue of core {self.core_id}"
             )
-        key = self._keys.pop(task.tid)
         del self._entries[bisect_left(self._entries, key)]
-        del self._by_tid[task.tid]
         task.rq_core_id = None
         hook = self.hooks[DEQUEUE]
         if hook is not None:
@@ -157,36 +155,12 @@ class RunQueue:
         (conventionally by vruntime then tid) so selection stays
         deterministic and starvation-resistant.
         """
-        if not self._by_tid:
+        if not self._keys:
             return None
         best: Task | None = None
         best_key: tuple | None = None
         for _, _, task in self._entries:
             candidate = key(task)
-            if best_key is None or candidate < best_key:
-                best_key = candidate
-                best = task
-        return best
-
-    def max_blocking(
-        self, key: Callable[[Task], float] | None = None
-    ) -> Task | None:
-        """Task with the highest blocking level (COLAB pick-next).
-
-        Ties are broken by lower vruntime then lower tid so the choice is
-        deterministic and starvation-resistant.
-
-        Args:
-            key: Optional alternative criticality metric (used by the
-                ablation that swaps caused-wait time for waiter counts).
-        """
-        if not self._by_tid:
-            return None
-        metric = key if key is not None else (lambda t: t.blocking_level)
-        best: Task | None = None
-        best_key: tuple[float, float, int] | None = None
-        for _, _, task in self._entries:
-            candidate = (-metric(task), task.vruntime, task.tid)
             if best_key is None or candidate < best_key:
                 best_key = candidate
                 best = task
@@ -220,22 +194,20 @@ class RunQueue:
     def sanitize_violations(self) -> list[str]:
         """Describe every broken queue invariant (empty list = healthy).
 
-        Read-only: checks that the entries' keys ascend strictly, that
-        each entry agrees with the key map and the tid index, and that the
-        three stay in lockstep with the queued tasks' own bookkeeping.
+        Read-only: checks that the entries' keys ascend strictly and that
+        each entry agrees with the key map, which holds no other tid, and
+        that both stay in lockstep with the queued tasks' own bookkeeping.
         Queued tasks must be READY and claim this core.  (A queued task's
         *vruntime* may legitimately drift from its recorded key -- dequeue
         searches for the recorded key -- so key staleness is not a
         violation.)
         """
         problems: list[str] = []
-        if not len(self._entries) == len(self._by_tid) == len(self._keys):
+        if len(self._entries) != len(self._keys):
             problems.append(
-                f"queue holds {len(self._entries)} entries but tid index "
-                f"holds {len(self._by_tid)} and key map {len(self._keys)}"
+                f"queue holds {len(self._entries)} entries but key map "
+                f"holds {len(self._keys)}"
             )
-        if self._keys.keys() != self._by_tid.keys():
-            problems.append("key map and tid index disagree on queued tids")
         previous: tuple[float, int] | None = None
         for vruntime, tid, task in self._entries:
             key = (vruntime, tid)
@@ -248,11 +220,6 @@ class RunQueue:
                 problems.append(
                     f"entry {key} of task {task.name} disagrees with the "
                     "key map"
-                )
-            if self._by_tid.get(task.tid) is not task:
-                problems.append(
-                    f"queued task {task.name} (tid {task.tid}) missing from "
-                    "tid index"
                 )
             if not task.is_runnable:
                 problems.append(

@@ -1,8 +1,8 @@
 """``repro.obs`` -- observability for the simulator stack.
 
-Structured tracing, a metrics registry, host-side profiling, and logging
-wiring.  Every run-time observer reaches the machine, kernel machinery
-and engine through one seam, :mod:`repro.obs.probe`.  Enable per run via
+Structured tracing, a metrics registry and host-side profiling.  Every
+run-time observer reaches the machine, kernel machinery and engine
+through one seam, :mod:`repro.obs.probe`.  Enable per run via
 :class:`ObsConfig`::
 
     from repro import Machine, MachineConfig
@@ -14,8 +14,9 @@ and engine through one seam, :mod:`repro.obs.probe`.  Enable per run via
     result.events       # typed TraceEvent records
     result.metrics      # metrics snapshot (dict)
 
-or from the command line with ``colab-repro trace ...``, which writes a
-Perfetto-loadable Chrome trace plus a metrics JSON for one run.
+or from the command line with ``colab-repro report --out trace.json ...``,
+which writes a Perfetto-loadable Chrome trace of one run beside its
+attribution and decision-quality report.
 """
 
 from repro.obs.attribution import (
@@ -40,7 +41,6 @@ from repro.obs.exporters import (
     timeseries_counter_records,
     to_chrome_trace,
     to_jsonl,
-    write_chrome_trace,
     write_jsonl,
 )
 from repro.obs.ledger import (
@@ -52,7 +52,6 @@ from repro.obs.ledger import (
     render_ledger_rows,
     render_trend,
 )
-from repro.obs.log import configure, get_logger
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -64,7 +63,6 @@ from repro.obs.profiling import Profiler
 from repro.obs.progress import SweepProgress
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA_VERSION,
-    TimeseriesConfig,
     TimeseriesSampler,
     series_value,
 )
@@ -95,18 +93,15 @@ __all__ = [
     "SweepProgress",
     "TIMESERIES_SCHEMA_VERSION",
     "TimeWeighted",
-    "TimeseriesConfig",
     "TimeseriesSampler",
     "TraceDiff",
     "TraceEvent",
     "Tracer",
-    "configure",
     "decision_quality",
     "default_ledger_path",
     "diff_trace_files",
     "dispatch_slices",
     "first_divergence",
-    "get_logger",
     "link_decisions",
     "occupancy_rows",
     "record_point",
@@ -121,6 +116,5 @@ __all__ = [
     "timeseries_counter_records",
     "to_chrome_trace",
     "to_jsonl",
-    "write_chrome_trace",
     "write_jsonl",
 ]

@@ -4,13 +4,13 @@ Two complementary outputs of the same typed event stream:
 
 * :func:`to_jsonl` / :func:`write_jsonl` -- one JSON object per line,
   lossless, for programmatic analysis (pandas, jq, ...);
-* :func:`to_chrome_trace` / :func:`write_chrome_trace` -- the Chrome
-  ``trace_event`` JSON Array Format, loadable in Perfetto
-  (https://ui.perfetto.dev) or ``chrome://tracing``.  Each simulated core
-  becomes one named track (thread) of a single "machine" process;
-  dispatch/deschedule pairs become complete ("X") duration slices named
-  after the running task, and migrations / DVFS transitions / scheduler
-  decisions become instant ("i") events on the affected core's track.
+* :func:`to_chrome_trace` -- the Chrome ``trace_event`` JSON Array
+  Format, loadable in Perfetto (https://ui.perfetto.dev) or
+  ``chrome://tracing``.  Each simulated core becomes one named track
+  (thread) of a single "machine" process; dispatch/deschedule pairs
+  become complete ("X") duration slices named after the running task,
+  and migrations / DVFS transitions / scheduler decisions become instant
+  ("i") events on the affected core's track.
 
 Simulated time is in milliseconds; the Chrome format wants microseconds,
 so timestamps are multiplied by 1000 on export.
@@ -328,23 +328,3 @@ def _task_state_records(
         )
     return records
 
-
-def write_chrome_trace(
-    events: list[TraceEvent],
-    handle: IO[str],
-    metadata: dict | None = None,
-    end_time: float | None = None,
-    task_tracks: bool = False,
-    timeseries: dict | None = None,
-) -> None:
-    """Serialise :func:`to_chrome_trace` output to ``handle``."""
-    json.dump(
-        to_chrome_trace(
-            events,
-            metadata=metadata,
-            end_time=end_time,
-            task_tracks=task_tracks,
-            timeseries=timeseries,
-        ),
-        handle,
-    )

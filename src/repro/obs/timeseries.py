@@ -36,7 +36,6 @@ Series kinds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -53,18 +52,11 @@ _PRED_HITS = "model.pred_cache.hits"
 _PRED_MISSES = "model.pred_cache.misses"
 _PRED_HIT_RATE = "model.pred_cache.hit_rate"
 
-
-@dataclass(frozen=True)
-class TimeseriesConfig:
-    """Cadence of the sim-time sampler.
-
-    ``sample_period_ms`` is the tick spacing on the *simulated* clock;
-    ``samples_per_window`` ticks aggregate into one window, so the
-    window span is ``sample_period_ms * samples_per_window`` sim-ms.
-    """
-
-    sample_period_ms: float = 1.0
-    samples_per_window: int = 8
+#: Tick spacing of the sampler on the *simulated* clock (ms).
+SAMPLE_PERIOD_MS = 1.0
+#: Ticks aggregated into one window, so a window spans
+#: ``SAMPLE_PERIOD_MS * SAMPLES_PER_WINDOW`` sim-ms.
+SAMPLES_PER_WINDOW = 8
 
 
 def exact_percentile(ordered: list[float], q: float) -> float:
@@ -97,9 +89,6 @@ class TimeseriesSampler(Probe):
 
     __slots__ = (
         "machine",
-        "config",
-        "period_ms",
-        "window_ticks",
         "next_due",
         "_ticks",
         "_ticks_in_window",
@@ -112,21 +101,10 @@ class TimeseriesSampler(Probe):
         "_finished",
     )
 
-    def __init__(self, machine: "Machine", config: TimeseriesConfig) -> None:
-        if config.sample_period_ms <= 0.0:
-            raise SimulationError(
-                f"sample_period_ms {config.sample_period_ms} must be > 0"
-            )
-        if config.samples_per_window < 1:
-            raise SimulationError(
-                f"samples_per_window {config.samples_per_window} must be >= 1"
-            )
+    def __init__(self, machine: "Machine") -> None:
         self.machine = machine
-        self.config = config
-        self.period_ms = float(config.sample_period_ms)
-        self.window_ticks = int(config.samples_per_window)
         #: Next sample boundary (sim-ms); read by the engine's step guard.
-        self.next_due = self.period_ms
+        self.next_due = SAMPLE_PERIOD_MS
         self._ticks = 0
         self._ticks_in_window = 0
         self._gauge_buf: dict[str, list[float]] = {}
@@ -155,7 +133,7 @@ class TimeseriesSampler(Probe):
         boundary observes the machine state that held since the previous
         event -- the left limit, which is the state in effect at the
         boundary instant.  Boundary times are exact tick multiples
-        (``period_ms * k``), never accumulated sums, so cadence never
+        (``SAMPLE_PERIOD_MS * k``), never accumulated sums, so cadence never
         drifts with float error.
         """
         next_due = self.next_due
@@ -163,12 +141,12 @@ class TimeseriesSampler(Probe):
             self._sample()
             self._ticks += 1
             self._ticks_in_window += 1
-            if self._ticks_in_window == self.window_ticks:
+            if self._ticks_in_window == SAMPLES_PER_WINDOW:
                 self._close_window(
-                    self.period_ms * (self._ticks - self.window_ticks),
-                    self.period_ms * self._ticks,
+                    SAMPLE_PERIOD_MS * (self._ticks - SAMPLES_PER_WINDOW),
+                    SAMPLE_PERIOD_MS * self._ticks,
                 )
-            next_due = self.period_ms * (self._ticks + 1)
+            next_due = SAMPLE_PERIOD_MS * (self._ticks + 1)
         self.next_due = next_due
 
     # ------------------------------------------------------------------
@@ -319,8 +297,8 @@ class TimeseriesSampler(Probe):
         self._finished = True
         if self._ticks_in_window > 0:
             self._close_window(
-                self.period_ms * (self._ticks - self._ticks_in_window),
-                self.period_ms * self._ticks,
+                SAMPLE_PERIOD_MS * (self._ticks - self._ticks_in_window),
+                SAMPLE_PERIOD_MS * self._ticks,
             )
         del makespan  # cadence is tick-anchored; makespan lives in snapshot meta
 
@@ -345,9 +323,9 @@ class TimeseriesSampler(Probe):
             }
         return {
             "schema_version": TIMESERIES_SCHEMA_VERSION,
-            "sample_period_ms": self.period_ms,
-            "samples_per_window": self.window_ticks,
-            "window_ms": self.period_ms * self.window_ticks,
+            "sample_period_ms": SAMPLE_PERIOD_MS,
+            "samples_per_window": SAMPLES_PER_WINDOW,
+            "window_ms": SAMPLE_PERIOD_MS * SAMPLES_PER_WINDOW,
             "samples": self._ticks,
             "makespan_ms": makespan,
             "series": series,

@@ -232,13 +232,6 @@ class Tracer(Probe):
             "cores": {c.core_id: c.kind_name for c in machine.cores},
         }
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def of_kind(self, kind: EventKind) -> list[TraceEvent]:
-        """All recorded events of one kind, in emission order."""
-        return [e for e in self.events if e.kind is kind]
-
 
 def dispatch_slices(
     events: list[TraceEvent], end_time: float

@@ -172,7 +172,7 @@ def det003(module: ParsedModule) -> Iterator[Violation]:
 # KERN001 -- runqueue internals are RunQueue's business
 # ----------------------------------------------------------------------
 
-_RQ_PRIVATE_ATTRS = {"_entries", "_by_tid", "_keys"}
+_RQ_PRIVATE_ATTRS = {"_entries", "_keys"}
 
 
 @rule(
@@ -181,8 +181,8 @@ _RQ_PRIVATE_ATTRS = {"_entries", "_by_tid", "_keys"}
     DECISION_SCOPE,
 )
 def kern001(module: ParsedModule) -> Iterator[Violation]:
-    """RunQueue keeps three structures (entries, tid index, key map) plus the
-    task's rq_core_id in lockstep; touching any of them from outside
+    """RunQueue keeps two structures (entries, key map) plus the task's
+    rq_core_id in lockstep; touching any of them from outside
     desynchronises the bookkeeping the schedulers rely on.
     """
     if module.posix.endswith("kernel/runqueue.py"):

@@ -11,8 +11,8 @@ or off.
 Checked invariants (the ones COLAB's who-wins evaluation rests on):
 
 * **runqueue** -- after every runqueue mutation: entries in strictly
-  ascending ``(vruntime, tid)`` order, entries / tid index / key map
-  kept in lockstep, queued tasks READY and owned by this core;
+  ascending ``(vruntime, tid)`` order, entries and key map kept in
+  lockstep, queued tasks READY and owned by this core;
 * **min_vruntime** -- the per-queue watermark never moves backwards;
 * **task state** -- post-drain, every READY task sits on exactly one
   runqueue, RUNNING tasks biject with ``core.current``, SLEEPING tasks

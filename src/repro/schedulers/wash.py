@@ -28,18 +28,14 @@ unchanged from :class:`~repro.schedulers.cfs.CFSScheduler`.
 
 from __future__ import annotations
 
-import logging
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.model.speedup import OracleSpeedupModel, SpeedupEstimator
-from repro.obs.log import get_logger
 from repro.obs.probe import DECISION
 from repro.schedulers.cfs import CFSScheduler
 from repro.schedulers.labeling import refresh_estimates
-
-logger = get_logger("schedulers.wash")
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.task import Task
@@ -150,12 +146,6 @@ class WASHScheduler(CFSScheduler):
                         "speedup": task.predicted_speedup,
                         "blocking": task.blocking_level,
                     })
-                if logger.isEnabledFor(logging.DEBUG):
-                    logger.debug(
-                        "t=%.3f %s %s (score=%.3f)", now, task.name,
-                        "pinned to big" if new_affinity else "unpinned",
-                        score,
-                    )
             self._enforce_affinity(task, now)
 
     def observe(self) -> tuple[dict[str, float], dict[str, float]]:

@@ -280,9 +280,9 @@ class Machine:
         if self.metrics is not None:
             observers.append(self.metrics)
         if self.config.timeseries:
-            from repro.obs.timeseries import TimeseriesConfig, TimeseriesSampler
+            from repro.obs.timeseries import TimeseriesSampler
 
-            observers.append(TimeseriesSampler(self, TimeseriesConfig()))
+            observers.append(TimeseriesSampler(self))
         return combine(observers)
 
     # ------------------------------------------------------------------

@@ -101,36 +101,6 @@ class TestSelection:
         rq.enqueue(a)
         assert rq.pop_min() is a  # lower tid first
 
-    def test_max_blocking_picks_highest(self):
-        rq = RunQueue(0)
-        a = ready_task("a", blocking=1.0)
-        b = ready_task("b", blocking=5.0)
-        c = ready_task("c", blocking=2.0)
-        for t in (a, b, c):
-            rq.enqueue(t)
-        assert rq.max_blocking() is b
-
-    def test_max_blocking_tie_prefers_lower_vruntime(self):
-        rq = RunQueue(0)
-        a = ready_task("a", vruntime=4.0, blocking=2.0)
-        b = ready_task("b", vruntime=1.0, blocking=2.0)
-        rq.enqueue(a)
-        rq.enqueue(b)
-        assert rq.max_blocking() is b
-
-    def test_max_blocking_custom_metric(self):
-        rq = RunQueue(0)
-        a = ready_task("a", blocking=9.0)
-        a.predicted_speedup = 1.0
-        b = ready_task("b", blocking=0.0)
-        b.predicted_speedup = 2.5
-        rq.enqueue(a)
-        rq.enqueue(b)
-        assert rq.max_blocking(key=lambda t: t.predicted_speedup) is b
-
-    def test_max_blocking_empty(self):
-        assert RunQueue(0).max_blocking() is None
-
     def test_best_with_arbitrary_key(self):
         rq = RunQueue(0)
         a = ready_task("a", vruntime=1.0)
@@ -206,7 +176,7 @@ class TestProperties:
             task = ready_task(f"t{i}", vruntime=vrt, blocking=blk)
             rq.enqueue(task)
             tasks.append(task)
-        top = rq.max_blocking()
+        top = rq.best(lambda t: (-t.blocking_level, t.vruntime, t.tid))
         assert top.blocking_level == max(t.blocking_level for t in tasks)
         popped = []
         while len(rq):

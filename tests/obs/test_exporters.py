@@ -9,7 +9,6 @@ from repro.obs.context import ObsConfig
 from repro.obs.exporters import (
     to_chrome_trace,
     to_jsonl,
-    write_chrome_trace,
     write_jsonl,
 )
 from repro.obs.tracer import SCHEMA_VERSION, EventKind
@@ -104,14 +103,6 @@ class TestChromeTrace:
         json.dumps(document)
         assert all(e["ph"] == "M" for e in document["traceEvents"])
 
-    def test_write_chrome_trace(self, tmp_path):
-        _machine, result = traced_result()
-        path = tmp_path / "trace.json"
-        with open(path, "w") as handle:
-            write_chrome_trace(result.events, handle)
-        decoded = json.loads(path.read_text())
-        assert decoded["traceEvents"]
-
 
 class TestTaskTracks:
     def document(self, task_tracks=True):
@@ -164,16 +155,3 @@ class TestTaskTracks:
             assert entry["name"] in STATE_NAMES
             assert entry["ts"] >= 0.0 and entry["dur"] >= 0.0
             assert entry["ts"] + entry["dur"] <= result.makespan * 1000 + 1e-6
-
-    def test_write_chrome_trace_passes_task_tracks(self, tmp_path):
-        _machine, result = traced_result()
-        path = tmp_path / "trace.json"
-        with open(path, "w") as handle:
-            write_chrome_trace(
-                result.events, handle,
-                metadata=result.trace_metadata,
-                end_time=result.makespan,
-                task_tracks=True,
-            )
-        decoded = json.loads(path.read_text())
-        assert any(e["pid"] == 1 for e in decoded["traceEvents"])

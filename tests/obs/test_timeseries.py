@@ -12,7 +12,6 @@ from repro.model.speedup import OracleSpeedupModel
 from repro.obs.exporters import timeseries_counter_records, to_chrome_trace
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA_VERSION,
-    TimeseriesConfig,
     TimeseriesSampler,
     exact_percentile,
     series_value,
@@ -48,20 +47,8 @@ def reference_run(name: str, *, timeseries: bool, **config_kwargs):
 
 
 # ----------------------------------------------------------------------
-# Configuration and percentile math
+# Percentile math
 # ----------------------------------------------------------------------
-class TestConfig:
-    def test_zero_period_rejected(self):
-        machine = make_machine()
-        with pytest.raises(SimulationError):
-            TimeseriesSampler(machine, TimeseriesConfig(sample_period_ms=0.0))
-
-    def test_empty_window_rejected(self):
-        machine = make_machine()
-        with pytest.raises(SimulationError):
-            TimeseriesSampler(machine, TimeseriesConfig(samples_per_window=0))
-
-
 class TestExactPercentile:
     def test_empty_rejected(self):
         with pytest.raises(SimulationError):
@@ -160,22 +147,20 @@ class TestSnapshot:
         for window in entry["windows"]:
             assert 0.0 <= window["value"] <= 1.0
 
-    def test_custom_cadence_respected(self):
+    def test_default_cadence_respected(self):
         machine = make_machine(2, 2, seed=3)
         for i in range(6):
             machine.add_task(
                 make_simple_task(f"t{i}", work=20.0, chunks=5, app_id=i % 2)
             )
-        sampler = TimeseriesSampler(
-            machine, TimeseriesConfig(sample_period_ms=2.0, samples_per_window=4)
-        )
+        sampler = TimeseriesSampler(machine)
         machine.engine.probe = sampler
         result = machine.run()
         snap = sampler.snapshot(result.makespan)
-        assert snap["sample_period_ms"] == 2.0
-        assert snap["samples_per_window"] == 4
+        assert snap["sample_period_ms"] == 1.0
+        assert snap["samples_per_window"] == 8
         assert snap["window_ms"] == 8.0
-        assert snap["samples"] == int(result.makespan // 2.0)
+        assert snap["samples"] == int(result.makespan // 1.0)
         windows = snap["series"]["rq.depth.mean"]["windows"]
         assert windows[0]["t1"] == 8.0
 

@@ -110,9 +110,10 @@ class TestTracer:
         tracer = Tracer()
         tracer.emit(1.0, EventKind.DISPATCH, core_id=0, tid=1, name="t")
         tracer.emit(2.0, EventKind.DESCHEDULE, core_id=0, tid=1, reason="done")
-        assert len(tracer) == 2
-        assert tracer.of_kind(EventKind.DISPATCH)[0].name == "t"
-        assert tracer.of_kind(EventKind.DESCHEDULE)[0].args == {"reason": "done"}
+        dispatch, deschedule = tracer.events
+        assert dispatch.kind is EventKind.DISPATCH and dispatch.name == "t"
+        assert deschedule.kind is EventKind.DESCHEDULE
+        assert deschedule.args == {"reason": "done"}
 
     def test_argless_emit_has_none_args(self):
         tracer = Tracer()

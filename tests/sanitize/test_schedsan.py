@@ -105,7 +105,8 @@ class TestRunQueueChecks:
 
     def test_desynced_tid_index_detected(self):
         sanitizer, rq, tasks = self.make_rq_with_tasks()
-        del rq._by_tid[tasks[0].tid]  # simulate external corruption
+        stray = tasks[-1].tid + 1  # a tid the queue does not hold
+        rq._keys[stray] = (0.0, stray)  # simulate external corruption
         assert rq.sanitize_violations()
         with pytest.raises(SanitizerError) as err:
             sanitizer.on_rq_change(rq)

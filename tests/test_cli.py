@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -18,7 +19,7 @@ class TestParser:
         parser = build_parser()
         for command in (
             "train", "tables", "fig4", "fig5", "fig6", "fig7", "fig8",
-            "fig9", "summary", "run", "trace", "all", "sweep",
+            "fig9", "summary", "run", "report", "all",
         ):
             args = parser.parse_args([command])
             assert args.command == command
@@ -31,19 +32,6 @@ class TestParser:
             assert args.command == argv[0]
             assert callable(args.func)
 
-    def test_sweep_options(self):
-        args = build_parser().parse_args(
-            ["--jobs", "4", "sweep", "--mixes", "Sync-1", "--configs",
-             "2B2S", "--schedulers", "linux,colab",
-             "--no-progress", "--sanitize"]
-        )
-        assert args.jobs == 4
-        assert args.mixes == "Sync-1"
-        assert args.configs == "2B2S"
-        assert args.schedulers == "linux,colab"
-        assert args.no_progress
-        assert args.sanitize
-
     def test_global_options(self):
         parser = build_parser()
         args = parser.parse_args(["--seed", "7", "--scale", "0.2", "fig4"])
@@ -55,6 +43,17 @@ class TestParser:
         args = build_parser().parse_args(["--oracle", "summary"])
         assert args.oracle
 
+    def test_sweep_options(self):
+        args = build_parser().parse_args(
+            ["--jobs", "4", "run", "--mix", "Sync-1,Sync-2", "--config",
+             "2B2S,4B4S", "--schedulers", "linux,colab", "--sanitize"]
+        )
+        assert args.jobs == 4
+        assert args.mix == "Sync-1,Sync-2"
+        assert args.config == "2B2S,4B4S"
+        assert args.schedulers == "linux,colab"
+        assert args.sanitize
+
     def test_run_options(self):
         args = build_parser().parse_args(
             ["run", "--mix", "Rand-5", "--config", "4B2S",
@@ -65,29 +64,27 @@ class TestParser:
         assert args.schedulers == "linux,gts"
         assert args.json == "/tmp/x.json"
 
-    def test_verbose_flag_counts(self):
-        parser = build_parser()
-        assert parser.parse_args(["summary"]).verbose == 0
-        assert parser.parse_args(["-v", "summary"]).verbose == 1
-        assert parser.parse_args(["-vv", "summary"]).verbose == 2
-
     def test_trace_options(self):
-        args = build_parser().parse_args(
-            ["trace", "--mix", "Comm-1", "--scheduler", "wash",
+        parser = build_parser()
+        args = parser.parse_args(["report"])
+        assert args.out is None and args.jsonl is None and args.metrics is None
+        assert not (args.task_tracks or args.profile)
+        args = parser.parse_args(
+            ["report", "--mix", "Comm-1", "--scheduler", "wash",
              "--out", "/tmp/t.json", "--jsonl", "/tmp/t.jsonl",
-             "--metrics", "/tmp/m.json", "--profile"]
+             "--metrics", "/tmp/m.json", "--profile", "--task-tracks"]
         )
         assert args.mix == "Comm-1"
         assert args.scheduler == "wash"
         assert args.out == "/tmp/t.json"
         assert args.jsonl == "/tmp/t.jsonl"
         assert args.metrics == "/tmp/m.json"
-        assert args.profile
+        assert args.profile and args.task_tracks
 
     def test_trace_timeseries_flag(self):
         parser = build_parser()
-        assert not parser.parse_args(["trace"]).timeseries
-        assert parser.parse_args(["trace", "--timeseries"]).timeseries
+        assert not parser.parse_args(["report"]).timeseries
+        assert parser.parse_args(["report", "--timeseries"]).timeseries
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -101,8 +98,8 @@ class TestParser:
         parser = build_parser()
         assert not parser.parse_args(["run"]).sanitize
         assert parser.parse_args(["run", "--sanitize"]).sanitize
-        assert not parser.parse_args(["trace"]).sanitize
-        assert parser.parse_args(["trace", "--sanitize"]).sanitize
+        assert not parser.parse_args(["report"]).sanitize
+        assert parser.parse_args(["report", "--sanitize"]).sanitize
 
     def test_lint_options(self):
         parser = build_parser()
@@ -124,6 +121,26 @@ class TestParser:
             build_parser().parse_args(["analyze"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'analyze'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace"],
+            ["sweep"],
+            ["-v", "run"],
+            ["-vv", "report"],
+            ["run", "--profile"],
+            ["run", "--profile-top", "3"],
+            ["run", "--no-progress"],
+        ],
+        ids=["trace", "sweep", "-v", "-vv", "run-profile", "profile-top",
+             "no-progress"],
+    )
+    def test_retired_verbs_and_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestLintCommand:
@@ -320,37 +337,32 @@ class TestRunCommand:
         schedulers = {p["scheduler"] for p in payload["points"]}
         assert schedulers == {"linux", "colab"}
 
-    def test_profile_prints_a_host_time_table_per_scheduler(
+    def test_cross_product_prints_points_behind_a_progress_line(
         self, monkeypatch, capsys
     ):
-        import repro.sim.machine as machine_module
+        argv = [
+            "--scale", "0.04", "--oracle", "--no-cache",
+            "run", "--mix", "Sync-1,Sync-2", "--config", "2B2S",
+            "--schedulers", "linux,colab",
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        # stderr is not a terminal here: no progress line.
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "Sync-1/2B2S/linux", "Sync-1/2B2S/colab",
+            "Sync-2/2B2S/linux", "Sync-2/2B2S/colab",
+        ]
+        assert all("H_ANTT" in line and "fairness" in line for line in lines)
 
-        def no_metrics(machine):
-            raise AssertionError("a profiled run built a metrics probe")
-
-        # --profile asks for the profiler alone.
-        monkeypatch.setattr(machine_module, "MachineMetrics", no_metrics)
-        code = main(
-            [
-                "--scale", "0.05", "--oracle", "--no-cache", "--no-ledger",
-                "run", "--mix", "Sync-1", "--config", "2B2S",
-                "--schedulers", "linux,colab", "--profile",
-                "--profile-top", "3",
-            ]
-        )
-        assert code == 0
-        stdout = capsys.readouterr().out
-        tables = stdout.split("\n\n")[1:]
-        assert [t.split(" ", 1)[0] for t in tables] == ["linux", "colab"]
-        for table in tables:
-            header, *rows = table.strip().splitlines()
-            assert "host-time profile (event loop" in header
-            # The top buckets by total time; a short run may have fewer.
-            assert 1 <= len(rows) <= 3
-            assert all(r.lstrip().startswith("engine.handle.") for r in rows)
-            totals = [float(r.split()[1]) for r in rows]
-            assert totals == sorted(totals, reverse=True)
-
+        monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == lines
+        assert captured.err.startswith("\rsweep 0/4 (0%)")
+        assert "sweep 4/4 (100%)" in captured.err
+        assert captured.err.endswith("\n")
 
 class TestErrorExit:
     """Bad user input ends in one stderr line and exit code 2."""
@@ -362,20 +374,20 @@ class TestErrorExit:
         [
             (["run", "--mix", "Nope-1"], "unknown mix 'Nope-1'"),
             (["run", "--config", "9B9S"], "unknown config '9B9S'"),
-            (["trace", "--mix", "Nope-1"], "unknown mix 'Nope-1'"),
+            (["report", "--mix", "Nope-1"], "unknown mix 'Nope-1'"),
             (["run", "--schedulers", "lunix"], "unknown scheduler 'lunix'"),
             (
-                ["sweep", "--schedulers", "lunix", "--no-progress"],
+                ["run", "--mix", "Sync-1,Sync-2", "--schedulers", "lunix"],
                 "unknown scheduler 'lunix'",
             ),
             (
-                ["--jobs", "2", "sweep", "--schedulers", "lunix",
-                 "--no-progress"],
+                ["--jobs", "2", "run", "--mix", "Sync-1,Sync-2",
+                 "--schedulers", "lunix"],
                 "unknown scheduler 'lunix'",
             ),
-            (["sweep", "--mixes", " , "], "no mixes given in ' , '"),
-            (["sweep", "--configs", ""], "no configs given in ''"),
-            (["sweep", "--schedulers", ","], "no schedulers given in ','"),
+            (["run", "--mix", " , "], "no mixes given in ' , '"),
+            (["run", "--config", ""], "no configs given in ''"),
+            (["run", "--schedulers", ","], "no schedulers given in ','"),
         ],
         ids=[
             "run-mix", "run-config", "trace-mix", "run-scheduler",
@@ -391,9 +403,12 @@ class TestErrorExit:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "pool"])
-    def test_failed_sweep_finishes_its_progress_line(self, jobs, capsys):
-        argv = ["--jobs", jobs, "sweep", "--mixes", "Sync-1",
-                "--configs", "2B2S", "--schedulers", "linux,lunix"]
+    def test_failed_sweep_finishes_its_progress_line(
+        self, jobs, monkeypatch, capsys
+    ):
+        argv = ["--jobs", jobs, "run", "--mix", "Sync-1",
+                "--config", "2B2S", "--schedulers", "linux,lunix"]
+        monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
         assert main(self.BASE + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("\rsweep 0/2 (0%)")
@@ -465,27 +480,6 @@ class TestSanitizedRunCommand:
         assert json.loads(plain.read_text()) == json.loads(checked.read_text())
 
 
-class TestSweepCommand:
-    def test_sweep_prints_points_behind_a_progress_line(self, capsys):
-        code = main(
-            [
-                "--scale", "0.04", "--oracle", "--no-cache",
-                "sweep", "--mixes", "Sync-1", "--configs", "2B2S",
-                "--schedulers", "linux,colab",
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        lines = captured.out.splitlines()
-        assert [line.split()[0] for line in lines] == [
-            "Sync-1/2B2S/linux", "Sync-1/2B2S/colab",
-        ]
-        assert all("H_ANTT" in line for line in lines)
-        assert captured.err.startswith("\rsweep 0/2 (0%)")
-        assert "sweep 2/2 (100%)" in captured.err
-        assert captured.err.endswith("\n")
-
-
 class TestDiffCommand:
     def test_identical_traces_exit_zero(self, tmp_path, capsys):
         trace = tmp_path / "a.jsonl"
@@ -500,61 +494,6 @@ class TestDiffCommand:
         b.write_text('{"t": 2.0, "kind": "dispatch"}\n')
         assert main(["diff", str(a), str(b)]) == 1
         assert "diverge at record 0" in capsys.readouterr().out
-
-
-class TestTraceCommand:
-    def test_trace_writes_chrome_trace_and_metrics(self, tmp_path, capsys):
-        out = tmp_path / "trace.json"
-        jsonl = tmp_path / "events.jsonl"
-        metrics = tmp_path / "metrics.json"
-        code = main(
-            [
-                "--scale", "0.05", "--oracle",
-                "trace", "--mix", "Sync-1", "--config", "2B2S",
-                "--scheduler", "colab", "--out", str(out),
-                "--jsonl", str(jsonl), "--metrics", str(metrics),
-            ]
-        )
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "perfetto" in stdout.lower()
-        assert "makespan" in stdout
-
-        document = json.loads(out.read_text())
-        assert document["displayTimeUnit"] == "ms"
-        phases = {e["ph"] for e in document["traceEvents"]}
-        assert {"M", "X"} <= phases  # per-core tracks + duration slices
-
-        lines = jsonl.read_text().splitlines()
-        assert lines
-        for line in lines:
-            json.loads(line)
-
-        snapshot = json.loads(metrics.read_text())
-        assert "sched.migrations" in snapshot["counters"]
-        assert "core.0.utilization" in snapshot["gauges"]
-        assert "rq.mean_depth" in snapshot["gauges"]
-        assert "futex.total_wait_ms" in snapshot["gauges"]
-
-    def test_trace_timeseries_adds_counter_tracks(self, tmp_path, capsys):
-        out = tmp_path / "trace.json"
-        code = main(
-            [
-                "--scale", "0.05", "--oracle", "--no-cache",
-                "trace", "--mix", "Sync-1", "--config", "2B2S",
-                "--scheduler", "colab", "--out", str(out),
-                "--timeseries",
-            ]
-        )
-        assert code == 0
-        assert "timeline" in capsys.readouterr().out
-        document = json.loads(out.read_text())
-        counters = [
-            e for e in document["traceEvents"] if e.get("ph") == "C"
-        ]
-        assert counters
-        assert {e["pid"] for e in counters} == {2}
-        assert any(e["name"] == "rq.depth.mean" for e in counters)
 
 
 @pytest.fixture(autouse=True)
@@ -593,6 +532,127 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "ledger run 1" in out
         assert "running_big" in out
+
+    def test_out_writes_chrome_trace_and_metrics(self, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        jsonl = tmp_path / "events.jsonl"
+        metrics = tmp_path / "metrics.json"
+        code = main(
+            self.BASE + ["report"] + self.POINT + [
+                "--out", str(out), "--jsonl", str(jsonl),
+                "--metrics", str(metrics), "--json",
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        # The notes go to stderr; stdout stays one JSON document.
+        assert json.loads(captured.out)["scheduler"] == "colab"
+        assert "perfetto" in captured.err.lower()
+        assert captured.err.count("wrote ") == 3
+
+        document = json.loads(out.read_text())
+        assert document["displayTimeUnit"] == "ms"
+        phases = {e["ph"] for e in document["traceEvents"]}
+        assert {"M", "X"} <= phases  # per-core tracks + duration slices
+
+        lines = jsonl.read_text().splitlines()
+        assert lines
+        for line in lines:
+            json.loads(line)
+
+        snapshot = json.loads(metrics.read_text())
+        assert "sched.migrations" in snapshot["counters"]
+        assert "core.0.utilization" in snapshot["gauges"]
+        assert "rq.mean_depth" in snapshot["gauges"]
+        assert "futex.total_wait_ms" in snapshot["gauges"]
+
+    def test_no_out_writes_no_trace(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.BASE + ["report"] + self.POINT) == 0
+        assert "wrote" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "ledger"]
+
+    def test_timeseries_adds_counter_tracks(self, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        code = main(
+            self.BASE + ["report"] + self.POINT
+            + ["--out", str(out), "--timeseries"]
+        )
+        assert code == 0
+        assert "timeline" in capsys.readouterr().err
+        document = json.loads(out.read_text())
+        counters = [
+            e for e in document["traceEvents"] if e.get("ph") == "C"
+        ]
+        assert counters
+        assert {e["pid"] for e in counters} == {2}
+        assert any(e["name"] == "rq.depth.mean" for e in counters)
+
+    def test_task_tracks_emit_task_state_process(self, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        code = main(
+            self.BASE + ["report"] + self.POINT
+            + ["--out", str(out), "--task-tracks"]
+        )
+        assert code == 0
+        capsys.readouterr()
+        document = json.loads(out.read_text())
+        task_records = [
+            r for r in document["traceEvents"] if r.get("pid") == 1
+        ]
+        assert any(r["ph"] == "X" for r in task_records)
+
+    def test_profile_prints_a_host_time_table(self, capsys):
+        code = main(self.BASE + ["report"] + self.POINT + ["--profile"])
+        assert code == 0
+        table = capsys.readouterr().out.split("\n\n")[-1]
+        header, *rows = table.strip().splitlines()
+        assert header.startswith("host-time profile (event loop")
+        # The costliest buckets first; a short run may have fewer than 8.
+        assert 1 <= len(rows) <= 8
+        assert all(r.lstrip().startswith("engine.handle.") for r in rows)
+        totals = [float(r.split()[1]) for r in rows]
+        assert totals == sorted(totals, reverse=True)
+
+    def test_outputs_are_byte_identical_to_the_recorded_ones(self, tmp_path):
+        """The files and JSON report of one traced point, pinned by hash.
+
+        The hashes were recorded from the same point's trace, JSONL,
+        metrics snapshot and JSON report before ``report`` took over the
+        trace exports.  Each run is a fresh process, as recorded: task ids
+        count up across runs within one process.
+        """
+        files = {
+            "trace.json": "8b3dc21cb9c32606c6fac932813a3606"
+                          "c353f6510edef002acb680d03fd6b727",
+            "events.jsonl": "c89ed70b7f39b5e280d9e12e109cb7067"
+                            "e6cf40a8690919a6ed4b3fe9c207487",
+            "metrics.json": "4c7e32b54c8e8f4540542edbb6a24450"
+                            "93eed28d994255fca5d19ee7b4c54bb2",
+        }
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        command = [sys.executable, "-m", "repro", *self.BASE, "report",
+                   *self.POINT]
+        subprocess.run(
+            command + [
+                "--timeseries", "--task-tracks", "--out", "trace.json",
+                "--jsonl", "events.jsonl", "--metrics", "metrics.json",
+            ],
+            cwd=tmp_path, env=env, check=True, capture_output=True,
+        )
+        for name, digest in files.items():
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
+        report = subprocess.run(
+            command + ["--json"], cwd=tmp_path, env=env, check=True,
+            capture_output=True,
+        ).stdout
+        assert hashlib.sha256(report).hexdigest() == (
+            "1469e8f36a3c84234095304cfc3c304e"
+            "3005f0776b20677bfb00669a189bef0c"
+        )
 
 
 class TestLedgerCommands:
@@ -677,22 +737,3 @@ class TestLedgerCommands:
         capsys.readouterr()
         assert main(["ledger", "list"]) == 0
         assert "empty" in capsys.readouterr().out
-
-
-class TestTraceTaskTracks:
-    def test_trace_emits_task_state_process(self, tmp_path, capsys):
-        out = tmp_path / "trace.json"
-        code = main(
-            [
-                "--scale", "0.05", "--oracle", "--no-cache",
-                "trace", "--mix", "Sync-1", "--config", "2B2S",
-                "--scheduler", "colab", "--out", str(out), "--task-tracks",
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-        document = json.loads(out.read_text())
-        task_records = [
-            r for r in document["traceEvents"] if r.get("pid") == 1
-        ]
-        assert any(r["ph"] == "X" for r in task_records)

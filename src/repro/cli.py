@@ -62,21 +62,24 @@ def _open_ledger(args: argparse.Namespace):
         return None
 
 
-def _context(args: argparse.Namespace) -> ExperimentContext:
-    cache_dir = None
-    if not args.no_cache:
-        if args.cache_dir is not None:
-            cache_dir = args.cache_dir
-        else:
-            from repro.parallel.cache import default_cache_dir
+def _cache_dir(args: argparse.Namespace):
+    """``--cache-dir``, else the default location; ``None`` under ``--no-cache``."""
+    if args.no_cache:
+        return None
+    if args.cache_dir is not None:
+        return args.cache_dir
+    from repro.parallel.cache import default_cache_dir
 
-            cache_dir = default_cache_dir()
+    return default_cache_dir()
+
+
+def _context(args: argparse.Namespace) -> ExperimentContext:
     return ExperimentContext(
         seed=args.seed,
         work_scale=args.scale,
         use_learned_model=not args.oracle,
         jobs=args.jobs,
-        cache_dir=cache_dir,
+        cache_dir=_cache_dir(args),
         ledger=_open_ledger(args),
     )
 
@@ -94,7 +97,7 @@ def _names(text: str, what: str) -> list[str]:
 def _cmd_train(args: argparse.Namespace) -> None:
     from repro.model.training import train_speedup_model
 
-    _model, report = train_speedup_model(seed=args.seed)
+    _model, report = train_speedup_model(seed=args.seed, cache_dir=_cache_dir(args))
     print(tables.table2_speedup_model(report))
 
 
@@ -104,7 +107,7 @@ def _cmd_tables(args: argparse.Namespace) -> None:
     ctx = _context(args)
     print(tables.table1_related_work())
     print()
-    print(tables.table2_speedup_model(default_training_report()))
+    print(tables.table2_speedup_model(default_training_report(ctx.cache_dir)))
     print()
     print(tables.table3_categorization(ctx))
     print()
@@ -473,13 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="persistent result-cache directory "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro)",
+        help="persistent cache directory: sweep points and the speedup "
+        "model's training set (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the persistent on-disk result cache",
+        help="disable the persistent on-disk cache (points and training set)",
     )
     parser.add_argument(
         "--ledger-dir",

@@ -125,12 +125,12 @@ class COLABScheduler(Scheduler):
         machine = self._require_machine()
         preferred = self.allocator.cluster_for(task)
         idle_preferred = [
-            c for c in preferred if c.current is None and not c.rq
+            c for c in preferred if c.current is None and not c.rq.nr_running
         ]
         if idle_preferred:
             return idle_preferred[0]
         idle_any = [
-            c for c in machine.cores if c.current is None and not c.rq
+            c for c in machine.cores if c.current is None and not c.rq.nr_running
         ]
         if idle_any:
             return idle_any[0]
@@ -205,7 +205,7 @@ class COLABScheduler(Scheduler):
         # divisor memoized: on big cores the divisor max(1, predicted)
         # is exactly the charge scale, so the same cache entry serves both.
         policy = self.policy
-        nr_running = len(core.rq) + 1
+        nr_running = core.rq.nr_running + 1
         base = max(policy.min_granularity, policy.sched_latency / nr_running)
         if not (policy.enabled and core.is_big):
             return base

@@ -62,7 +62,7 @@ class ScaleSlicePolicy:
 
     def slice_for(self, task: "Task", core: "Core") -> float:
         """Maximum slice; shortened on big cores by the predicted speedup."""
-        nr_running = len(core.rq) + 1
+        nr_running = core.rq.nr_running + 1
         base = max(self.min_granularity, self.sched_latency / nr_running)
         if self.enabled and core.is_big:
             return max(

@@ -199,7 +199,7 @@ class BiasedGlobalSelector:
         chosen: tuple["Core", "Task"] | None = None
         for other in cores:
             rq = other.rq
-            if not rq:
+            if not rq.nr_running:
                 continue
             key = self._rq_key(for_core, rq)
             task = rq.best(key)

@@ -129,7 +129,8 @@ class ExperimentContext:
             the model ablation or for fast tests.
         jobs: Default worker-process count for :func:`sweep` and the
             figure drivers; 1 means serial execution in this process.
-        cache_dir: Directory for the persistent on-disk result cache; the
+        cache_dir: Directory for the persistent on-disk result cache and
+            the stored training set of the default model; the
             default ``None`` disables persistence (pass
             :func:`repro.parallel.cache.default_cache_dir` for the
             conventional location).
@@ -232,12 +233,16 @@ class ExperimentContext:
 
     # ------------------------------------------------------------------
     def get_estimator(self) -> SpeedupEstimator:
-        """The shared runtime speedup model (train lazily if needed)."""
+        """The shared runtime speedup model (train lazily if needed).
+
+        The learned model's training set is read from, or stored in,
+        ``cache_dir`` when one is set.
+        """
         if self.estimator is None:
             if self.use_learned_model:
                 from repro.model.training import default_speedup_model
 
-                self.estimator = default_speedup_model()
+                self.estimator = default_speedup_model(self.cache_dir)
             else:
                 self.estimator = OracleSpeedupModel(noise_std=0.1, seed=self.seed)
         return self.estimator

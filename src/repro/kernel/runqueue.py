@@ -48,6 +48,10 @@ class RunQueue:
         #: for this key, so it still finds a task whose vruntime changed
         #: while queued.
         self._keys: dict[int, tuple[float, int]] = {}
+        #: Number of queued tasks (Linux's ``rq->nr_running``), kept by
+        #: enqueue and dequeue: hot-path readers use it instead of
+        #: ``len()`` or a truth test, each a ``__len__``/``__bool__`` frame.
+        self.nr_running = 0
         #: Monotonic watermark of the smallest vruntime ever at the head of
         #: this queue; used by CFS to place newly woken tasks fairly.
         self.min_vruntime: float = 0.0
@@ -101,6 +105,7 @@ class RunQueue:
         key = (task.vruntime, task.tid)
         insort(self._entries, (*key, task))
         self._keys[task.tid] = key
+        self.nr_running += 1
         task.rq_core_id = self.core_id
         hook = self.hooks[ENQUEUE]
         if hook is not None:
@@ -114,6 +119,7 @@ class RunQueue:
                 f"task {task.name} not on runqueue of core {self.core_id}"
             )
         del self._entries[bisect_left(self._entries, key)]
+        self.nr_running -= 1
         task.rq_core_id = None
         hook = self.hooks[DEQUEUE]
         if hook is not None:
@@ -195,8 +201,9 @@ class RunQueue:
         """Describe every broken queue invariant (empty list = healthy).
 
         Read-only: checks that the entries' keys ascend strictly and that
-        each entry agrees with the key map, which holds no other tid, and
-        that both stay in lockstep with the queued tasks' own bookkeeping.
+        each entry agrees with the key map, which holds no other tid and
+        as many as ``nr_running`` counts, and that both stay in lockstep
+        with the queued tasks' own bookkeeping.
         Queued tasks must be READY and claim this core.  (A queued task's
         *vruntime* may legitimately drift from its recorded key -- dequeue
         searches for the recorded key -- so key staleness is not a
@@ -207,6 +214,11 @@ class RunQueue:
             problems.append(
                 f"queue holds {len(self._entries)} entries but key map "
                 f"holds {len(self._keys)}"
+            )
+        if self.nr_running != len(self._keys):
+            problems.append(
+                f"nr_running is {self.nr_running} but key map holds "
+                f"{len(self._keys)}"
             )
         previous: tuple[float, int] | None = None
         for vruntime, tid, task in self._entries:

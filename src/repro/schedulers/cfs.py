@@ -86,14 +86,14 @@ class CFSScheduler(Scheduler):
             if candidate in allowed:
                 prev = candidate
         if prev is not None:
-            if prev.current is None and not prev.rq:
+            if prev.current is None and not prev.rq.nr_running:
                 return prev
             # select_idle_sibling: idle core in the previous core's cluster.
             for core in allowed:
                 if (
                     core.kind is prev.kind
                     and core.current is None
-                    and not core.rq
+                    and not core.rq.nr_running
                 ):
                     return core
         # The least loaded allowed core, lowest id first on ties (the list
@@ -102,7 +102,7 @@ class CFSScheduler(Scheduler):
         least = None
         least_load = 0
         for core in allowed:
-            load = len(core.rq) + (0 if core.current is None else 1)
+            load = core.rq.nr_running + (0 if core.current is None else 1)
             if least is None or load < least_load:
                 least = core
                 least_load = load
@@ -111,7 +111,7 @@ class CFSScheduler(Scheduler):
                 raise SchedulerError(f"{task.name} allows no core")
             return least
         # Slow path: stay on prev unless clearly imbalanced.
-        if len(prev.rq) + (0 if prev.current is None else 1) > least_load + 1:
+        if prev.rq.nr_running + (0 if prev.current is None else 1) > least_load + 1:
             return least
         return prev
 
@@ -156,8 +156,8 @@ class CFSScheduler(Scheduler):
         """Steal the leftmost compatible task from the busiest runqueue."""
         machine = self._require_machine()
         donors = sorted(
-            (c for c in machine.cores if c is not core and len(c.rq) > 0),
-            key=lambda c: (-len(c.rq), c.core_id),
+            (c for c in machine.cores if c is not core and c.rq.nr_running > 0),
+            key=lambda c: (-c.rq.nr_running, c.core_id),
         )
         for donor in donors:
             for candidate in donor.rq.tasks():
@@ -170,7 +170,7 @@ class CFSScheduler(Scheduler):
                              machine.engine.now, {
                                  "op": "idle_balance",
                                  "from_core": donor.core_id,
-                                 "donor_depth": len(donor.rq) + 1,
+                                 "donor_depth": donor.rq.nr_running + 1,
                              })
                     return candidate
         return None
@@ -208,6 +208,6 @@ class CFSScheduler(Scheduler):
         task.vruntime += delta
 
     def slice_for(self, task: "Task", core: "Core") -> float:
-        share = self.sched_latency / (len(core.rq) + 1)
+        share = self.sched_latency / (core.rq.nr_running + 1)
         # == max(self.min_granularity, share)
         return share if share > self.min_granularity else self.min_granularity

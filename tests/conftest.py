@@ -7,11 +7,24 @@ import pytest
 
 from repro.kernel.task import Task, reset_tid_counter
 from repro.obs.probe import FanOut
+from repro.parallel.cache import CACHE_DIR_ENV
 from repro.schedulers.cfs import CFSScheduler
 from repro.sim.counters import MicroArchProfile
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.topology import make_topology
 from repro.workloads.actions import Compute
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_cache_dir(tmp_path_factory):
+    """Point the default persistent cache at a session temp directory.
+
+    Default-argument training stores its training set there, so the suite
+    never reads or writes the user's ``~/.cache/repro``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("repro-cache")))
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -127,6 +127,13 @@ class TestRunQueueChecks:
             sanitizer.on_rq_change(rq)
         assert err.value.check == "runqueue"
 
+    def test_desynced_nr_running_detected(self):
+        sanitizer, rq, _ = self.make_rq_with_tasks()
+        rq.nr_running += 1  # simulate external corruption
+        with pytest.raises(SanitizerError, match="nr_running is 4") as err:
+            sanitizer.on_rq_change(rq)
+        assert err.value.check == "runqueue"
+
     def test_queued_task_in_wrong_state_detected(self):
         sanitizer, rq, tasks = self.make_rq_with_tasks()
         tasks[1].state = tasks[1].state.__class__.SLEEPING

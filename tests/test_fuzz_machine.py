@@ -268,14 +268,12 @@ def _run_against_sorted_list_oracle(ops):
 
 @given(ops=runqueue_ops())
 @settings(max_examples=150, deadline=None)
-def test_rbtree_against_sorted_list_oracle(ops):
+def test_runqueue_against_sorted_list_oracle(ops):
     """Runqueue ordering agrees with a sorted list, then drains in order.
 
-    The name is kept from the red-black tree the runqueue used to hold;
-    the structure under test is now the sorted-list ``RunQueue``.  Random
-    enqueue/dequeue/pop_min/requeue sequences with tied vruntimes are
-    cross-checked after every step, and ``pop_min`` must then yield the
-    oracle's sorted sequence.
+    Random enqueue/dequeue/pop_min/requeue sequences with tied vruntimes
+    are cross-checked after every step, and ``pop_min`` must then yield
+    the oracle's sorted sequence.
     """
     rq, tasks, oracle = _run_against_sorted_list_oracle(ops)
     drained = []
@@ -288,14 +286,13 @@ def test_rbtree_against_sorted_list_oracle(ops):
 
 @given(ops=runqueue_ops(kinds=ORDER_OPS + ("drift",)))
 @settings(max_examples=150, deadline=None)
-def test_rbtree_node_handles_against_sorted_list_oracle(ops):
+def test_runqueue_recorded_keys_against_sorted_list_oracle(ops):
     """Removal goes through the key recorded at enqueue, not the live one.
 
-    The name is kept from the red-black tree's node handles; in the
-    sorted-list ``RunQueue`` that handle is the ``(vruntime, tid)`` key
-    recorded per tid.  ``drift`` changes a queued task's vruntime without
-    re-keying it, so ``dequeue``, ``requeue`` and ``pop_min`` must still
-    find the entry where it was inserted.
+    ``RunQueue`` records each task's ``(vruntime, tid)`` key by tid.
+    ``drift`` changes a queued task's vruntime without re-keying it, so
+    ``dequeue``, ``requeue`` and ``pop_min`` must still find the entry
+    where it was inserted.
     """
     _run_against_sorted_list_oracle(ops)
 
